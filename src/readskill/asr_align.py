@@ -8,14 +8,13 @@ CSV files.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import normalize_word
-from .errors import EmptyCanonical, NoModel, OutOfRange
+from .corpus import csv_rows, normalize_word
+from .errors import EmptyCanonical, NoModel, OutOfRange, SchemaMismatch
 from .lexical import VARIANT_B_DIMS, ClusterModel, SkillClass
 
 DEFAULT_TAU = 0.5
@@ -48,13 +47,17 @@ class AlignmentOp:
 def parse_hypothesis(path: str | Path) -> list[HypWord]:
     """Parse word,confidence rows; a literal header row is skipped."""
     out = []
-    with open(path, newline="") as fh:
-        for k, rec in enumerate(csv.reader(fh)):
-            if not rec or (len(rec) == 1 and not rec[0].strip()):
-                continue
-            if k == 0 and rec[0].strip().lower() == "word":
-                continue
-            out.append(HypWord(text=rec[0].strip(), confidence=float(rec[1])))
+    for k, rec in csv_rows(path):
+        if k == 0 and rec[0].strip().lower() == "word":
+            continue
+        if len(rec) < 2:
+            raise SchemaMismatch(f"{path}: row {k} needs word,confidence")
+        try:
+            confidence = float(rec[1])
+        except ValueError:
+            raise SchemaMismatch(
+                f"{path}: row {k} has non-numeric confidence {rec[1]!r}") from None
+        out.append(HypWord(text=rec[0].strip(), confidence=confidence))
     return out
 
 

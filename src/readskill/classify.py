@@ -463,9 +463,14 @@ def write_report(report: CVReport, json_path, csv_path) -> None:
         "importances": report.importances,
     }
     Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    with open(csv_path, "w") as fh:
-        fh.write("actual\\predicted," + ",".join(report.class_names) + "\n")
-        for name, row in zip(report.class_names, report.pooled_confusion):
+    write_confusion(report.pooled_confusion, report.class_names, csv_path)
+
+
+def write_confusion(matrix, class_names, path) -> None:
+    """Emit a confusion matrix as CSV: rows actual, columns predicted."""
+    with open(path, "w") as fh:
+        fh.write("actual\\predicted," + ",".join(class_names) + "\n")
+        for name, row in zip(class_names, matrix):
             fh.write(name + "," + ",".join(str(int(v)) for v in row) + "\n")
 
 

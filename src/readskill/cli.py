@@ -8,6 +8,7 @@ or schema problems.
 from __future__ import annotations
 
 import argparse
+import functools
 import multiprocessing
 import os
 import sys
@@ -31,33 +32,42 @@ def _write_errors(out_dir: Path, errors: list[tuple[str, str]]) -> None:
         "\n".join(lines) + "\n" if lines else "")
 
 
-def _featurize_one(job):
-    """Worker for one recording; returns (rid, vector | None, error | None)."""
-    rid, root, label, cfg, out_dir, dump_fr, dump_ev = job
-    index = CorpusIndex(root=Path(root), story=None, lexicon={}, ids=[],
-                        labels={}, metadata={})
+def _per_recording(work, ids, jobs: int):
+    """Run ``work(rid)`` for every id, serially at ``jobs == 1`` and in a
+    pool of ``jobs`` processes otherwise, so ``work`` must pickle. Returns
+    the results in id order, and a (rid, message) error for each recording
+    that raised ReadskillError or OSError."""
+    isolated = functools.partial(_isolated, work)
+    if jobs == 1:
+        outcomes = [isolated(rid) for rid in ids]
+    else:
+        with multiprocessing.Pool(jobs) as pool:
+            outcomes = pool.map(isolated, ids)
+    results = [result for _, result, err in outcomes if err is None]
+    errors = [(rid, err) for rid, _, err in outcomes if err is not None]
+    return results, errors
+
+
+def _isolated(work, rid):
     try:
-        recording = load_wav(index.wav_path(rid))
-        intervals, _ = parse_intervals(index.intervals_path(rid), recording.duration)
-        story = _worker_story
-        vec, detail = featurize.extract_features(
-            recording, intervals, story, label=label, recording_id=rid,
-            cfg=cfg.feature_config(), return_detail=True)
-        if dump_fr:
-            dump_frames(detail.track, Path(out_dir) / f"frames_{rid}.csv")
-        if dump_ev:
-            dump_events(detail.pauses, detail.peaks, Path(out_dir) / f"events_{rid}.csv")
-        return rid, vec, None
+        return rid, work(rid), None
     except (ReadskillError, OSError) as exc:
         return rid, None, f"{type(exc).__name__}: {exc}"
 
 
-_worker_story = None
-
-
-def _init_worker(story):
-    global _worker_story
-    _worker_story = story
+def _featurize_one(index: CorpusIndex, fcfg, out_dir: Path, dump_fr: bool,
+                   dump_ev: bool, rid: str):
+    """Feature vector of one recording; writes its dumps when asked."""
+    recording = load_wav(index.wav_path(rid))
+    intervals, _ = parse_intervals(index.intervals_path(rid), recording.duration)
+    vec, detail = featurize.extract_features(
+        recording, intervals, index.story, label=index.labels.get(rid),
+        recording_id=rid, cfg=fcfg, return_detail=True)
+    if dump_fr:
+        dump_frames(detail.track, out_dir / f"frames_{rid}.csv")
+    if dump_ev:
+        dump_events(detail.pauses, detail.peaks, out_dir / f"events_{rid}.csv")
+    return vec
 
 
 def cmd_featurize(cfg: RunConfig, args) -> int:
@@ -67,35 +77,13 @@ def cmd_featurize(cfg: RunConfig, args) -> int:
         return 2
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = [
-        (rid, str(index.root), index.labels.get(rid), cfg, str(out_dir),
-         args.dump_frames, args.dump_events)
-        for rid in index.ids
-    ]
-    if args.jobs == 1:
-        _init_worker(index.story)
-        results = [_featurize_one(j) for j in jobs]
-    else:
-        with multiprocessing.Pool(args.jobs, initializer=_init_worker,
-                                  initargs=(index.story,)) as pool:
-            results = pool.map(_featurize_one, jobs)
-
-    rows = [vec for _, vec, err in results if err is None]
-    errors = [(rid, err) for rid, _, err in results if err is not None]
-    featurize.write_features(sorted(rows, key=lambda r: r.recording_id),
-                             out_dir / "features.csv")
+    work = functools.partial(_featurize_one, index, cfg.feature_config(), out_dir,
+                             args.dump_frames, args.dump_events)
+    rows, errors = _per_recording(work, index.ids, args.jobs)
+    featurize.write_features(rows, out_dir / "features.csv")
     _write_errors(out_dir, errors)
     print(f"featurize: {len(rows)} ok, {len(errors)} failed")
     return 1 if errors else 0
-
-
-def _miscue_matrix(index: CorpusIndex, variant: str):
-    ids = [rid for rid in index.ids if index.words_path(rid).exists()]
-    vectors = []
-    for rid in ids:
-        tr = parse_transcription(index.words_path(rid), index.story)
-        vectors.append(lexical.miscue_fractions(tr, variant, recording_id=rid))
-    return ids, np.array([v.values for v in vectors])
 
 
 def cmd_cluster(cfg: RunConfig, args) -> int:
@@ -103,8 +91,13 @@ def cmd_cluster(cfg: RunConfig, args) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    ids_a, points_a = _miscue_matrix(index, "A")
-    ids, points_b = _miscue_matrix(index, "B")
+    ids = [rid for rid in index.ids if index.words_path(rid).exists()]
+    rows_a, rows_b = [], []
+    for rid in ids:  # one transcription alive at a time keeps the peak RSS low
+        tr = parse_transcription(index.words_path(rid), index.story)
+        rows_a.append(lexical.miscue_fractions(tr, "A").values)
+        rows_b.append(lexical.miscue_fractions(tr, "B").values)
+    points_a, points_b = np.array(rows_a), np.array(rows_b)
     k_range = range(cfg.cluster_k_min, cfg.cluster_k_max + 1)
     sweep_a = lexical.sweep_k(points_a, k_range, seed=cfg.seed,
                               restarts=cfg.kmeans_restarts)
@@ -218,6 +211,14 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _asr_align_one(index: CorpusIndex, centroids, labels, tau: float, rid: str):
+    """(rid, miscue percentages, nearest-centroid class) of one hypothesis."""
+    hyp = asr_align.parse_hypothesis(index.hyp_path(rid))
+    _, ops = asr_align.align(index.story.words, hyp)
+    pct = asr_align.confidence_remap(ops, hyp, tau)
+    return rid, pct, asr_align.classify_by_centroid(pct, centroids, labels)
+
+
 def cmd_asr_align(cfg: RunConfig, args) -> int:
     index = scan_corpus(cfg.corpus_root)
     if index.story is None:
@@ -230,32 +231,18 @@ def cmd_asr_align(cfg: RunConfig, args) -> int:
     if variant != "B" or centroids.shape != (3, len(lexical.VARIANT_B_DIMS)):
         raise SchemaMismatch("asr-align needs a labeled K=3 merged-variant model")
 
-    canonical = list(index.story.words)
-    results = []
-    errors = []
+    work = functools.partial(_asr_align_one, index, centroids, labels, cfg.tau)
+    results, errors = _per_recording(work, index.ids, args.jobs)
     confusion = np.zeros((3, 3), dtype=np.int64)
-    for rid in index.ids:
-        try:
-            hyp = asr_align.parse_hypothesis(index.hyp_path(rid))
-            _, ops = asr_align.align(canonical, hyp)
-            pct = asr_align.confidence_remap(ops, hyp, cfg.tau)
-            skill = asr_align.classify_by_centroid(pct, centroids, labels)
-            results.append((rid, pct, skill))
-            truth = index.labels.get(rid)
-            if truth in SKILL_NAMES:
-                confusion[int(SkillClass[truth]), int(skill)] += 1
-        except (ReadskillError, OSError, ValueError) as exc:
-            errors.append((rid, f"{type(exc).__name__}: {exc}"))
-
     with open(out_dir / "asr_classes.csv", "w") as fh:
         fh.write("id,pct_C,pct_M,pct_I,skill\n")
         for rid, pct, skill in results:
             fh.write(f"{rid},{pct.pct_C!r},{pct.pct_M!r},{pct.pct_I!r},"
                      f"{skill.name}\n")
-    with open(out_dir / "asr_confusion.csv", "w") as fh:
-        fh.write("actual\\predicted," + ",".join(SKILL_NAMES) + "\n")
-        for name, row in zip(SKILL_NAMES, confusion):
-            fh.write(name + "," + ",".join(str(int(v)) for v in row) + "\n")
+            truth = index.labels.get(rid)
+            if truth in SKILL_NAMES:
+                confusion[int(SkillClass[truth]), int(skill)] += 1
+    classify.write_confusion(confusion, SKILL_NAMES, out_dir / "asr_confusion.csv")
     _write_errors(out_dir, errors)
     print(f"asr-align: {len(results)} ok, {len(errors)} failed")
     return 1 if errors else 0
@@ -286,6 +273,13 @@ def cmd_config(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="readskill",
@@ -294,8 +288,9 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="key = value settings file")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one config key")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for per-recording commands")
+    parser.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
+                        help="worker processes for featurize and asr-align "
+                             "(default: one per CPU)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("featurize", help="extract acoustic features per recording")

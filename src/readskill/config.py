@@ -3,7 +3,7 @@ overrides, with every tunable owning a documented default."""
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .classify import CV_FOLDS, N_TREES, PLANS
@@ -28,20 +28,8 @@ class RunConfig:
     group_by: str = ""  # metadata field for group-disjoint folds, e.g. child_id
     min_pause_s: float = MIN_PAUSE_S
     spdyn_ratio_scope: str = "interval"  # or "audio"
-    vad_floor_percentile: float = 10.0
-    vad_margin_db: float = 6.0
-    vad_abs_threshold_db: float = -45.0
-    vad_harmonicity_threshold: float = 0.45
-    vad_harmonicity_margin_db: float = 3.0
-    vad_median_frames: int = 5
-    vad_hangover_frames: int = 2
-    vad_min_run_frames: int = 3
-    syll_band_low_hz: float = 300.0
-    syll_band_high_hz: float = 2500.0
-    syll_smooth_s: float = 0.150
-    syll_height_frac: float = 0.1
-    syll_prominence_frac: float = 0.05
-    syll_min_gap_s: float = 0.1
+    vad: VadConfig = field(default_factory=VadConfig)  # keys vad_<field>
+    syllable: SyllableConfig = field(default_factory=SyllableConfig)  # keys syll_<field>
     kmeans_restarts: int = KMEANS_RESTARTS
     cluster_k_min: int = 2
     cluster_k_max: int = 6
@@ -70,48 +58,46 @@ class RunConfig:
     def plan_ids(self) -> list[str]:
         return [p.strip() for p in self.plan.split(",") if p.strip()]
 
-    def vad_config(self) -> VadConfig:
-        return VadConfig(
-            floor_percentile=self.vad_floor_percentile,
-            margin_db=self.vad_margin_db,
-            abs_threshold_db=self.vad_abs_threshold_db,
-            harmonicity_threshold=self.vad_harmonicity_threshold,
-            harmonicity_margin_db=self.vad_harmonicity_margin_db,
-            median_frames=self.vad_median_frames,
-            hangover_frames=self.vad_hangover_frames,
-            min_run_frames=self.vad_min_run_frames,
-        )
-
-    def syllable_config(self) -> SyllableConfig:
-        return SyllableConfig(
-            band_low_hz=self.syll_band_low_hz,
-            band_high_hz=self.syll_band_high_hz,
-            smooth_s=self.syll_smooth_s,
-            height_frac=self.syll_height_frac,
-            prominence_frac=self.syll_prominence_frac,
-            min_gap_s=self.syll_min_gap_s,
-        )
-
     def feature_config(self) -> FeatureConfig:
         return FeatureConfig(
-            vad=self.vad_config(),
-            syllable=self.syllable_config(),
+            vad=self.vad,
+            syllable=self.syllable,
             min_pause_s=self.min_pause_s,
             ratio_scope=self.spdyn_ratio_scope,
         )
 
     def dump(self) -> str:
-        lines = []
-        for f in dataclasses.fields(self):
-            lines.append(f"{f.name} = {getattr(self, f.name)}")
+        lines = [f"{key} = {getattr(*_owner(self, key))}" for key in _KEYS]
         return "\n".join(lines) + "\n"
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+# Nested settings objects and the prefix of their flat keys.
+_PREFIXES = {"vad": "vad_", "syllable": "syll_"}
+
+
+def _flat_keys() -> dict[str, tuple[str | None, dataclasses.Field]]:
+    """Flat key -> (nested RunConfig field or None, field), in dump order."""
+    keys = {}
+    for f in dataclasses.fields(RunConfig):
+        if f.name in _PREFIXES:
+            for sub in dataclasses.fields(f.default_factory):
+                keys[_PREFIXES[f.name] + sub.name] = (f.name, sub)
+        else:
+            keys[f.name] = (None, f)
+    return keys
+
+
+_KEYS = _flat_keys()
+
+
+def _owner(cfg: RunConfig, key: str):
+    """The object holding a flat key's value, and its attribute name."""
+    section, f = _KEYS[key]
+    return (cfg if section is None else getattr(cfg, section)), f.name
 
 
 def _coerce(name: str, raw: str):
-    f = _FIELDS[name]
+    f = _KEYS[name][1]
     raw = raw.strip()
     try:
         if f.type == "int":
@@ -129,9 +115,9 @@ def apply_set(cfg: RunConfig, assignment: str) -> None:
         raise ConfigError(f"override {assignment!r} is not key=value")
     name, raw = assignment.split("=", 1)
     name = name.strip()
-    if name not in _FIELDS:
+    if name not in _KEYS:
         raise ConfigError(f"unknown config key {name!r}")
-    setattr(cfg, name, _coerce(name, raw))
+    setattr(*_owner(cfg, name), _coerce(name, raw))
 
 
 def load_config(path: str | Path | None = None,
@@ -147,9 +133,9 @@ def load_config(path: str | Path | None = None,
                 raise ConfigError(f"{path}:{k + 1}: expected key = value")
             name, raw = line.split("=", 1)
             name = name.strip()
-            if name not in _FIELDS:
+            if name not in _KEYS:
                 raise ConfigError(f"{path}:{k + 1}: unknown config key {name!r}")
-            setattr(cfg, name, _coerce(name, raw))
+            setattr(*_owner(cfg, name), _coerce(name, raw))
     for assignment in overrides or []:
         apply_set(cfg, assignment)
     cfg.validate()

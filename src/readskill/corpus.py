@@ -16,6 +16,7 @@ recordings:
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,6 +31,7 @@ from .errors import (
     NotWav,
     OutOfRange,
     Overlap,
+    SchemaMismatch,
     UnexpectedSubstitutionText,
     UnknownLabel,
     Unsorted,
@@ -151,6 +153,28 @@ def write_wav(samples: np.ndarray, path: str | Path) -> None:
     Path(path).write_bytes(hdr + body)
 
 
+def csv_rows(path: str | Path):
+    """Yield (row, cells) for every non-blank row of a CSV file; rows are
+    numbered from 0 as they stand in the file, blank ones included."""
+    with open(path, newline="") as fh:
+        try:
+            for k, rec in enumerate(csv.reader(fh)):
+                if rec and (len(rec) > 1 or rec[0].strip()):
+                    yield k, rec
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise SchemaMismatch(f"{path}: not a readable CSV file ({exc})") from None
+
+
+def _seconds(path, k: int, cell: str) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise SchemaMismatch(f"{path}: row {k} has non-numeric time {cell!r}")
+    return value
+
+
 def parse_intervals(path: str | Path, duration: float) -> tuple[list[VideoInterval], bool]:
     """Parse start,end rows into sentence intervals.
 
@@ -159,11 +183,10 @@ def parse_intervals(path: str | Path, duration: float) -> tuple[list[VideoInterv
     reports whether clipping happened.
     """
     rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.reader(fh):
-            if not rec or (len(rec) == 1 and not rec[0].strip()):
-                continue
-            rows.append((float(rec[0]), float(rec[1])))
+    for k, rec in csv_rows(path):
+        if len(rec) < 2:
+            raise SchemaMismatch(f"{path}: row {k} needs start,end")
+        rows.append((_seconds(path, k, rec[0]), _seconds(path, k, rec[1])))
     if not rows:
         raise EmptyIntervals(f"{path}: no intervals")
 
@@ -199,20 +222,17 @@ def parse_transcription(path: str | Path, story: StoryText | None = None) -> Tra
     When a story is given, the row count must equal the story's word count.
     """
     words = []
-    with open(path, newline="") as fh:
-        for k, rec in enumerate(csv.reader(fh)):
-            if not rec or (len(rec) == 1 and not rec[0].strip()):
-                continue
-            word = rec[0].strip()
-            label = rec[1].strip() if len(rec) > 1 else ""
-            sub = rec[2].strip() if len(rec) > 2 and rec[2].strip() else None
-            if label not in WORD_LABELS:
-                raise UnknownLabel(f"{path}: row {k} has label {label!r}")
-            if label in SUBSTITUTION_LABELS and sub is None:
-                raise MissingSubstitutionText(f"{path}: row {k} ({label}) needs substitution text")
-            if label not in SUBSTITUTION_LABELS and sub is not None:
-                raise UnexpectedSubstitutionText(f"{path}: row {k} ({label}) must not carry text")
-            words.append(TranscribedWord(word=word, label=label, substitution=sub))
+    for k, rec in csv_rows(path):
+        word = rec[0].strip()
+        label = rec[1].strip() if len(rec) > 1 else ""
+        sub = rec[2].strip() if len(rec) > 2 and rec[2].strip() else None
+        if label not in WORD_LABELS:
+            raise UnknownLabel(f"{path}: row {k} has label {label!r}")
+        if label in SUBSTITUTION_LABELS and sub is None:
+            raise MissingSubstitutionText(f"{path}: row {k} ({label}) needs substitution text")
+        if label not in SUBSTITUTION_LABELS and sub is not None:
+            raise UnexpectedSubstitutionText(f"{path}: row {k} ({label}) must not carry text")
+        words.append(TranscribedWord(word=word, label=label, substitution=sub))
     if story is not None and len(words) != len(story.words):
         raise WordCountMismatch(
             f"{path}: {len(words)} rows vs {len(story.words)} story words"
@@ -341,21 +361,21 @@ def scan_corpus(root: str | Path) -> CorpusIndex:
     labels = {}
     labels_path = root / "labels.csv"
     if labels_path.exists():
-        with open(labels_path, newline="") as fh:
-            for rec in csv.reader(fh):
-                if rec and rec[0].strip() and rec[0] != "id":
-                    labels[rec[0]] = rec[1].strip()
+        for k, rec in csv_rows(labels_path):
+            if rec[0].strip() and rec[0] != "id":
+                if len(rec) < 2:
+                    raise SchemaMismatch(f"{labels_path}: row {k} has no class column")
+                labels[rec[0]] = rec[1].strip()
 
     metadata: dict[str, dict[str, str]] = {}
     meta_path = root / "metadata.csv"
     if meta_path.exists():
-        with open(meta_path, newline="") as fh:
-            for rec in csv.reader(fh):
-                if rec and rec[0].strip() and rec[0] != "id":
-                    metadata[rec[0]] = {
-                        "child_id": rec[1] if len(rec) > 1 else "",
-                        "story_id": rec[2] if len(rec) > 2 else "",
-                        "timestamp": rec[3] if len(rec) > 3 else "",
-                    }
+        for _, rec in csv_rows(meta_path):
+            if rec[0].strip() and rec[0] != "id":
+                metadata[rec[0]] = {
+                    "child_id": rec[1] if len(rec) > 1 else "",
+                    "story_id": rec[2] if len(rec) > 2 else "",
+                    "timestamp": rec[3] if len(rec) > 3 else "",
+                }
     return CorpusIndex(root=root, story=story, lexicon=lexicon, ids=ids,
                        labels=labels, metadata=metadata)

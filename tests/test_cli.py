@@ -51,8 +51,29 @@ def test_featurize_parallel_matches_serial(small_corpus, featurized, tmp_path):
     rc = run("--set", f"corpus_root={small_corpus}", "--set", f"out_dir={out2}",
              "--jobs", "2", "featurize")
     assert rc == 0
-    assert (out2 / "features.csv").read_bytes() == \
-        (featurized / "features.csv").read_bytes()
+    for name in ("features.csv", "errors.log"):
+        assert (out2 / name).read_bytes() == (featurized / name).read_bytes(), name
+
+
+def test_asr_align_parallel_matches_serial(small_corpus, tmp_path):
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out_jobs{jobs}"
+        settings = ("--set", f"corpus_root={small_corpus}", "--set", f"out_dir={out}")
+        assert run(*settings, "--jobs", "1", "cluster") == 0
+        assert run(*settings, "--jobs", jobs, "asr-align") == 0
+        outs.append(out)
+    for name in ("asr_classes.csv", "asr_confusion.csv", "errors.log"):
+        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        run("--set", f"out_dir={tmp_path}", "--jobs", jobs, "featurize")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "--jobs" in err
 
 
 def test_featurize_dumps(small_corpus, tmp_path):
@@ -70,14 +91,58 @@ def test_featurize_partial_failure(small_corpus, tmp_path):
     broken = tmp_path / "broken"
     shutil.copytree(small_corpus, broken)
     (broken / "m_a_001.intervals.csv").unlink()
+    (broken / "c_a_000.intervals.csv").write_text("0.0,2.0\n2.0,two\n")
+    (broken / "i_a_002.intervals.csv").write_text("0.0,4.0\n4.0,8.0\n8.0\n")
     out = tmp_path / "out_broken"
     rc = run("--set", f"corpus_root={broken}", "--set", f"out_dir={out}",
              "--jobs", "1", "featurize")
     assert rc == 1
     rows = read_rows(out / "features.csv")
-    assert len(rows) == 8
-    assert "m_a_001" not in [r.split(",")[0] for r in rows]
-    assert "m_a_001" in (out / "errors.log").read_text()
+    assert len(rows) == 6
+    assert {"c_a_000", "m_a_001", "i_a_002"}.isdisjoint(r.split(",")[0] for r in rows)
+    log = (out / "errors.log").read_text().splitlines()
+    assert len(log) == 3
+    assert log[0].startswith("c_a_000: SchemaMismatch: ")
+    assert "c_a_000.intervals.csv: row 1 " in log[0]
+    assert log[1].startswith("i_a_002: SchemaMismatch: ")
+    assert "i_a_002.intervals.csv: row 2 " in log[1]
+    assert log[2].startswith("m_a_001: ")
+
+
+def test_asr_align_partial_failure(small_corpus, tmp_path):
+    broken = tmp_path / "broken"
+    shutil.copytree(small_corpus, broken)
+    (broken / "c_a_001.hyp.csv").write_text("word,confidence\nthe,0.9\nred\n")
+    (broken / "m_a_002.hyp.csv").write_text("the,0.9\nred,high\n")
+    out = tmp_path / "out_broken"
+    settings = ("--set", f"corpus_root={broken}", "--set", f"out_dir={out}",
+                "--jobs", "1")
+    assert run(*settings, "cluster") == 0
+    assert run(*settings, "asr-align") == 1
+    rows = (out / "asr_classes.csv").read_text().splitlines()[1:]
+    assert len(rows) == 7
+    assert {"c_a_001", "m_a_002"}.isdisjoint(r.split(",")[0] for r in rows)
+    conf_lines = (out / "asr_confusion.csv").read_text().splitlines()
+    assert sum(int(v) for ln in conf_lines[1:] for v in ln.split(",")[1:]) == 7
+    log = (out / "errors.log").read_text().splitlines()
+    assert len(log) == 2
+    assert log[0].startswith("c_a_001: SchemaMismatch: ")
+    assert "c_a_001.hyp.csv: row 2 " in log[0]
+    assert log[1].startswith("m_a_002: SchemaMismatch: ")
+    assert "m_a_002.hyp.csv: row 1 " in log[1]
+
+
+def test_labels_row_without_class_exits_2(small_corpus, tmp_path, capsys):
+    broken = tmp_path / "broken"
+    shutil.copytree(small_corpus, broken)
+    with open(broken / "labels.csv", "a") as fh:
+        fh.write("c_a_000\n")
+    rc = run("--set", f"corpus_root={broken}", "--set",
+             f"out_dir={tmp_path / 'out'}", "--jobs", "1", "featurize")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "labels.csv: row 9 has no class column" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_featurize_without_story(tmp_path, capsys):

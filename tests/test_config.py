@@ -6,7 +6,9 @@ import dataclasses
 import pytest
 
 from readskill.config import RunConfig, apply_set, load_config
+from readskill.dsp import VadConfig
 from readskill.errors import ConfigError
+from readskill.pauses import SyllableConfig
 
 
 def test_defaults():
@@ -133,11 +135,27 @@ def test_plan_ids_strips_blanks():
 
 
 def test_derived_configs_carry_fields():
-    cfg = RunConfig(vad_margin_db=9.0, syll_min_gap_s=0.2, min_pause_s=0.25,
-                    spdyn_ratio_scope="audio")
-    assert cfg.vad_config().margin_db == 9.0
-    assert cfg.syllable_config().min_gap_s == 0.2
+    cfg = load_config(overrides=["vad_margin_db=9.0", "syll_min_gap_s=0.2",
+                                 "min_pause_s=0.25", "spdyn_ratio_scope=audio"])
+    assert cfg.vad.margin_db == 9.0
+    assert cfg.syllable.min_gap_s == 0.2
     fc = cfg.feature_config()
     assert fc.min_pause_s == 0.25
     assert fc.ratio_scope == "audio"
     assert fc.vad.margin_db == 9.0
+
+
+@pytest.mark.parametrize("prefix, section", [("vad_", VadConfig),
+                                             ("syll_", SyllableConfig)])
+def test_every_nested_field_has_a_flat_key(tmp_path, prefix, section):
+    fields = dataclasses.fields(section)
+    # distinct non-default values, typed like each field
+    values = {f.name: (7 + k if f.type == "int" else 0.5 + k)
+              for k, f in enumerate(fields)}
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{prefix}{name} = {v}\n" for name, v in values.items()))
+    fc = load_config(path).feature_config()
+    nested = fc.vad if section is VadConfig else fc.syllable
+    for f in fields:
+        got = getattr(nested, f.name)
+        assert got == values[f.name] and type(got).__name__ == f.type, f.name

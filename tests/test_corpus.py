@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from readskill import corpus
+from readskill.asr_align import parse_hypothesis
 from readskill.corpus import (
     StoryText,
     expected_syllables,
@@ -31,6 +32,8 @@ from readskill.errors import (
     NotWav,
     Overlap,
     OutOfRange,
+    ReadskillError,
+    SchemaMismatch,
     UnexpectedSubstitutionText,
     UnknownLabel,
     Unsorted,
@@ -188,6 +191,30 @@ def test_parse_intervals_middle_row_past_end(tmp_path):
     path.write_text("0.0,6.0\n6.0,7.0\n")
     with pytest.raises(OutOfRange):
         parse_intervals(path, 5.0)
+
+
+@pytest.mark.parametrize("text", ["0.0,nan\n", "0.0,inf\n", "0.0,\n", "x,5.0\n"])
+def test_parse_intervals_non_numeric_cell(tmp_path, text):
+    path = tmp_path / "iv.csv"
+    path.write_text(text)
+    with pytest.raises(SchemaMismatch, match="iv.csv: row 0 has non-numeric time"):
+        parse_intervals(path, 5.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.binary(max_size=40)
+       | st.text(alphabet="0123456789.,-e\nCMS1 word", max_size=40))
+def test_csv_parsers_raise_only_typed_errors(tmp_path_factory, data):
+    root = tmp_path_factory.mktemp("csv")
+    path = root / "labels.csv"
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    parsers = (lambda p: parse_intervals(p, 5.0), parse_transcription,
+               parse_hypothesis, lambda p: scan_corpus(p.parent))
+    for parse in parsers:
+        try:
+            parse(path)
+        except ReadskillError:
+            pass
 
 
 def test_parse_transcription_rows(tmp_path):
