@@ -11,6 +11,7 @@ tree. All vote ties break toward the lower class code.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -62,31 +63,37 @@ class RandomForestModel:
     importances: np.ndarray  # mean impurity decrease per feature, unnormalized
 
 
-def _gini_gain_scan(xs: np.ndarray, ys: np.ndarray, n_classes: int,
-                    parent_gini: float):
-    """Best split position along one sorted feature column, or None.
+def _gini_gain_scan(X: np.ndarray, y: np.ndarray, feats: np.ndarray,
+                    n_classes: int):
+    """Best split of the node rows X over the ascending candidate columns
+    feats, or None when no candidate column holds two distinct values.
 
-    Returns (gain, position) where the split separates xs[:pos+1] from
-    xs[pos+1:]. Gains derive from integer class counts only, so equal
-    partitions give bit-equal gains; ties take the earliest position.
+    All columns are scored in one pass. Returns (gain, feature, pos, order):
+    order sorts the rows by X[:, feature] (stably) and the split separates
+    order[:pos+1] from order[pos+1:]. Gains derive from integer class counts
+    only, so equal partitions give bit-equal gains. Within a column ties take
+    the earliest position; across columns they take the lower feature.
     """
-    n = len(xs)
-    valid = xs[:-1] < xs[1:]
+    n = len(y)
+    order = X[:, feats].argsort(axis=0, kind="stable")          # (n, m)
+    xs = X[order, feats]
+    valid = xs[:-1] < xs[1:]                                    # (n-1, m)
     if not valid.any():
         return None
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), ys] = 1.0
-    left = np.cumsum(onehot, axis=0)[:-1]
-    total = onehot.sum(axis=0)
-    right = total[None, :] - left
-    nl = np.arange(1, n, dtype=np.float64)
+    counts = np.bincount(y, minlength=n_classes)
+    parent_gini = 1.0 - ((counts / n) ** 2).sum()
+    left = (y[order][:, :, None] == np.arange(n_classes)).cumsum(axis=0)[:-1]
+    right = counts - left                                       # (n-1, m, C)
+    nl = np.arange(1.0, n)[:, None]
     nr = n - nl
-    gini_l = 1.0 - (left * left).sum(axis=1) / (nl * nl)
-    gini_r = 1.0 - (right * right).sum(axis=1) / (nr * nr)
-    gain = parent_gini - (nl * gini_l + nr * gini_r) / n
-    gain = np.where(valid, gain, -1.0)
-    pos = int(np.argmax(gain))
-    return float(gain[pos]), pos
+    gini_l = 1.0 - (left * left).sum(axis=2) / (nl * nl)
+    gini_r = 1.0 - (right * right).sum(axis=2) / (nr * nr)
+    # -1 marks positions between equal values; every real gain lies above
+    # it, so a column without a valid position never wins.
+    gain = np.where(valid, parent_gini - (nl * gini_l + nr * gini_r) / n, -1.0)
+    best = gain.max(axis=0)
+    j = int(best.argmax())
+    return float(best[j]), int(feats[j]), int(gain[:, j].argmax()), order[:, j]
 
 
 def _build_tree(X: np.ndarray, y: np.ndarray, n_classes: int, m_features: int,
@@ -98,25 +105,13 @@ def _build_tree(X: np.ndarray, y: np.ndarray, n_classes: int, m_features: int,
         return node
 
     feats = np.sort(rng.choice(X.shape[1], size=m_features, replace=False))
-    n = len(y)
-    parent_counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-    parent_gini = 1.0 - ((parent_counts / n) ** 2).sum()
-
-    best = None  # (gain, feature, pos, order); ties keep the lower feature
-    for f in feats:
-        order = np.argsort(X[:, f], kind="stable")
-        found = _gini_gain_scan(X[order, f], y[order], n_classes, parent_gini)
-        if found is None:
-            continue
-        gain, pos = found
-        if best is None or gain > best[0]:
-            best = (gain, int(f), pos, order)
+    best = _gini_gain_scan(X, y, feats, n_classes)
     if best is None:
         node.counts = np.zeros(n_classes)
         return node
 
     gain, f, pos, order = best
-    importance[f] += (n / n_total) * gain
+    importance[f] += (len(y) / n_total) * gain
     node.feature = f
     node.threshold = (X[order[pos], f] + X[order[pos + 1], f]) / 2.0
     left_idx = order[: pos + 1]
@@ -394,44 +389,57 @@ def _fold_assignment(y: np.ndarray, folds: int, seed: int,
     return fold_of
 
 
+def _cv_fold(plan: StagePlan, X: np.ndarray, y: np.ndarray, fold_of: np.ndarray,
+             seed: int, n_trees: int, feature_names: tuple[str, ...], f: int):
+    """Train on every fold but f and test on fold f: (confusion, one
+    importance vector per stage over the full feature set)."""
+    test = fold_of == f
+    train = ~test
+    models = train_plan(plan, X[train], y[train], feature_names,
+                        seed_path=(seed, f), n_trees=n_trees)
+    pred = predict_stage(models, X[test])
+    n_classes = len(SkillClass)
+    conf = np.zeros((n_classes, n_classes), dtype=np.int64)
+    for a, p in zip(y[test], pred):
+        conf[a, p] += 1
+    name_index = {name: i for i, name in enumerate(feature_names)}
+    vectors = []
+    for model in models.models:
+        vec = np.zeros(len(feature_names))
+        for name, value in zip(model.feature_names, model.importances):
+            vec[name_index[name]] = value
+        vectors.append(vec)
+    return conf, vectors
+
+
 def cross_validate(plan: StagePlan, X: np.ndarray, y: np.ndarray,
                    feature_names: tuple[str, ...] = FEATURE_NAMES,
                    folds: int = CV_FOLDS, seed: int = 0,
                    n_trees: int = N_TREES,
-                   groups: list[str] | None = None) -> CVReport:
+                   groups: list[str] | None = None,
+                   map_fn=map) -> CVReport:
     """Stratified k-fold evaluation; every stage retrains per fold on that
     fold's training split only. Importances average the per-stage vectors
     over all folds and stages, expanded to the full feature set and
-    normalized to sum to 1."""
+    normalized to sum to 1.
+
+    Each fold is a pure function of (seed, fold), run through ``map_fn``:
+    a pool's ordered map runs them in parallel with the same results.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    n_classes = len(SkillClass)
-    counts = np.bincount(y, minlength=n_classes)
+    counts = np.bincount(y, minlength=len(SkillClass))
     present = np.flatnonzero(counts)
     if any(counts[c] < folds for c in present):
         raise TooFewPerClass(
             f"every class needs at least {folds} samples, got {counts.tolist()}"
         )
     fold_of = _fold_assignment(y, folds, seed, groups)
-    name_index = {name: i for i, name in enumerate(feature_names)}
-
-    fold_confusions = []
-    importance_vectors = []
-    for f in range(folds):
-        test = fold_of == f
-        train = ~test
-        models = train_plan(plan, X[train], y[train], feature_names,
-                            seed_path=(seed, f), n_trees=n_trees)
-        pred = predict_stage(models, X[test])
-        conf = np.zeros((n_classes, n_classes), dtype=np.int64)
-        for a, p in zip(y[test], pred):
-            conf[a, p] += 1
-        fold_confusions.append(conf)
-        for model in models.models:
-            vec = np.zeros(len(feature_names))
-            for name, value in zip(model.feature_names, model.importances):
-                vec[name_index[name]] = value
-            importance_vectors.append(vec)
+    work = functools.partial(_cv_fold, plan, X, y, fold_of, seed, n_trees,
+                             feature_names)
+    outcomes = list(map_fn(work, range(folds)))
+    fold_confusions = [conf for conf, _ in outcomes]
+    importance_vectors = [vec for _, vectors in outcomes for vec in vectors]
 
     pooled = np.sum(fold_confusions, axis=0)
     imp = np.mean(importance_vectors, axis=0)

@@ -8,6 +8,7 @@ or schema problems.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import multiprocessing
 import os
@@ -32,17 +33,24 @@ def _write_errors(out_dir: Path, errors: list[tuple[str, str]]) -> None:
         "\n".join(lines) + "\n" if lines else "")
 
 
+@contextlib.contextmanager
+def _pool_map(jobs: int):
+    """An ordered map over ``jobs`` processes: the builtin ``map`` at
+    ``jobs == 1``, else the map of one pool kept open for the block, so the
+    mapped function and its arguments must pickle."""
+    if jobs == 1:
+        yield map
+        return
+    with multiprocessing.Pool(jobs) as pool:
+        yield pool.map
+
+
 def _per_recording(work, ids, jobs: int):
-    """Run ``work(rid)`` for every id, serially at ``jobs == 1`` and in a
-    pool of ``jobs`` processes otherwise, so ``work`` must pickle. Returns
+    """Run ``work(rid)`` for every id through ``_pool_map(jobs)``. Returns
     the results in id order, and a (rid, message) error for each recording
     that raised ReadskillError or OSError."""
-    isolated = functools.partial(_isolated, work)
-    if jobs == 1:
-        outcomes = [isolated(rid) for rid in ids]
-    else:
-        with multiprocessing.Pool(jobs) as pool:
-            outcomes = pool.map(isolated, ids)
+    with _pool_map(jobs) as map_fn:
+        outcomes = list(map_fn(functools.partial(_isolated, work), ids))
     results = [result for _, result, err in outcomes if err is None]
     errors = [(rid, err) for rid, _, err in outcomes if err is not None]
     return results, errors
@@ -77,6 +85,7 @@ def cmd_featurize(cfg: RunConfig, args) -> int:
         return 2
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    import scipy.signal  # noqa: F401  load it before the pool forks, not in each worker
     work = functools.partial(_featurize_one, index, cfg.feature_config(), out_dir,
                              args.dump_frames, args.dump_events)
     rows, errors = _per_recording(work, index.ids, args.jobs)
@@ -86,18 +95,27 @@ def cmd_featurize(cfg: RunConfig, args) -> int:
     return 1 if errors else 0
 
 
+def _miscue_rows(index: CorpusIndex, rid: str):
+    """(rid, variant A fractions, variant B fractions) of one transcription;
+    only the fractions outlive the call, which keeps the peak RSS low."""
+    tr = parse_transcription(index.words_path(rid), index.story)
+    return (rid, lexical.miscue_fractions(tr, "A").values,
+            lexical.miscue_fractions(tr, "B").values)
+
+
 def cmd_cluster(cfg: RunConfig, args) -> int:
     index = scan_corpus(cfg.corpus_root)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     ids = [rid for rid in index.ids if index.words_path(rid).exists()]
-    rows_a, rows_b = [], []
-    for rid in ids:  # one transcription alive at a time keeps the peak RSS low
-        tr = parse_transcription(index.words_path(rid), index.story)
-        rows_a.append(lexical.miscue_fractions(tr, "A").values)
-        rows_b.append(lexical.miscue_fractions(tr, "B").values)
-    points_a, points_b = np.array(rows_a), np.array(rows_b)
+    work = functools.partial(_miscue_rows, index)
+    results, errors = _per_recording(work, ids, args.jobs)
+    _write_errors(out_dir, errors)
+    ids = [rid for rid, _, _ in results]
+    a_dims, b_dims = len(lexical.VARIANT_A_DIMS), len(lexical.VARIANT_B_DIMS)
+    points_a = np.array([a for _, a, _ in results]).reshape(-1, a_dims)  # 2-D if empty
+    points_b = np.array([b for _, _, b in results]).reshape(-1, b_dims)
     k_range = range(cfg.cluster_k_min, cfg.cluster_k_max + 1)
     sweep_a = lexical.sweep_k(points_a, k_range, seed=cfg.seed,
                               restarts=cfg.kmeans_restarts)
@@ -141,9 +159,9 @@ def cmd_cluster(cfg: RunConfig, args) -> int:
                        points_b[mask, inc].tolist(), CLASS_COLORS[name]))
     scatter_chart(groups, "Miscue mix by cluster", "correct or self-corrected fraction",
                   "missed or incorrect fraction", out_dir / "clusters.svg")
-    print(f"cluster: {len(ids)} recordings, chosen K=3 silhouette "
-          f"{model.silhouette:.4f}")
-    return 0
+    print(f"cluster: {len(ids)} recordings, {len(errors)} failed, chosen K=3 "
+          f"silhouette {model.silhouette:.4f}")
+    return 1 if errors else 0
 
 
 def _labeled_matrix(cfg: RunConfig):
@@ -199,15 +217,16 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
         ]
     out_dir = Path(cfg.out_dir)
     plan_ids = cfg.plan_ids()
-    for plan_id in plan_ids:
-        report = classify.cross_validate(
-            classify.PLANS[plan_id], X, y, folds=cfg.folds, seed=cfg.seed,
-            n_trees=cfg.n_trees, groups=groups)
-        suffix = "" if len(plan_ids) == 1 else f"_{plan_id}"
-        classify.write_report(report, out_dir / f"cvreport{suffix}.json",
-                              out_dir / f"confusion{suffix}.csv")
-        print(f"evaluate: {plan_id} accuracy {report.accuracy:.4f} "
-              f"over {cfg.folds} folds")
+    with _pool_map(args.jobs) as map_fn:
+        for plan_id in plan_ids:
+            report = classify.cross_validate(
+                classify.PLANS[plan_id], X, y, folds=cfg.folds, seed=cfg.seed,
+                n_trees=cfg.n_trees, groups=groups, map_fn=map_fn)
+            suffix = "" if len(plan_ids) == 1 else f"_{plan_id}"
+            classify.write_report(report, out_dir / f"cvreport{suffix}.json",
+                                  out_dir / f"confusion{suffix}.csv")
+            print(f"evaluate: {plan_id} accuracy {report.accuracy:.4f} "
+                  f"over {cfg.folds} folds")
     return 0
 
 

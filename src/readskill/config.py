@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .classify import CV_FOLDS, N_TREES, PLANS
+from .corpus import text_lines
 from .dsp import VadConfig
 from .errors import ConfigError
 from .featurize import FeatureConfig
@@ -125,7 +126,7 @@ def load_config(path: str | Path | None = None,
     """Build a RunConfig from defaults, an optional file and --set flags."""
     cfg = RunConfig()
     if path is not None:
-        for k, line in enumerate(Path(path).read_text().splitlines()):
+        for k, line in enumerate(text_lines(path, ConfigError)):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

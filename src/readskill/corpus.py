@@ -286,14 +286,33 @@ def expected_syllables(word: str, lexicon: dict[str, int] | None = None) -> int:
     return max(1, groups)
 
 
+def text_lines(path: str | Path, error: type[Exception] = SchemaMismatch) -> list[str]:
+    """Lines of a UTF-8 text file; bytes that do not decode raise ``error``
+    naming the file and the line they sit on."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = raw[:exc.start].count(b"\n") + 1
+        raise error(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_lexicon(path: str | Path) -> dict[str, int]:
+    """Read "word count" lines; blank lines and # comments are skipped."""
     lex = {}
-    for line in Path(path).read_text().splitlines():
+    for k, line in enumerate(text_lines(path)):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        word, count = line.split()
-        lex[normalize_word(word)] = int(count)
+        fields = line.split()
+        if len(fields) != 2:
+            raise SchemaMismatch(f"{path}:{k + 1}: expected 'word count', got {line!r}")
+        word, count = fields
+        try:
+            lex[normalize_word(word)] = int(count)
+        except ValueError:
+            raise SchemaMismatch(
+                f"{path}:{k + 1}: syllable count {count!r} is not an integer") from None
     return lex
 
 
@@ -301,18 +320,20 @@ def load_story(path: str | Path, lexicon: dict[str, int] | None = None,
                story_id: str | None = None) -> StoryText:
     """Load a one-sentence-per-line story and precompute per-sentence
     expected syllable counts."""
-    sentences = []
-    for line in Path(path).read_text().splitlines():
+    sentences, counts = [], []
+    for k, line in enumerate(text_lines(path)):
         words = tuple(line.split())
-        if words:
-            sentences.append(words)
-    counts = tuple(
-        sum(expected_syllables(w, lexicon) for w in sent) for sent in sentences
-    )
+        if not words:
+            continue
+        try:
+            counts.append(sum(expected_syllables(w, lexicon) for w in words))
+        except EmptyWord as exc:
+            raise EmptyWord(f"{path}:{k + 1}: {exc}") from None
+        sentences.append(words)
     return StoryText(
         story_id=story_id if story_id is not None else Path(path).stem,
         sentences=tuple(sentences),
-        sentence_syllables=counts,
+        sentence_syllables=tuple(counts),
     )
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .corpus import VideoInterval
 from .dsp import FRAME_LEN, HOP, HOP_S, SAMPLE_RATE, bool_runs, moving_average
@@ -116,6 +115,8 @@ def detect_syllables(samples: np.ndarray, is_speech: np.ndarray,
     frame, reach 10% of the global envelope maximum, have at least 5%
     prominence, and sit at least 100 ms away from any stronger kept peak.
     """
+    from scipy import signal  # loaded on first use: ~1 s that other commands skip
+
     cfg = cfg or SyllableConfig()
     x = np.asarray(samples, dtype=np.float64)
     if x.size < FRAME_LEN:

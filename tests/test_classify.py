@@ -6,12 +6,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from readskill.classify import (
     CV_FOLDS,
     PLANS,
     RandomForestModel,
     _fold_assignment,
+    _gini_gain_scan,
     accuracy,
     cross_validate,
     feature_importance,
@@ -365,3 +368,64 @@ def test_write_report_outputs(tmp_path):
 
 def test_cv_folds_default():
     assert CV_FOLDS == 7
+
+
+def _per_column_scan(X, y, feats, n_classes):
+    """Oracle: the per-column split scan that the batched one replaced,
+    looping over the candidate columns in ascending order. Returns
+    (gain, feature, pos) or None."""
+    n = len(y)
+    parent_counts = np.bincount(y, minlength=n_classes).astype(np.float64)
+    parent_gini = 1.0 - ((parent_counts / n) ** 2).sum()
+    best = None
+    for f in feats:
+        order = np.argsort(X[:, f], kind="stable")
+        xs, ys = X[order, f], y[order]
+        valid = xs[:-1] < xs[1:]
+        if not valid.any():
+            continue
+        onehot = np.zeros((n, n_classes))
+        onehot[np.arange(n), ys] = 1.0
+        left = np.cumsum(onehot, axis=0)[:-1]
+        right = onehot.sum(axis=0)[None, :] - left
+        nl = np.arange(1, n, dtype=np.float64)
+        nr = n - nl
+        gini_l = 1.0 - (left * left).sum(axis=1) / (nl * nl)
+        gini_r = 1.0 - (right * right).sum(axis=1) / (nr * nr)
+        gain = parent_gini - (nl * gini_l + nr * gini_r) / n
+        gain = np.where(valid, gain, -1.0)
+        pos = int(np.argmax(gain))
+        if best is None or float(gain[pos]) > best[0]:
+            best = (float(gain[pos]), int(f), pos)
+    return best
+
+
+@st.composite
+def split_nodes(draw):
+    """Small node samples with heavy ties and constant columns."""
+    n = draw(st.integers(2, 14))
+    d = draw(st.integers(1, 6))
+    n_classes = draw(st.sampled_from([2, 3]))
+    cells = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+    X = np.array(draw(st.lists(st.lists(cells, min_size=n, max_size=n),
+                               min_size=d, max_size=d))).T
+    for j in draw(st.sets(st.integers(0, d - 1))):
+        X[:, j] = X[0, j]
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n,
+                               max_size=n)), dtype=np.int64)
+    feats = np.array(sorted(draw(st.sets(st.integers(0, d - 1), min_size=1))))
+    return X, y, feats, n_classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_nodes())
+def test_batched_scan_matches_per_column_scan(node):
+    X, y, feats, n_classes = node
+    want = _per_column_scan(X, y, feats, n_classes)
+    got = _gini_gain_scan(X, y, feats, n_classes)
+    if want is None:
+        assert got is None
+        return
+    gain, f, pos, order = got
+    assert (gain, f, pos) == want
+    assert np.array_equal(order, np.argsort(X[:, f], kind="stable"))

@@ -3,10 +3,15 @@ determinism and the handoff between commands."""
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import readskill
 from readskill import synth
 from readskill.cli import main
 
@@ -234,6 +239,28 @@ def test_cluster_too_few_recordings(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cluster_partial_failure(tmp_path, jobs):
+    corpus = tmp_path / "wcorpus"
+    write_words_corpus(corpus)
+    (corpus / "missed_1.words.csv").write_text("go,C\ngo,C\ngo,M\n")
+    (corpus / "wrong_2.words.csv").write_text("go,C\n" * 4 + "go,Q\n" + "go,C\n" * 5)
+    out = tmp_path / "out"
+    rc = run("--set", f"corpus_root={corpus}", "--set", f"out_dir={out}",
+             "--jobs", jobs, "cluster")
+    assert rc == 1
+    log = (out / "errors.log").read_text().splitlines()
+    assert len(log) == 2
+    assert log[0].startswith("missed_1: WordCountMismatch: ")
+    assert "missed_1.words.csv: 3 rows vs 10 story words" in log[0]
+    assert log[1].startswith("wrong_2: UnknownLabel: ")
+    assert "wrong_2.words.csv: row 4 " in log[1]
+    rows = (out / "clusters.csv").read_text().splitlines()[1:]
+    assert len(rows) == 10
+    assert {"missed_1", "wrong_2"}.isdisjoint(r.split(",")[0] for r in rows)
+    assert (out / "clusters.svg").exists()
+
+
 def test_train_and_predict(small_corpus, featurized):
     rc = run("--set", f"corpus_root={small_corpus}", "--set",
              f"out_dir={featurized}", "--jobs", "1", "train")
@@ -297,6 +324,23 @@ def test_evaluate_grouped_folds(small_corpus, featurized, tmp_path):
     assert rc == 0
     payload = json.loads((out / "cvreport.json").read_text())
     assert sum(sum(row) for row in payload["pooled_confusion"]) == 9
+
+
+def test_evaluate_parallel_matches_serial(small_corpus, featurized, tmp_path):
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out_jobs{jobs}"
+        out.mkdir()
+        shutil.copy(featurized / "features.csv", out / "features.csv")
+        rc = run("--set", f"corpus_root={small_corpus}", "--set", f"out_dir={out}",
+                 "--set", "plan=one_stage,two_stage_P,two_stage_Q",
+                 "--set", "folds=3", "--jobs", jobs, "evaluate")
+        assert rc == 0
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir() if p.name != "features.csv")
+    assert len(names) == 6
+    for name in names:
+        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes(), name
 
 
 def test_report_summarizes(small_corpus, featurized, capsys):
@@ -393,3 +437,49 @@ def test_missing_config_file(tmp_path, capsys):
     rc = run("--config", str(tmp_path / "absent.cfg"), "config")
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_unloaded():
+    code = ("import sys, readskill.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = str(Path(readskill.__file__).parents[1])  # the copy under test
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_bad_lexicon_line_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "wcorpus"
+    write_words_corpus(corpus)
+    (corpus / "syllables.lex").write_text("go 1\nbadline\n")
+    rc = run("--set", f"corpus_root={corpus}", "--set", f"out_dir={tmp_path / 'out'}",
+             "--jobs", "1", "cluster")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: SchemaMismatch: ")
+    assert "syllables.lex:2: expected 'word count'" in err
+
+
+def test_non_utf8_story_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "wcorpus"
+    write_words_corpus(corpus)
+    (corpus / "story.txt").write_bytes(b"go go\ngo \xff\xfe go\n")
+    rc = run("--set", f"corpus_root={corpus}", "--set", f"out_dir={tmp_path / 'out'}",
+             "--jobs", "1", "cluster")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "story.txt:2: not UTF-8 text" in err
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_bytes(b"seed = 3\n# caf\xe9\n")
+    rc = run("--config", str(cfg_file), "config", "--dump")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "run.cfg:2: not UTF-8 text" in err

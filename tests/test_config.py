@@ -64,6 +64,13 @@ def test_load_config_missing_equals(tmp_path):
         load_config(path)
 
 
+def test_load_config_non_utf8(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"seed = 2\nplan = \xff\n")
+    with pytest.raises(ConfigError, match="bad.cfg:2: not UTF-8 text"):
+        load_config(path)
+
+
 def test_coercion_types():
     cfg = RunConfig()
     apply_set(cfg, "seed=17")

@@ -297,6 +297,33 @@ def test_load_lexicon(tmp_path):
     assert lex == {"tree": 1, "people": 2}
 
 
+@pytest.mark.parametrize("text, message", [
+    ("tree 1\nbadline\n", "lex:2: expected 'word count', got 'badline'"),
+    ("tree 1 2\n", "lex:1: expected 'word count'"),
+    ("# note\ntree one\n", "lex:2: syllable count 'one' is not an integer"),
+])
+def test_load_lexicon_malformed_line(tmp_path, text, message):
+    path = tmp_path / "syllables.lex"
+    path.write_text(text)
+    with pytest.raises(SchemaMismatch, match=message):
+        load_lexicon(path)
+
+
+@pytest.mark.parametrize("loader", [load_lexicon, load_story])
+def test_loaders_reject_non_utf8(tmp_path, loader):
+    path = tmp_path / "text"
+    path.write_bytes(b"tree 1\n\ntr\xc3e 1\n")
+    with pytest.raises(SchemaMismatch, match="text:3: not UTF-8 text"):
+        loader(path)
+
+
+def test_load_story_names_word_without_letters(tmp_path):
+    path = tmp_path / "story.txt"
+    path.write_text("the red fox\n\nwe 42 home\n")
+    with pytest.raises(EmptyWord, match="story.txt:3: no letters in '42'"):
+        load_story(path)
+
+
 def test_load_story_counts(tmp_path):
     path = tmp_path / "story.txt"
     path.write_text("the red fox\nwe went home\n")
