@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import json_object
 from .errors import (
     DimensionMismatch,
     EmptyMatrix,
@@ -523,19 +524,26 @@ def load_model(path) -> StageModels:
     p = Path(path)
     if not p.exists():
         raise NoModel(f"no classifier model at {path}")
-    payload = json.loads(p.read_text())
+    payload = json_object(p)
     if payload.get("format") != MODEL_VERSION:
         raise SchemaMismatch(f"{path}: unknown model format")
-    plan = PLANS[payload["plan"]]
-    models = []
-    for stage_payload in payload["stages"]:
-        trees = [_node_from_dict(t) for t in stage_payload["trees"]]
-        models.append(RandomForestModel(
-            trees=trees,
-            n_classes=int(stage_payload["n_classes"]),
-            n_features=len(stage_payload["features"]),
-            feature_names=tuple(stage_payload["features"]),
-            importances=np.array(stage_payload["importances"], dtype=np.float64),
-        ))
-    return StageModels(plan=plan, models=models,
-                       feature_names=tuple(payload["feature_names"]))
+    try:
+        plan = PLANS[payload["plan"]]
+    except (KeyError, TypeError):
+        raise SchemaMismatch(f"{path}: unknown plan {payload.get('plan')!r}") from None
+    try:
+        models = [
+            RandomForestModel(
+                trees=[_node_from_dict(t) for t in stage_payload["trees"]],
+                n_classes=int(stage_payload["n_classes"]),
+                n_features=len(stage_payload["features"]),
+                feature_names=tuple(stage_payload["features"]),
+                importances=np.array(stage_payload["importances"], dtype=np.float64),
+            )
+            for stage_payload in payload["stages"]
+        ]
+        return StageModels(plan=plan, models=models,
+                           feature_names=tuple(payload["feature_names"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaMismatch(
+            f"{path}: malformed model ({type(exc).__name__}: {exc})") from None

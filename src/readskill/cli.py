@@ -86,7 +86,7 @@ def cmd_featurize(cfg: RunConfig, args) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     import scipy.signal  # noqa: F401  load it before the pool forks, not in each worker
-    work = functools.partial(_featurize_one, index, cfg.feature_config(), out_dir,
+    work = functools.partial(_featurize_one, index, cfg.feature, out_dir,
                              args.dump_frames, args.dump_events)
     rows, errors = _per_recording(work, index.ids, args.jobs)
     featurize.write_features(rows, out_dir / "features.csv")
@@ -308,8 +308,8 @@ def main(argv=None) -> int:
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one config key")
     parser.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
-                        help="worker processes for featurize and asr-align "
-                             "(default: one per CPU)")
+                        help="worker processes for featurize, cluster, evaluate "
+                             "and asr-align (default: one per CPU)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("featurize", help="extract acoustic features per recording")

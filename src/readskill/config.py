@@ -3,16 +3,16 @@ overrides, with every tunable owning a documented default."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .asr_align import DEFAULT_TAU
 from .classify import CV_FOLDS, N_TREES, PLANS
 from .corpus import text_lines
-from .dsp import VadConfig
 from .errors import ConfigError
 from .featurize import FeatureConfig
 from .lexical import KMEANS_RESTARTS
-from .pauses import MIN_PAUSE_S, SyllableConfig
 
 
 @dataclass
@@ -24,13 +24,10 @@ class RunConfig:
     seed: int = 0
     plan: str = "one_stage"  # comma-separated plan ids for evaluate
     folds: int = CV_FOLDS
-    tau: float = 0.5
+    tau: float = DEFAULT_TAU
     n_trees: int = N_TREES
     group_by: str = ""  # metadata field for group-disjoint folds, e.g. child_id
-    min_pause_s: float = MIN_PAUSE_S
-    spdyn_ratio_scope: str = "interval"  # or "audio"
-    vad: VadConfig = field(default_factory=VadConfig)  # keys vad_<field>
-    syllable: SyllableConfig = field(default_factory=SyllableConfig)  # keys syll_<field>
+    feature: FeatureConfig = field(default_factory=FeatureConfig)  # flat keys: see _PREFIXES
     kmeans_restarts: int = KMEANS_RESTARTS
     cluster_k_min: int = 2
     cluster_k_max: int = 6
@@ -42,10 +39,9 @@ class RunConfig:
             raise ConfigError(f"folds must be at least 2, got {self.folds}")
         if self.n_trees < 1:
             raise ConfigError(f"n_trees must be positive, got {self.n_trees}")
-        if self.spdyn_ratio_scope not in ("interval", "audio"):
-            raise ConfigError(
-                f"spdyn_ratio_scope must be interval or audio, got {self.spdyn_ratio_scope!r}"
-            )
+        scope = self.feature.spdyn_ratio_scope
+        if scope not in ("interval", "audio"):
+            raise ConfigError(f"spdyn_ratio_scope must be interval or audio, got {scope!r}")
         if not 2 <= self.cluster_k_min <= self.cluster_k_max:
             raise ConfigError(
                 f"cluster K range [{self.cluster_k_min}, {self.cluster_k_max}] is invalid"
@@ -59,32 +55,26 @@ class RunConfig:
     def plan_ids(self) -> list[str]:
         return [p.strip() for p in self.plan.split(",") if p.strip()]
 
-    def feature_config(self) -> FeatureConfig:
-        return FeatureConfig(
-            vad=self.vad,
-            syllable=self.syllable,
-            min_pause_s=self.min_pause_s,
-            ratio_scope=self.spdyn_ratio_scope,
-        )
-
     def dump(self) -> str:
         lines = [f"{key} = {getattr(*_owner(self, key))}" for key in _KEYS]
         return "\n".join(lines) + "\n"
 
 
-# Nested settings objects and the prefix of their flat keys.
-_PREFIXES = {"vad": "vad_", "syllable": "syll_"}
+# Nested settings objects and the prefix their fields add to a flat key.
+_PREFIXES = {"feature": "", "vad": "vad_", "syllable": "syll_"}
 
 
-def _flat_keys() -> dict[str, tuple[str | None, dataclasses.Field]]:
-    """Flat key -> (nested RunConfig field or None, field), in dump order."""
+def _flat_keys(cls=RunConfig, path: tuple[str, ...] = (), prefix: str = ""
+               ) -> dict[str, tuple[tuple[str, ...], dataclasses.Field]]:
+    """Flat key -> (attribute path to the nested object, field), in dump
+    order."""
     keys = {}
-    for f in dataclasses.fields(RunConfig):
+    for f in dataclasses.fields(cls):
         if f.name in _PREFIXES:
-            for sub in dataclasses.fields(f.default_factory):
-                keys[_PREFIXES[f.name] + sub.name] = (f.name, sub)
+            keys.update(_flat_keys(f.default_factory, path + (f.name,),
+                                   prefix + _PREFIXES[f.name]))
         else:
-            keys[f.name] = (None, f)
+            keys[prefix + f.name] = (path, f)
     return keys
 
 
@@ -93,8 +83,8 @@ _KEYS = _flat_keys()
 
 def _owner(cfg: RunConfig, key: str):
     """The object holding a flat key's value, and its attribute name."""
-    section, f = _KEYS[key]
-    return (cfg if section is None else getattr(cfg, section)), f.name
+    path, f = _KEYS[key]
+    return functools.reduce(getattr, path, cfg), f.name
 
 
 def _coerce(name: str, raw: str):

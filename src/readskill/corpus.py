@@ -16,6 +16,7 @@ recordings:
 from __future__ import annotations
 
 import csv
+import json
 import math
 import struct
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dsp import SAMPLE_RATE
 from .errors import (
     CoverageGap,
     EmptyIntervals,
@@ -41,7 +43,6 @@ from .errors import (
     WrongSampleRate,
 )
 
-SAMPLE_RATE = 16000
 PCM_SCALE = 32768.0
 
 # reading outcome labels: correct, missed, incomplete-then-corrected,
@@ -69,6 +70,16 @@ class VideoInterval:
     start: float
     end: float
     sentence_index: int
+
+
+def interval_index(times, intervals: list[VideoInterval]) -> np.ndarray:
+    """Index of the interval containing each time; a time that no interval
+    contains, such as one at or past the last end, goes to the last one."""
+    starts = np.array([iv.start for iv in intervals])
+    ends = np.array([iv.end for iv in intervals])
+    t = np.asarray(times, dtype=np.float64)[:, None]
+    inside = (starts <= t) & (t < ends)
+    return np.where(inside.any(axis=1), inside.argmax(axis=1), len(intervals) - 1)
 
 
 @dataclass(frozen=True)
@@ -165,13 +176,15 @@ def csv_rows(path: str | Path):
             raise SchemaMismatch(f"{path}: not a readable CSV file ({exc})") from None
 
 
-def _seconds(path, k: int, cell: str) -> float:
+def finite_float(path, k: int, what: str, cell: str) -> float:
+    """The finite number a CSV cell holds; anything else raises
+    SchemaMismatch naming the file, the row and the column."""
     try:
         value = float(cell)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise SchemaMismatch(f"{path}: row {k} has non-numeric time {cell!r}")
+        raise SchemaMismatch(f"{path}: row {k} has non-numeric {what} {cell!r}")
     return value
 
 
@@ -186,7 +199,8 @@ def parse_intervals(path: str | Path, duration: float) -> tuple[list[VideoInterv
     for k, rec in csv_rows(path):
         if len(rec) < 2:
             raise SchemaMismatch(f"{path}: row {k} needs start,end")
-        rows.append((_seconds(path, k, rec[0]), _seconds(path, k, rec[1])))
+        rows.append((finite_float(path, k, "time", rec[0]),
+                     finite_float(path, k, "time", rec[1])))
     if not rows:
         raise EmptyIntervals(f"{path}: no intervals")
 
@@ -295,6 +309,17 @@ def text_lines(path: str | Path, error: type[Exception] = SchemaMismatch) -> lis
     except UnicodeDecodeError as exc:
         line = raw[:exc.start].count(b"\n") + 1
         raise error(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+
+
+def json_object(path: str | Path) -> dict:
+    """The JSON object a file holds; anything else raises SchemaMismatch."""
+    try:
+        payload = json.loads(Path(path).read_bytes())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise SchemaMismatch(f"{path}: not a JSON file ({exc})") from None
+    if not isinstance(payload, dict):
+        raise SchemaMismatch(f"{path}: not a JSON object")
+    return payload
 
 
 def load_lexicon(path: str | Path) -> dict[str, int]:

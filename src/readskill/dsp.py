@@ -6,7 +6,7 @@ All analysis runs on 25 ms frames (400 samples) advanced by 10 ms
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class FrameTrack:
     centroid_hz: np.ndarray
     harmonicity: np.ndarray
     is_speech: np.ndarray
-    hop_s: float = HOP_S
 
     @property
     def n_frames(self) -> int:
@@ -59,11 +58,21 @@ class FrameTrack:
 
     @property
     def times(self) -> np.ndarray:
-        """Frame center times in seconds."""
-        return np.arange(self.n_frames) * self.hop_s + (FRAME_LEN / SAMPLE_RATE) / 2.0
+        return frame_times(self.n_frames)
 
 
-def _raw_frames(samples: np.ndarray, frame_len: int = FRAME_LEN, hop: int = HOP) -> np.ndarray:
+def frame_times(n_frames: int) -> np.ndarray:
+    """Center times in seconds of the first n_frames frames."""
+    return np.arange(n_frames) * HOP_S + (FRAME_LEN / SAMPLE_RATE) / 2.0
+
+
+def frame_energy(frames: np.ndarray) -> np.ndarray:
+    """Mean-square energy of each frame."""
+    return np.mean(frames * frames, axis=1)
+
+
+def raw_frames(samples: np.ndarray, frame_len: int = FRAME_LEN, hop: int = HOP) -> np.ndarray:
+    """Unweighted frames of a signal, as a strided view."""
     x = np.ascontiguousarray(samples, dtype=np.float64)
     if x.size < frame_len:
         raise TooShort(f"need at least {frame_len} samples, got {x.size}")
@@ -77,7 +86,7 @@ def frame_signal(samples: np.ndarray, frame_len: int = FRAME_LEN, hop: int = HOP
     Yields floor((len - frame_len) / hop) + 1 frames; a trailing partial
     frame is dropped.
     """
-    return _raw_frames(samples, frame_len, hop) * np.hamming(frame_len)
+    return raw_frames(samples, frame_len, hop) * np.hamming(frame_len)
 
 
 def _centroid_batch(frames: np.ndarray) -> np.ndarray:
@@ -207,8 +216,8 @@ def build_track(samples: np.ndarray, vad_config: VadConfig | None = None) -> Fra
     Energy, intensity and harmonicity come from raw frames; the spectral
     centroid uses Hamming-weighted frames.
     """
-    raw = _raw_frames(samples)
-    energy = np.mean(raw * raw, axis=1)
+    raw = raw_frames(samples)
+    energy = frame_energy(raw)
     intensity_db = 10.0 * np.log10(energy + ENERGY_FLOOR)
     centroid = _centroid_batch(raw * _HAMMING)
     harm = _harmonicity_batch(raw, intensity_db)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import VideoInterval
+from .corpus import VideoInterval, interval_index
 from .dsp import FrameTrack, moving_average
 
 BAND_WIDTH_HZ = 400.0
@@ -24,7 +24,6 @@ class SpectralDynamics:
     freq_distribution_ratio: float
     norm_mode_count: float
     norm_mode_variation: float
-    no_speech: bool = False
 
 
 @dataclass(frozen=True)
@@ -33,15 +32,6 @@ class IntensityDynamics:
     macro_std: float
     micro_mean: float
     micro_std: float
-    no_speech: bool = False
-
-
-def _frame_interval_index(track: FrameTrack, intervals: list[VideoInterval]) -> np.ndarray:
-    """Assign each frame (by center time) to the interval containing it;
-    centers past the last end stick to the last interval."""
-    starts = np.array([iv.start for iv in intervals])
-    idx = np.searchsorted(starts, track.times, side="right") - 1
-    return np.clip(idx, 0, len(intervals) - 1)
 
 
 def _top_two(counts: np.ndarray) -> tuple[int, int]:
@@ -56,7 +46,6 @@ def _top_two(counts: np.ndarray) -> tuple[int, int]:
 
 
 def spectral_dynamics(track: FrameTrack, intervals: list[VideoInterval],
-                      band_width: float = BAND_WIDTH_HZ,
                       ratio_scope: str = "interval") -> SpectralDynamics:
     """Histogram speech-frame centroids into fixed 400 Hz bands.
 
@@ -67,13 +56,13 @@ def spectral_dynamics(track: FrameTrack, intervals: list[VideoInterval],
     norm_mode_variation: population std over intervals of the per-interval
     c1 over that interval's speech frame count.
     """
-    n_bands = int(round(BAND_TOP_HZ / band_width))
+    n_bands = int(round(BAND_TOP_HZ / BAND_WIDTH_HZ))
     speech = track.is_speech.astype(bool)
     if not speech.any():
-        return SpectralDynamics(0.0, 0.0, 0.0, no_speech=True)
+        return SpectralDynamics(0.0, 0.0, 0.0)
 
-    bands = np.clip((track.centroid_hz / band_width).astype(int), 0, n_bands - 1)
-    idx = _frame_interval_index(track, intervals)
+    bands = np.clip((track.centroid_hz / BAND_WIDTH_HZ).astype(int), 0, n_bands - 1)
+    idx = interval_index(track.times, intervals)
 
     ratios = []
     norms = []
@@ -99,13 +88,10 @@ def spectral_dynamics(track: FrameTrack, intervals: list[VideoInterval],
         freq_distribution_ratio=ratio,
         norm_mode_count=g1 / total_speech,
         norm_mode_variation=float(np.std(norms)),
-        no_speech=False,
     )
 
 
-def intensity_dynamics(track: FrameTrack, intervals: list[VideoInterval],
-                       macro_win: int = MACRO_WIN_FRAMES,
-                       micro_win: int = MICRO_WIN_FRAMES) -> IntensityDynamics:
+def intensity_dynamics(track: FrameTrack, intervals: list[VideoInterval]) -> IntensityDynamics:
     """Loudness dynamics of the speech-only intensity contour.
 
     Each interval's speech frames are mean-normalized in dB. The macro
@@ -118,9 +104,9 @@ def intensity_dynamics(track: FrameTrack, intervals: list[VideoInterval],
     """
     speech = track.is_speech.astype(bool)
     if not speech.any():
-        return IntensityDynamics(0.0, 0.0, 0.0, 0.0, no_speech=True)
+        return IntensityDynamics(0.0, 0.0, 0.0, 0.0)
 
-    idx = _frame_interval_index(track, intervals)
+    idx = interval_index(track.times, intervals)
     macros = []
     micro_windows = []
     for k in range(len(intervals)):
@@ -129,11 +115,11 @@ def intensity_dynamics(track: FrameTrack, intervals: list[VideoInterval],
             continue
         contour = track.intensity_db[sel]
         contour = contour - contour.mean()
-        macros.append(float(np.std(moving_average(contour, macro_win))))
+        macros.append(float(np.std(moving_average(contour, MACRO_WIN_FRAMES))))
         diffs = np.abs(np.diff(contour))
-        n_complete = len(diffs) // micro_win
+        n_complete = len(diffs) // MICRO_WIN_FRAMES
         if n_complete > 0:
-            blocks = diffs[: n_complete * micro_win].reshape(n_complete, micro_win)
+            blocks = diffs[: n_complete * MICRO_WIN_FRAMES].reshape(n_complete, -1)
             micro_windows.extend(blocks.mean(axis=1).tolist())
 
     macros_arr = np.array(macros) if macros else np.zeros(1)
@@ -143,5 +129,4 @@ def intensity_dynamics(track: FrameTrack, intervals: list[VideoInterval],
         macro_std=float(macros_arr.std()),
         micro_mean=float(micro_arr.mean()),
         micro_std=float(micro_arr.std()),
-        no_speech=False,
     )

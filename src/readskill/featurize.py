@@ -6,20 +6,13 @@ features by name through FEATURE_INDEX, never by hardcoded position.
 """
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .corpus import AudioRecording, StoryText, VideoInterval
-from .dsp import FrameTrack, VadConfig, build_track
-from .dynamics import (
-    BAND_WIDTH_HZ,
-    MACRO_WIN_FRAMES,
-    MICRO_WIN_FRAMES,
-    intensity_dynamics,
-    spectral_dynamics,
-)
+from .corpus import AudioRecording, StoryText, VideoInterval, csv_rows, finite_float
+from .dsp import HOP_S, FrameTrack, VadConfig, build_track
+from .dynamics import intensity_dynamics, spectral_dynamics
 from .errors import IntervalCountMismatch, SchemaMismatch
 from .pauses import (
     MIN_PAUSE_S,
@@ -67,13 +60,10 @@ FEATURE_GROUPS = {
 class FeatureConfig:
     """Knobs for the full extraction pipeline."""
 
+    min_pause_s: float = MIN_PAUSE_S
+    spdyn_ratio_scope: str = "interval"  # or "audio"
     vad: VadConfig = field(default_factory=VadConfig)
     syllable: SyllableConfig = field(default_factory=SyllableConfig)
-    min_pause_s: float = MIN_PAUSE_S
-    band_width_hz: float = BAND_WIDTH_HZ
-    ratio_scope: str = "interval"
-    macro_win_frames: int = MACRO_WIN_FRAMES
-    micro_win_frames: int = MICRO_WIN_FRAMES
 
 
 @dataclass
@@ -110,35 +100,21 @@ def extract_features(recording: AudioRecording, intervals: list[VideoInterval],
         )
 
     track = build_track(recording.samples, cfg.vad)
-    pauses = extract_pauses(track.is_speech, track.hop_s, cfg.min_pause_s)
-    pf = pause_features(pauses, intervals, recording.duration)
-
-    warnings: list[str] = []
+    pauses = extract_pauses(track.is_speech, cfg.min_pause_s)
     speech_frames = int(track.is_speech.sum())
-    speech_duration = speech_frames * track.hop_s
-
-    if speech_frames == 0:
-        warnings.append("no_speech")
-        peaks: list[SyllablePeak] = []
-        sr = syllable_rate_features(peaks, intervals,
-                                    list(story.sentence_syllables), 0.0)
-    else:
-        peaks = detect_syllables(recording.samples, track.is_speech, cfg.syllable)
-        sr = syllable_rate_features(peaks, intervals,
-                                    list(story.sentence_syllables), speech_duration)
-
-    sd = spectral_dynamics(track, intervals, cfg.band_width_hz, cfg.ratio_scope)
-    idy = intensity_dynamics(track, intervals, cfg.macro_win_frames, cfg.micro_win_frames)
-
-    values = np.array([
-        pf.pause_mean, pf.pause_std, pf.pause_min, pf.pause_max,
-        pf.pause_freq, pf.pauses_per_interval,
-        sr.rel_syll_mean, sr.rel_syll_std, sr.rel_syll_cv, sr.articulation_rate,
-        sd.freq_distribution_ratio, sd.norm_mode_count, sd.norm_mode_variation,
-        idy.macro_mean, idy.macro_std, idy.micro_mean, idy.micro_std,
-    ])
+    peaks = (detect_syllables(recording.samples, track.is_speech, cfg.syllable)
+             if speech_frames else [])
+    groups = (
+        pause_features(pauses, intervals, recording.duration),
+        syllable_rate_features(peaks, intervals, list(story.sentence_syllables),
+                               speech_frames * HOP_S),
+        spectral_dynamics(track, intervals, cfg.spdyn_ratio_scope),
+        intensity_dynamics(track, intervals),
+    )
+    values = np.array([v for group in groups for v in astuple(group)])
+    warnings = () if speech_frames else ("no_speech",)
     vec = FeatureVector(recording_id=recording_id, values=values, label=label,
-                        warnings=tuple(warnings))
+                        warnings=warnings)
     if return_detail:
         return vec, ExtractionDetail(track=track, pauses=pauses, peaks=peaks)
     return vec
@@ -156,24 +132,21 @@ def write_features(rows: list[FeatureVector], path) -> None:
 
 def read_features(path) -> list[FeatureVector]:
     """Read a feature table written by write_features."""
-    with open(path, newline="") as fh:
-        version_line = fh.readline().strip()
-        if version_line != f"# {FORMAT_VERSION}":
-            raise SchemaMismatch(f"{path}: unknown format marker {version_line!r}")
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["id", "class", *FEATURE_NAMES]
-        if header != expected:
-            raise SchemaMismatch(f"{path}: header does not match {FORMAT_VERSION}")
-        rows = []
-        for rec in reader:
-            if not rec:
-                continue
-            if len(rec) != len(expected):
-                raise SchemaMismatch(f"{path}: row for {rec[0]!r} has {len(rec)} columns")
-            rows.append(FeatureVector(
-                recording_id=rec[0],
-                values=np.array([float(v) for v in rec[2:]]),
-                label=rec[1] or None,
-            ))
+    records = csv_rows(path)
+    _, marker = next(records, (0, []))
+    if marker != [f"# {FORMAT_VERSION}"]:
+        raise SchemaMismatch(f"{path}: unknown format marker {','.join(marker)!r}")
+    expected = ["id", "class", *FEATURE_NAMES]
+    if next(records, (0, None))[1] != expected:
+        raise SchemaMismatch(f"{path}: header does not match {FORMAT_VERSION}")
+    rows = []
+    for k, rec in records:
+        if len(rec) != len(expected):
+            raise SchemaMismatch(f"{path}: row {k} for {rec[0]!r} has {len(rec)} columns")
+        rows.append(FeatureVector(
+            recording_id=rec[0],
+            values=np.array([finite_float(path, k, name, cell)
+                             for name, cell in zip(FEATURE_NAMES, rec[2:])]),
+            label=rec[1] or None,
+        ))
     return rows

@@ -13,11 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Transcription
+from .corpus import Transcription, json_object
 from .errors import (
     AmbiguousLabeling,
     EmptyTranscription,
     NoModel,
+    SchemaMismatch,
     SingleCluster,
     TooFewPoints,
 )
@@ -297,9 +298,13 @@ def load_cluster_model(path) -> tuple[np.ndarray, dict[int, SkillClass], str]:
     p = Path(path)
     if not p.exists():
         raise NoModel(f"no cluster model at {path}")
-    payload = json.loads(p.read_text())
+    payload = json_object(p)
     if payload.get("format") != CLUSTER_MODEL_VERSION:
         raise NoModel(f"{path}: unknown cluster model format")
-    centroids = np.array(payload["centroids"], dtype=np.float64)
-    labels = {int(c): SkillClass[name] for c, name in payload["labels"].items()}
-    return centroids, labels, payload["variant"]
+    try:
+        centroids = np.array(payload["centroids"], dtype=np.float64)
+        labels = {int(c): SkillClass[name] for c, name in payload["labels"].items()}
+        return centroids, labels, payload["variant"]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaMismatch(
+            f"{path}: malformed cluster model ({type(exc).__name__}: {exc})") from None

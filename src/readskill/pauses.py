@@ -5,8 +5,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import VideoInterval
-from .dsp import FRAME_LEN, HOP, HOP_S, SAMPLE_RATE, bool_runs, moving_average
+from .corpus import VideoInterval, interval_index
+from .dsp import (
+    FRAME_LEN,
+    HOP_S,
+    SAMPLE_RATE,
+    bool_runs,
+    frame_energy,
+    frame_times,
+    moving_average,
+    raw_frames,
+)
 from .errors import IntervalCountMismatch
 
 MIN_PAUSE_S = 0.2
@@ -62,27 +71,17 @@ class SyllableConfig:
     min_gap_s: float = 0.1
 
 
-def extract_pauses(is_speech: np.ndarray, hop_s: float = HOP_S,
-                   min_pause_s: float = MIN_PAUSE_S) -> list[Pause]:
+def extract_pauses(is_speech: np.ndarray, min_pause_s: float = MIN_PAUSE_S) -> list[Pause]:
     """Maximal non-speech runs strictly longer than min_pause_s.
 
     Leading and trailing silence count. Durations are whole frame hops.
     """
-    min_frames = int(round(min_pause_s / hop_s))
+    min_frames = int(round(min_pause_s / HOP_S))
     pauses = []
     for a, b, val in bool_runs(~np.asarray(is_speech, dtype=bool)):
         if val and b - a > min_frames:
-            pauses.append(Pause(start=a * hop_s, duration=(b - a) * hop_s))
+            pauses.append(Pause(start=a * HOP_S, duration=(b - a) * HOP_S))
     return pauses
-
-
-def _interval_of(time: float, intervals: list[VideoInterval]) -> int:
-    """Index of the interval containing a timestamp; times at or past the
-    last end stick to the last interval."""
-    for k, iv in enumerate(intervals):
-        if iv.start <= time < iv.end:
-            return k
-    return len(intervals) - 1
 
 
 def pause_features(pauses: list[Pause], intervals: list[VideoInterval],
@@ -93,9 +92,8 @@ def pause_features(pauses: list[Pause], intervals: list[VideoInterval],
     if not pauses:
         return PauseFeatures(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     durations = np.array([p.duration for p in pauses])
-    per_interval = np.zeros(len(intervals))
-    for p in pauses:
-        per_interval[_interval_of(p.midpoint, intervals)] += 1
+    per_interval = np.bincount(interval_index([p.midpoint for p in pauses], intervals),
+                               minlength=len(intervals))
     return PauseFeatures(
         pause_mean=float(durations.mean()),
         pause_std=float(durations.std()),
@@ -125,8 +123,7 @@ def detect_syllables(samples: np.ndarray, is_speech: np.ndarray,
                         fs=SAMPLE_RATE, output="sos")
     band = signal.sosfiltfilt(sos, x)
 
-    frames = np.lib.stride_tricks.sliding_window_view(band, FRAME_LEN)[::HOP]
-    env = np.mean(frames * frames, axis=1)
+    env = frame_energy(raw_frames(band))
     n = min(len(env), len(is_speech))
     env = env[:n]
     smooth_frames = max(1, int(round(cfg.smooth_s / HOP_S)))
@@ -155,8 +152,8 @@ def detect_syllables(samples: np.ndarray, is_speech: np.ndarray,
         if all(abs(c - k) >= min_gap for k in kept):
             kept.append(int(c))
     kept.sort()
-    center = (FRAME_LEN / SAMPLE_RATE) / 2.0
-    return [SyllablePeak(time=i * HOP_S + center, strength=float(env[i])) for i in kept]
+    times = frame_times(n)
+    return [SyllablePeak(time=float(times[i]), strength=float(env[i])) for i in kept]
 
 
 def syllable_rate_features(peaks: list[SyllablePeak], intervals: list[VideoInterval],
@@ -174,9 +171,8 @@ def syllable_rate_features(peaks: list[SyllablePeak], intervals: list[VideoInter
         )
     if any(c < 1 for c in expected_counts):
         raise ValueError("expected syllable counts must be >= 1")
-    detected = np.zeros(len(intervals))
-    for p in peaks:
-        detected[_interval_of(p.time, intervals)] += 1
+    detected = np.bincount(interval_index([p.time for p in peaks], intervals),
+                           minlength=len(intervals))
     rel = detected / np.asarray(expected_counts, dtype=np.float64)
     mean = float(rel.mean())
     std = float(rel.std())

@@ -15,11 +15,14 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (
+    SUBSTITUTION_LABELS,
+    WORD_LABELS,
     AudioRecording,
     StoryText,
     TranscribedWord,
     Transcription,
     VideoInterval,
+    write_transcription,
     write_wav,
 )
 from .dsp import HOP, SAMPLE_RATE
@@ -37,8 +40,6 @@ PAUSE_RENDER_PAD = 3 * HOP
 WANDER_BASE_HZ = 800.0
 WANDER_RATE_HZ = 0.4
 RESONANCE_SIGMA_HZ = 220.0
-
-_LABELS = ("C", "M", "D", "S1", "Sm", "I")
 
 _CONSONANTS = "bdgkmnprst"
 _VOWELS = "aeiou"
@@ -61,7 +62,7 @@ class ProfileSpec:
     wander_bands: int
     noise_dbfs: float
     level_dbfs: float
-    label_probs: tuple[float, ...]  # over labels C, M, D, S1, Sm, I
+    label_probs: tuple[float, ...]  # over corpus.WORD_LABELS: C, M, D, S1, Sm, I
     seed: int
     pause_schedule: tuple[tuple[float, float], ...] | None = None  # (start, duration)
 
@@ -277,8 +278,8 @@ def _synth_transcription(profile: ProfileSpec) -> Transcription:
     probs = probs / probs.sum()
     words = []
     for word in default_story().words:
-        label = _LABELS[rng.choice(len(_LABELS), p=probs)]
-        sub = _gibberish(rng) if label in ("S1", "Sm") else None
+        label = WORD_LABELS[rng.choice(len(WORD_LABELS), p=probs)]
+        sub = _gibberish(rng) if label in SUBSTITUTION_LABELS else None
         words.append(TranscribedWord(word=word, label=label, substitution=sub))
     return Transcription(story_id="synth", words=tuple(words))
 
@@ -336,12 +337,7 @@ def write_corpus(out_dir, per_class: int = 3, duration: float = 10.0,
             with open(root / f"{rid}.intervals.csv", "w") as fh:
                 for iv in intervals:
                     fh.write(f"{float(iv.start)!r},{float(iv.end)!r}\n")
-            with open(root / f"{rid}.words.csv", "w") as fh:
-                for w in transcription.words:
-                    if w.substitution is not None:
-                        fh.write(f"{w.word},{w.label},{w.substitution}\n")
-                    else:
-                        fh.write(f"{w.word},{w.label}\n")
+            write_transcription(transcription, root / f"{rid}.words.csv")
             if with_hyp:
                 with open(root / f"{rid}.hyp.csv", "w") as fh:
                     for word, conf in synth_hypothesis(transcription, rec_seed):

@@ -32,7 +32,7 @@ def _report(n: int, ok: bool, detail: str) -> None:
 def _feature_matrix(root):
     """Featurize every recording under root with default settings."""
     index = scan_corpus(root)
-    cfg = RunConfig().feature_config()
+    cfg = RunConfig().feature
     rows, labels = [], []
     for rid in index.ids:
         rec = load_wav(index.wav_path(rid))
@@ -313,7 +313,7 @@ def test_criterion_9_extraction_speed():
     profile = synth.make_profile(SkillClass.M_A, seed=5)
     rec, intervals, _ = synth.generate(profile, duration=60.0)
     story = synth.default_story()
-    cfg = RunConfig().feature_config()
+    cfg = RunConfig().feature
     t0 = time.perf_counter()
     featurize.extract_features(rec, intervals, story, label="M_A",
                                recording_id="perf", cfg=cfg)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import readskill
-from readskill import synth
+from readskill import classify, lexical
 from readskill.cli import main
 
 
@@ -483,3 +483,60 @@ def test_non_utf8_config_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "run.cfg:2: not UTF-8 text" in err
+
+
+def _one_line_schema_error(capsys, *needles) -> None:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: SchemaMismatch: ")
+    for needle in needles:
+        assert needle in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+@pytest.mark.parametrize("cell", ["abc", "nan"])
+def test_bad_feature_cell_exits_2(small_corpus, featurized, tmp_path, capsys,
+                                  command, cell):
+    lines = (featurized / "features.csv").read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[2] = cell  # pause_mean of the second recording
+    lines[3] = ",".join(cells)
+    (tmp_path / "features.csv").write_text("\n".join(lines) + "\n")
+    rc = run("--set", f"corpus_root={small_corpus}", "--set", f"out_dir={tmp_path}",
+             "--jobs", "1", command)
+    assert rc == 2
+    _one_line_schema_error(capsys, f"features.csv: row 3 has non-numeric pause_mean '{cell}'")
+
+
+@pytest.mark.parametrize("content, needle", [
+    ("model, but not JSON\n", "not a JSON file"),
+    ('{"format": "%s", "plan": "three_stage", "stages": [], "feature_names": []}\n'
+     % classify.MODEL_VERSION, "unknown plan 'three_stage'"),
+    ('{"format": "%s", "plan": "one_stage"}\n' % classify.MODEL_VERSION,
+     "malformed model (KeyError: 'stages')"),
+], ids=["not_json", "unknown_plan", "no_stages"])
+def test_bad_model_file_exits_2(small_corpus, featurized, tmp_path, capsys,
+                                content, needle):
+    model = tmp_path / "model.json"
+    model.write_text(content)
+    rc = run("--set", f"corpus_root={small_corpus}", "--set", f"out_dir={featurized}",
+             "--jobs", "1", "predict", "--model", str(model))
+    assert rc == 2
+    _one_line_schema_error(capsys, "model.json: ", needle)
+
+
+@pytest.mark.parametrize("content, needle", [
+    ("[centroids]\n", "not a JSON file"),
+    (json.dumps({"format": lexical.CLUSTER_MODEL_VERSION, "variant": "B",
+                 "centroids": [[0.0] * 6] * 3,
+                 "labels": {"0": "C_A", "1": "M_A", "2": "X_A"}}),
+     "malformed cluster model (KeyError: 'X_A')"),
+    (json.dumps({"format": lexical.CLUSTER_MODEL_VERSION, "variant": "B"}),
+     "malformed cluster model (KeyError: 'centroids')"),
+], ids=["not_json", "unknown_class", "no_centroids"])
+def test_bad_cluster_model_exits_2(small_corpus, tmp_path, capsys, content, needle):
+    (tmp_path / "cluster_model.json").write_text(content)
+    rc = run("--set", f"corpus_root={small_corpus}", "--set", f"out_dir={tmp_path}",
+             "--jobs", "1", "asr-align")
+    assert rc == 2
+    _one_line_schema_error(capsys, "cluster_model.json: ", needle)

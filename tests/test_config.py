@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+from readskill.cli import main
 from readskill.config import RunConfig, apply_set, load_config
 from readskill.dsp import VadConfig
 from readskill.errors import ConfigError
@@ -20,8 +21,8 @@ def test_defaults():
     assert cfg.folds == 7
     assert cfg.tau == 0.5
     assert cfg.n_trees == 50
-    assert cfg.min_pause_s == 0.2
-    assert cfg.spdyn_ratio_scope == "interval"
+    assert cfg.feature.min_pause_s == 0.2
+    assert cfg.feature.spdyn_ratio_scope == "interval"
     assert cfg.cluster_k_min == 2
     assert cfg.cluster_k_max == 6
     cfg.validate()
@@ -117,7 +118,7 @@ def test_validate_folds_and_trees():
 
 def test_validate_ratio_scope():
     cfg = load_config(overrides=["spdyn_ratio_scope=audio"])
-    assert cfg.spdyn_ratio_scope == "audio"
+    assert cfg.feature.spdyn_ratio_scope == "audio"
     with pytest.raises(ConfigError):
         load_config(overrides=["spdyn_ratio_scope=global"])
 
@@ -144,12 +145,11 @@ def test_plan_ids_strips_blanks():
 def test_derived_configs_carry_fields():
     cfg = load_config(overrides=["vad_margin_db=9.0", "syll_min_gap_s=0.2",
                                  "min_pause_s=0.25", "spdyn_ratio_scope=audio"])
-    assert cfg.vad.margin_db == 9.0
-    assert cfg.syllable.min_gap_s == 0.2
-    fc = cfg.feature_config()
-    assert fc.min_pause_s == 0.25
-    assert fc.ratio_scope == "audio"
+    fc = cfg.feature
     assert fc.vad.margin_db == 9.0
+    assert fc.syllable.min_gap_s == 0.2
+    assert fc.min_pause_s == 0.25
+    assert fc.spdyn_ratio_scope == "audio"
 
 
 @pytest.mark.parametrize("prefix, section", [("vad_", VadConfig),
@@ -161,8 +161,57 @@ def test_every_nested_field_has_a_flat_key(tmp_path, prefix, section):
               for k, f in enumerate(fields)}
     path = tmp_path / "run.cfg"
     path.write_text("".join(f"{prefix}{name} = {v}\n" for name, v in values.items()))
-    fc = load_config(path).feature_config()
+    fc = load_config(path).feature
     nested = fc.vad if section is VadConfig else fc.syllable
     for f in fields:
         got = getattr(nested, f.name)
         assert got == values[f.name] and type(got).__name__ == f.type, f.name
+
+
+# The exact `config --dump` text: its keys, their order and the value format
+# are the contract that config files and --set are written against.
+DEFAULT_DUMP = """\
+corpus_root = .
+out_dir = out
+seed = 0
+plan = one_stage
+folds = 7
+tau = 0.5
+n_trees = 50
+group_by = 
+min_pause_s = 0.2
+spdyn_ratio_scope = interval
+vad_floor_percentile = 10.0
+vad_margin_db = 6.0
+vad_abs_threshold_db = -45.0
+vad_harmonicity_threshold = 0.45
+vad_harmonicity_margin_db = 3.0
+vad_median_frames = 5
+vad_hangover_frames = 2
+vad_min_run_frames = 3
+syll_band_low_hz = 300.0
+syll_band_high_hz = 2500.0
+syll_smooth_s = 0.15
+syll_height_frac = 0.1
+syll_prominence_frac = 0.05
+syll_min_gap_s = 0.1
+kmeans_restarts = 10
+cluster_k_min = 2
+cluster_k_max = 6
+"""
+
+
+@pytest.mark.parametrize("overrides, changed", [
+    ([], {}),
+    (["vad_margin_db=9", "min_pause_s=0.25", "spdyn_ratio_scope=audio",
+      "syll_min_gap_s=0.3", "tau=0.3"],
+     {"vad_margin_db": "9.0", "min_pause_s": "0.25", "spdyn_ratio_scope": "audio",
+      "syll_min_gap_s": "0.3", "tau": "0.3"}),
+])
+def test_config_dump_text_is_pinned(capsys, overrides, changed):
+    argv = [arg for o in overrides for arg in ("--set", o)]
+    assert main([*argv, "config", "--dump"]) == 0
+    want = "".join(
+        f"{key} = {changed[key]}\n" if key in changed else line + "\n"
+        for line in DEFAULT_DUMP.splitlines() for key in [line.split(" = ")[0]])
+    assert capsys.readouterr().out == want

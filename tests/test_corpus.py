@@ -348,3 +348,39 @@ def test_scan_corpus_words_only_fallback(tmp_path):
     index = scan_corpus(tmp_path)
     assert index.ids == ["r1", "r2"]
     assert index.story is None
+
+
+def _interval_of_oracle(time, intervals):
+    """The per-timestamp scan that interval_index replaced."""
+    for k, iv in enumerate(intervals):
+        if iv.start <= time < iv.end:
+            return k
+    return len(intervals) - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    widths=st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=1, max_size=8),
+    picks=st.lists(st.tuples(st.integers(0, 8), st.sampled_from([-1, 0, 1])),
+                   max_size=20),
+    inside=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20),
+    past=st.lists(st.floats(min_value=0.0, max_value=50.0), max_size=5),
+)
+def test_interval_index_matches_scan(widths, picks, inside, past):
+    ivs, start = [], 0.0
+    for k, w in enumerate(widths):
+        ivs.append(corpus.VideoInterval(start, start + w, k))
+        start += w
+    end = ivs[-1].end
+    # boundaries, their float neighbours, points inside, and times past the end
+    bounds = [0.0] + [iv.end for iv in ivs]
+    times = [np.nextafter(bounds[i % len(bounds)], np.inf * side) if side else
+             bounds[i % len(bounds)] for i, side in picks]
+    times += [u * end for u in inside] + [end + p for p in past]
+    got = corpus.interval_index(times, ivs)
+    assert got.tolist() == [_interval_of_oracle(t, ivs) for t in times]
+
+
+def test_interval_index_empty_times():
+    ivs = [corpus.VideoInterval(0.0, 1.0, 0)]
+    assert corpus.interval_index([], ivs).tolist() == []

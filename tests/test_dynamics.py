@@ -91,7 +91,6 @@ def test_single_band_degenerate():
     assert out.freq_distribution_ratio == 50.0
     assert out.norm_mode_count == 1.0
     assert out.norm_mode_variation == 0.0
-    assert not out.no_speech
 
 
 def test_even_two_band_split_ratio_one():
@@ -130,7 +129,7 @@ def test_band_edges_clip_to_top_band():
 def test_spectral_no_speech():
     track = make_track(np.full(30, 500.0), speech=np.zeros(30, dtype=bool))
     out = spectral_dynamics(track, spans((0.0, 1.0)))
-    assert out == SpectralDynamics(0.0, 0.0, 0.0, no_speech=True)
+    assert out == SpectralDynamics(0.0, 0.0, 0.0)
 
 
 def test_spectral_skips_empty_intervals():
@@ -151,7 +150,6 @@ def test_intensity_constant_contour_zero():
     out = intensity_dynamics(track, spans((0.0, 80 * HOP_S + 0.1)))
     assert out.macro_mean == 0.0
     assert out.micro_mean == 0.0
-    assert not out.no_speech
 
 
 def test_intensity_offset_invariant():
@@ -234,7 +232,7 @@ def test_intensity_random_matches_loop_oracle():
 def test_intensity_no_speech():
     track = make_track(np.full(30, 500.0), speech=np.zeros(30, dtype=bool))
     out = intensity_dynamics(track, spans((0.0, 1.0)))
-    assert out == IntensityDynamics(0.0, 0.0, 0.0, 0.0, no_speech=True)
+    assert out == IntensityDynamics(0.0, 0.0, 0.0, 0.0)
 
 
 def test_intensity_single_frame_interval():
@@ -245,4 +243,3 @@ def test_intensity_single_frame_interval():
     out = intensity_dynamics(track, spans((0.0, 1.0)))
     assert out.macro_mean == 0.0
     assert out.micro_mean == 0.0
-    assert not out.no_speech

@@ -2,12 +2,20 @@
 wiring, and the versioned CSV round trip."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from readskill import synth
 from readskill.corpus import AudioRecording, StoryText, VideoInterval
-from readskill.dynamics import intensity_dynamics, spectral_dynamics
+from readskill.dsp import HOP_S
+from readskill.dynamics import (
+    IntensityDynamics,
+    SpectralDynamics,
+    intensity_dynamics,
+    spectral_dynamics,
+)
 from readskill.errors import IntervalCountMismatch, SchemaMismatch
 from readskill.featurize import (
     FEATURE_GROUPS,
@@ -18,7 +26,12 @@ from readskill.featurize import (
     read_features,
     write_features,
 )
-from readskill.pauses import pause_features, syllable_rate_features
+from readskill.pauses import (
+    PauseFeatures,
+    SyllableRateFeatures,
+    pause_features,
+    syllable_rate_features,
+)
 
 SAMPLE_RATE = 16000
 
@@ -56,6 +69,18 @@ def test_feature_groups_partition_names():
     for group in ("pause", "rate", "spectral_dynamics", "intensity_dynamics"):
         seen.extend(FEATURE_GROUPS[group])
     assert tuple(seen) == FEATURE_NAMES
+
+
+@pytest.mark.parametrize("group, cls, prefix", [
+    ("pause", PauseFeatures, ""),
+    ("rate", SyllableRateFeatures, ""),
+    ("spectral_dynamics", SpectralDynamics, ""),
+    ("intensity_dynamics", IntensityDynamics, "intensity_"),
+])
+def test_group_fields_follow_feature_names(group, cls, prefix):
+    # extract_features concatenates the groups' fields in this order
+    names = tuple(prefix + f.name for f in dataclasses.fields(cls))
+    assert names == FEATURE_GROUPS[group]
 
 
 def test_feature_index_round_trip():
@@ -100,7 +125,7 @@ def test_values_wired_to_component_outputs():
                                    return_detail=True)
 
     pf = pause_features(detail.pauses, ivs, rec.duration)
-    speech_duration = float(detail.track.is_speech.sum()) * detail.track.hop_s
+    speech_duration = float(detail.track.is_speech.sum()) * HOP_S
     sr = syllable_rate_features(detail.peaks, ivs,
                                 list(story.sentence_syllables), speech_duration)
     sd = spectral_dynamics(detail.track, ivs)
@@ -196,3 +221,18 @@ def test_read_header_only_is_empty(tmp_path):
     path = tmp_path / "features.csv"
     write_features([], path)
     assert read_features(path) == []
+
+
+@pytest.mark.parametrize("cell", ["abc", "nan", "inf", ""])
+def test_read_rejects_non_finite_cell(tmp_path, cell):
+    path = tmp_path / "features.csv"
+    write_features([FeatureVector("a", np.zeros(17), "C_A"),
+                    FeatureVector("b", np.ones(17), "M_A")], path)
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[2 + FEATURE_INDEX["pause_freq"]] = cell
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaMismatch,
+                       match=f"features.csv: row 3 has non-numeric pause_freq '{cell}'"):
+        read_features(path)

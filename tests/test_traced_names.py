@@ -1,0 +1,55 @@
+"""The benchmark's traced run wraps readskill functions by name
+(perfbench/tracing.py). A name that a refactor removes turns its per-layer
+metric into null without failing anything, so every name is checked here,
+together with the attributes and argument order its counters read."""
+from __future__ import annotations
+
+import dataclasses
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+from readskill import classify, dsp
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    """perfbench/tracing.py, loaded from its file; it imports no readskill."""
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _wrapped_names() -> list[str]:
+    tracing = _tracing()
+    names = {target for table in (tracing.TIMED, tracing.STRUCTURAL)
+             for targets in table.values() for target in targets}
+    names.update(tracing.COUNTERS)
+    names.update(n for sources in tracing.COUNTER_SOURCES.values() for n in sources)
+    return sorted(names)
+
+
+@pytest.mark.parametrize("target", _wrapped_names())
+def test_traced_name_resolves(target):
+    module_name, attr = target.split(":")
+    module = importlib.import_module(f"readskill.{module_name}")
+    assert callable(getattr(module, attr, None)), target
+
+
+def test_counter_inputs_keep_their_shape():
+    # dsp:vad's counter reads (intensity_db, harm, cfg) and these VadConfig fields
+    assert list(inspect.signature(dsp.vad).parameters)[:3] == ["intensity_db", "harm", "cfg"]
+    vad_fields = {f.name for f in dataclasses.fields(dsp.VadConfig)}
+    assert {"floor_percentile", "margin_db", "abs_threshold_db",
+            "harmonicity_margin_db"} <= vad_fields
+    # dsp:build_track's counter reads FrameTrack.n_frames
+    assert isinstance(inspect.getattr_static(dsp.FrameTrack, "n_frames"), property)
+    # classify:train_forest's counter walks model.trees through the node links
+    node_fields = {f.name for f in dataclasses.fields(classify._Node)}
+    assert {"left", "right"} <= node_fields and hasattr(classify._Node, "is_leaf")
+    assert "trees" in {f.name for f in dataclasses.fields(classify.RandomForestModel)}
