@@ -8,12 +8,13 @@ CSV files.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import csv_rows, normalize_word
+from .corpus import csv_rows, finite_float, normalize_word
 from .errors import EmptyCanonical, NoModel, OutOfRange, SchemaMismatch
 from .lexical import VARIANT_B_DIMS, ClusterModel, SkillClass
 
@@ -30,7 +31,7 @@ class HypWord:
 
     def __post_init__(self):
         c = self.confidence
-        if not (np.isfinite(c) and 0.0 <= c <= 1.0):
+        if not (math.isfinite(c) and 0.0 <= c <= 1.0):
             raise OutOfRange(f"confidence {c!r} for word {self.text!r}")
 
 
@@ -52,11 +53,9 @@ def parse_hypothesis(path: str | Path) -> list[HypWord]:
             continue
         if len(rec) < 2:
             raise SchemaMismatch(f"{path}: row {k} needs word,confidence")
-        try:
-            confidence = float(rec[1])
-        except ValueError:
-            raise SchemaMismatch(
-                f"{path}: row {k} has non-numeric confidence {rec[1]!r}") from None
+        confidence = finite_float(path, k, "confidence", rec[1])
+        if not 0.0 <= confidence <= 1.0:
+            raise SchemaMismatch(f"{path}: row {k} has confidence {rec[1]!r} outside [0, 1]")
         out.append(HypWord(text=rec[0].strip(), confidence=confidence))
     return out
 
@@ -72,42 +71,45 @@ def align(canonical, hypothesis) -> tuple[int, list[AlignmentOp]]:
     runs front to back over a cost-to-go table, breaking cost ties in the
     order match/substitute, then delete, then insert.
     """
-    ref = [normalize_word(w) for w in _texts(canonical)]
-    hyp = [normalize_word(w) for w in _texts(hypothesis)]
+    ids: dict[str, int] = {}  # normalized word -> id, shared by both sides
+    ref, hyp = (np.array([ids.setdefault(normalize_word(w), len(ids)) for w in _texts(words)],
+                         dtype=np.int64) for words in (canonical, hypothesis))
     n, m = len(ref), len(hyp)
     if n == 0:
         raise EmptyCanonical("canonical text holds no words")
 
-    # togo[i][j] = cost of aligning ref[i:] with hyp[j:]
-    togo = [[0] * (m + 1) for _ in range(n + 1)]
-    togo[n] = [m - j for j in range(m + 1)]
+    # togo[i, j] = cost of aligning ref[i:] with hyp[j:], filled bottom-up
+    # one row at a time. With cand[j] the cheaper of substitute and delete
+    # (and cand[m] = n - i), the insert recurrence row[j] = min(cand[j],
+    # row[j + 1] + 1) unrolls to row[j] = min over k >= j of cand[k] + k - j.
+    k = np.arange(m + 1)
+    togo = np.empty((n + 1, m + 1), dtype=np.int64)
+    togo[n] = m - k
+    cand = np.empty(m + 1, dtype=np.int64)
     for i in range(n - 1, -1, -1):
-        row = togo[i]
         below = togo[i + 1]
-        row[m] = n - i
-        for j in range(m - 1, -1, -1):
-            sub = below[j + 1] + (0 if ref[i] == hyp[j] else 1)
-            dele = below[j] + 1
-            ins = row[j + 1] + 1
-            row[j] = min(sub, dele, ins)
+        np.minimum(below[1:] + (hyp != ref[i]), below[:m] + 1, out=cand[:m])
+        cand[m] = n - i
+        cand += k
+        togo[i] = np.minimum.accumulate(cand[::-1])[::-1] - k
 
     ops = []
     i = j = 0
     while i < n or j < m:
         if i < n and j < m:
             cost = 0 if ref[i] == hyp[j] else 1
-            if togo[i][j] == togo[i + 1][j + 1] + cost:
+            if togo[i, j] == togo[i + 1, j + 1] + cost:
                 ops.append(AlignmentOp("c" if cost == 0 else "s", i, j))
                 i += 1
                 j += 1
                 continue
-        if i < n and togo[i][j] == togo[i + 1][j] + 1:
+        if i < n and togo[i, j] == togo[i + 1, j] + 1:
             ops.append(AlignmentOp("d", i, None))
             i += 1
             continue
         ops.append(AlignmentOp("i", None, j))
         j += 1
-    return togo[0][0], ops
+    return int(togo[0, 0]), ops
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Hypothesis-to-text alignment: edit distance against a prefix-matrix
-oracle, confidence remapping arithmetic, and nearest-centroid classing."""
+oracle, the op sequence against the pure-Python cost-to-go walk,
+confidence remapping arithmetic, and nearest-centroid classing."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from readskill import synth
 from readskill.asr_align import (
     AlignmentOp,
     HypWord,
@@ -16,7 +18,14 @@ from readskill.asr_align import (
     confidence_remap,
     parse_hypothesis,
 )
-from readskill.errors import EmptyCanonical, NoModel, OutOfRange
+from readskill.corpus import (
+    SUBSTITUTION_LABELS,
+    WORD_LABELS,
+    TranscribedWord,
+    Transcription,
+    normalize_word,
+)
+from readskill.errors import EmptyCanonical, NoModel, OutOfRange, SchemaMismatch
 from readskill.lexical import ClusterModel, SkillClass
 
 
@@ -35,6 +44,44 @@ def distance_oracle(ref: list[str], hyp_words: list[str]) -> int:
             cost = 0 if ref[i - 1] == hyp_words[j - 1] else 1
             d[i, j] = min(d[i - 1, j - 1] + cost, d[i - 1, j] + 1, d[i, j - 1] + 1)
     return int(d[n, m])
+
+
+def align_oracle(canonical: list[str], hypothesis: list[str]) -> tuple[int, list[AlignmentOp]]:
+    """The pure-Python cost-to-go table and front-to-back walk that align
+    replaced: one cell at a time, ties broken match/substitute, then
+    delete, then insert."""
+    ref = [normalize_word(w) for w in canonical]
+    hyp_words = [normalize_word(w) for w in hypothesis]
+    n, m = len(ref), len(hyp_words)
+    togo = [[0] * (m + 1) for _ in range(n + 1)]
+    togo[n] = [m - j for j in range(m + 1)]
+    for i in range(n - 1, -1, -1):
+        row = togo[i]
+        below = togo[i + 1]
+        row[m] = n - i
+        for j in range(m - 1, -1, -1):
+            sub = below[j + 1] + (0 if ref[i] == hyp_words[j] else 1)
+            dele = below[j] + 1
+            ins = row[j + 1] + 1
+            row[j] = min(sub, dele, ins)
+
+    ops = []
+    i = j = 0
+    while i < n or j < m:
+        if i < n and j < m:
+            cost = 0 if ref[i] == hyp_words[j] else 1
+            if togo[i][j] == togo[i + 1][j + 1] + cost:
+                ops.append(AlignmentOp("c" if cost == 0 else "s", i, j))
+                i += 1
+                j += 1
+                continue
+        if i < n and togo[i][j] == togo[i + 1][j] + 1:
+            ops.append(AlignmentOp("d", i, None))
+            i += 1
+            continue
+        ops.append(AlignmentOp("i", None, j))
+        j += 1
+    return togo[0][0], ops
 
 
 def test_align_identical():
@@ -107,6 +154,42 @@ def test_align_matches_prefix_oracle(ref, hyp_words):
     hyp_idx = [op.hyp_index for op in ops if op.hyp_index is not None]
     assert ref_idx == list(range(len(ref)))
     assert hyp_idx == list(range(len(hyp_words)))
+
+
+# few distinct words, two of them equal after normalization, so cost ties abound
+TIE_WORDS = st.sampled_from(["a", "b", "ab", "A!", "b."])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TIE_WORDS, min_size=1, max_size=30),
+       st.lists(TIE_WORDS, min_size=0, max_size=30))
+@example(["a", "b", "a"], [])
+@example(["a"], ["b", "a", "A!", "b."])
+@example(["a"], [])
+def test_align_matches_cell_by_cell_oracle(ref, hyp_words):
+    dist, ops = align(ref, hyp_words)
+    assert type(dist) is int
+    assert (dist, ops) == align_oracle(ref, hyp_words)
+
+
+def test_align_matches_oracle_at_paper_scale():
+    # a 400-word story over a small vocabulary against a recognizer-style
+    # transcript of a struggling reader; substitutions are other story words
+    rng = np.random.default_rng(5)
+    vocab = sorted(set(synth.default_story().words))[:60]
+    story = [vocab[k] for k in rng.integers(len(vocab), size=400)]
+    probs = np.asarray(synth.make_profile(SkillClass.I_A, seed=5).label_probs)
+    labels = rng.choice(len(WORD_LABELS), size=len(story), p=probs / probs.sum())
+    transcription = Transcription(story_id="s", words=tuple(
+        TranscribedWord(word=w, label=WORD_LABELS[c],
+                        substitution=(vocab[rng.integers(len(vocab))]
+                                      if WORD_LABELS[c] in SUBSTITUTION_LABELS else None))
+        for w, c in zip(story, labels)))
+    spoken = [w for w, _ in synth.synth_hypothesis(transcription, seed=5)]
+    assert 200 < len(spoken) <= 400
+    dist, ops = align(story, spoken)
+    assert type(dist) is int
+    assert (dist, ops) == align_oracle(story, spoken)
 
 
 def test_remap_all_correct():
@@ -199,6 +282,20 @@ def test_parse_hypothesis_without_header(tmp_path):
     path.write_text("the,0.9\n\nfox,0.35\n")
     words = parse_hypothesis(path)
     assert len(words) == 2
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-0.1", "1.5"])
+def test_parse_hypothesis_rejects_bad_confidence(tmp_path, cell):
+    path = tmp_path / "r1.hyp.csv"
+    path.write_text(f"word,confidence\nthe,0.9\nfox,{cell}\n")
+    with pytest.raises(SchemaMismatch, match=rf"r1\.hyp\.csv: row 2 .*'{cell}'"):
+        parse_hypothesis(path)
+
+
+def test_parse_hypothesis_keeps_confidence_bounds(tmp_path):
+    path = tmp_path / "hyp.csv"
+    path.write_text("a,0\nb,1\nc,1.0\n")
+    assert [w.confidence for w in parse_hypothesis(path)] == [0.0, 1.0, 1.0]
 
 
 CENTROIDS_B = np.array([

@@ -137,6 +137,26 @@ def test_asr_align_partial_failure(small_corpus, tmp_path):
     assert "m_a_002.hyp.csv: row 1 " in log[1]
 
 
+def test_asr_align_bad_confidence_names_file_and_row(small_corpus, tmp_path):
+    broken = tmp_path / "broken"
+    shutil.copytree(small_corpus, broken)
+    (broken / "c_a_001.hyp.csv").write_text("word,confidence\nthe,0.9\nred,nan\n")
+    (broken / "m_a_002.hyp.csv").write_text("the,0.9\nred,0.8\nfox,1.5\n")
+    out = tmp_path / "out_broken"
+    settings = ("--set", f"corpus_root={broken}", "--set", f"out_dir={out}",
+                "--jobs", "1")
+    assert run(*settings, "cluster") == 0
+    assert run(*settings, "asr-align") == 1
+    rows = (out / "asr_classes.csv").read_text().splitlines()[1:]
+    assert {"c_a_001", "m_a_002"}.isdisjoint(r.split(",")[0] for r in rows)
+    log = (out / "errors.log").read_text().splitlines()
+    assert len(log) == 2
+    assert log[0].startswith("c_a_001: SchemaMismatch: ")
+    assert "c_a_001.hyp.csv: row 2 " in log[0] and "'nan'" in log[0]
+    assert log[1].startswith("m_a_002: SchemaMismatch: ")
+    assert "m_a_002.hyp.csv: row 2 " in log[1] and "'1.5'" in log[1]
+
+
 def test_labels_row_without_class_exits_2(small_corpus, tmp_path, capsys):
     broken = tmp_path / "broken"
     shutil.copytree(small_corpus, broken)

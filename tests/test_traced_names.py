@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from readskill import classify, dsp
+from readskill import asr_align, classify, dsp
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -53,3 +53,6 @@ def test_counter_inputs_keep_their_shape():
     node_fields = {f.name for f in dataclasses.fields(classify._Node)}
     assert {"left", "right"} <= node_fields and hasattr(classify._Node, "is_leaf")
     assert "trees" in {f.name for f in dataclasses.fields(classify.RandomForestModel)}
+    # asr_align:align's cells counter multiplies the lengths of its first two
+    # positional arguments, and cli passes them positionally
+    assert list(inspect.signature(asr_align.align).parameters)[:2] == ["canonical", "hypothesis"]
