@@ -40,6 +40,7 @@ from .lexical import SkillClass
 N_TREES = 50
 CV_FOLDS = 7
 MODEL_VERSION = "rf-model-v1"
+REPORT_VERSION = "cvreport-v1"
 
 
 @dataclass
@@ -59,9 +60,12 @@ class _Node:
 class RandomForestModel:
     trees: list[_Node]
     n_classes: int
-    n_features: int
     feature_names: tuple[str, ...]
     importances: np.ndarray  # mean impurity decrease per feature, unnormalized
+
+    @property
+    def n_features(self) -> int:
+        return len(self.feature_names)
 
 
 def _gini_gain_scan(X: np.ndarray, y: np.ndarray, feats: np.ndarray,
@@ -124,32 +128,20 @@ def _build_tree(X: np.ndarray, y: np.ndarray, n_classes: int, m_features: int,
     return node
 
 
-def _route_counts(root: _Node, X: np.ndarray, y: np.ndarray, n_classes: int) -> None:
-    stack = [(root, np.arange(len(X)))]
-    while stack:
-        node, idx = stack.pop()
-        if node.is_leaf:
-            node.counts = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
-            continue
-        mask = X[idx, node.feature] < node.threshold
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
-
-
-def _tree_predict(root: _Node, X: np.ndarray) -> np.ndarray:
-    out = np.empty(len(X), dtype=np.int64)
+def _leaf_rows(root: _Node, X: np.ndarray):
+    """Yield (leaf, row indices of X routed to it) for every leaf that at
+    least one row of X reaches."""
     stack = [(root, np.arange(len(X)))]
     while stack:
         node, idx = stack.pop()
         if len(idx) == 0:
             continue
         if node.is_leaf:
-            out[idx] = int(np.argmax(node.counts))
+            yield node, idx
             continue
         mask = X[idx, node.feature] < node.threshold
         stack.append((node.left, idx[mask]))
         stack.append((node.right, idx[~mask]))
-    return out
 
 
 def train_forest(X: np.ndarray, y: np.ndarray, n_trees: int = N_TREES,
@@ -180,13 +172,14 @@ def train_forest(X: np.ndarray, y: np.ndarray, n_trees: int = N_TREES,
         boot = rng.integers(0, n, size=n)
         imp = np.zeros(d)
         root = _build_tree(X[boot], y[boot], n_classes, m_features, rng, imp, n)
-        _route_counts(root, X, y, n_classes)
+        # a leaf that no training row reaches keeps its all-zero counts
+        for leaf, idx in _leaf_rows(root, X):
+            leaf.counts = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
         importance_sum += imp
         trees.append(root)
     return RandomForestModel(
         trees=trees,
         n_classes=n_classes,
-        n_features=d,
         feature_names=tuple(feature_names),
         importances=importance_sum / n_trees,
     )
@@ -200,23 +193,12 @@ def predict_batch(model: RandomForestModel, X: np.ndarray) -> np.ndarray:
             f"expected {model.n_features} features, got shape {X.shape}"
         )
     votes = np.zeros((len(X), model.n_classes))
+    pred = np.empty(len(X), dtype=np.int64)
     for root in model.trees:
-        pred = _tree_predict(root, X)
+        for leaf, idx in _leaf_rows(root, X):
+            pred[idx] = leaf.counts.argmax()
         votes[np.arange(len(X)), pred] += 1
     return votes.argmax(axis=1)
-
-
-def predict(model: RandomForestModel, x: np.ndarray) -> int:
-    return int(predict_batch(model, np.asarray(x, dtype=np.float64)[None, :])[0])
-
-
-def feature_importance(model: RandomForestModel) -> dict[str, float]:
-    """Mean impurity decrease per feature, normalized to sum to 1."""
-    imp = model.importances.copy()
-    total = imp.sum()
-    if total > 0.0:
-        imp = imp / total
-    return {name: float(v) for name, v in zip(model.feature_names, imp)}
 
 
 @dataclass(frozen=True)
@@ -227,6 +209,11 @@ class Stage:
     features: tuple[str, ...]
     target: SkillClass | None = None
     classes: tuple[SkillClass, ...] = ()
+
+    @property
+    def n_codes(self) -> int:
+        """Class codes of the stage's forest: rest and target, or one per class."""
+        return 2 if self.target is not None else len(self.classes)
 
 
 @dataclass(frozen=True)
@@ -284,9 +271,10 @@ def train_plan(plan: StagePlan, X: np.ndarray, y: np.ndarray,
                seed_path: tuple[int, ...] = (0,), n_trees: int = N_TREES) -> StageModels:
     """Fit every stage of a plan on class codes 0..2.
 
-    Stage s trains with seed path (*seed_path, s). A target stage codes
-    rest=0 and target=1 over all rows; a two-class final stage trains only
-    on rows of its pair, coding the lower class 0.
+    Stage s trains with seed path (*seed_path, s). A target stage trains on
+    all rows and codes target=1, rest=0. Any other stage trains only on the
+    rows of its classes and codes each class by its position in
+    sorted(classes).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -296,49 +284,39 @@ def train_plan(plan: StagePlan, X: np.ndarray, y: np.ndarray,
         if stage.target is not None:
             Xs = X[:, cols]
             ys = (y == int(stage.target)).astype(np.int64)
-            n_classes = 2
-        elif len(stage.classes) == 2:
-            pair = sorted(int(c) for c in stage.classes)
-            keep = np.isin(y, pair)
-            Xs = X[keep][:, cols]
-            ys = (y[keep] == pair[1]).astype(np.int64)
-            n_classes = 2
         else:
-            Xs = X[:, cols]
-            ys = y
-            n_classes = len(stage.classes)
+            classes = sorted(int(c) for c in stage.classes)
+            keep = np.isin(y, classes)
+            Xs = X[keep][:, cols]
+            ys = np.searchsorted(classes, y[keep])
         models.append(train_forest(Xs, ys, n_trees=n_trees,
                                    seed_path=(*seed_path, s),
-                                   n_classes=n_classes,
+                                   n_classes=stage.n_codes,
                                    feature_names=stage.features))
     return StageModels(plan=plan, models=models, feature_names=tuple(feature_names))
 
 
 def predict_stage(stage_models: StageModels, X: np.ndarray) -> np.ndarray:
-    """Run the staged pipeline on full feature rows, returning class codes."""
+    """Run the staged pipeline on full feature rows, returning class codes.
+
+    Each stage sees only the rows no earlier stage decided: a target stage
+    claims the rows it codes 1, and a final stage decides all it sees.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != len(stage_models.feature_names):
         raise DimensionMismatch(
             f"expected {len(stage_models.feature_names)} columns, got shape {X.shape}"
         )
-    plan = stage_models.plan
-    if len(plan.stages) == 1:
-        stage = plan.stages[0]
-        cols = _columns(stage_models.feature_names, stage.features)
-        codes = predict_batch(stage_models.models[0], X[:, cols])
-        return np.array([int(stage.classes[c]) for c in codes], dtype=np.int64)
-
-    s1, s2 = plan.stages
-    cols1 = _columns(stage_models.feature_names, s1.features)
-    cols2 = _columns(stage_models.feature_names, s2.features)
-    hit = predict_batch(stage_models.models[0], X[:, cols1]) == 1
     out = np.empty(len(X), dtype=np.int64)
-    out[hit] = int(s1.target)
-    rest = ~hit
-    if rest.any():
-        pair = sorted(int(c) for c in s2.classes)
-        codes = predict_batch(stage_models.models[1], X[rest][:, cols2])
-        out[rest] = np.where(codes == 1, pair[1], pair[0])
+    rest = np.arange(len(X))
+    for stage, model in zip(stage_models.plan.stages, stage_models.models):
+        cols = _columns(stage_models.feature_names, stage.features)
+        codes = predict_batch(model, X[rest][:, cols])
+        if stage.target is not None:
+            out[rest[codes == 1]] = int(stage.target)
+            rest = rest[codes != 1]
+        else:
+            out[rest] = np.array(sorted(int(c) for c in stage.classes))[codes]
     return out
 
 
@@ -403,12 +381,10 @@ def _cv_fold(plan: StagePlan, X: np.ndarray, y: np.ndarray, fold_of: np.ndarray,
     conf = np.zeros((n_classes, n_classes), dtype=np.int64)
     for a, p in zip(y[test], pred):
         conf[a, p] += 1
-    name_index = {name: i for i, name in enumerate(feature_names)}
     vectors = []
     for model in models.models:
         vec = np.zeros(len(feature_names))
-        for name, value in zip(model.feature_names, model.importances):
-            vec[name_index[name]] = value
+        vec[_columns(feature_names, model.feature_names)] = model.importances
         vectors.append(vec)
     return conf, vectors
 
@@ -461,7 +437,7 @@ def cross_validate(plan: StagePlan, X: np.ndarray, y: np.ndarray,
 def write_report(report: CVReport, json_path, csv_path) -> None:
     """Emit cvreport.json and confusion.csv for one plan."""
     payload = {
-        "format": "cvreport-v1",
+        "format": REPORT_VERSION,
         "plan": report.plan_id,
         "seed": report.seed,
         "folds": report.folds,
@@ -494,11 +470,20 @@ def _node_to_dict(node: _Node):
     }
 
 
-def _node_from_dict(d) -> _Node:
+def _node_from_dict(d, n_features: int, n_classes: int) -> _Node:
+    """One saved node; a split on a column the stage lacks, or a leaf whose
+    counts do not hold one entry per class, raises ValueError."""
     if "counts" in d:
-        return _Node(counts=np.array(d["counts"], dtype=np.float64))
-    return _Node(feature=int(d["feature"]), threshold=float(d["threshold"]),
-                 left=_node_from_dict(d["left"]), right=_node_from_dict(d["right"]))
+        counts = np.array(d["counts"], dtype=np.float64)
+        if counts.shape != (n_classes,):
+            raise ValueError(f"leaf counts of shape {counts.shape}, expected ({n_classes},)")
+        return _Node(counts=counts)
+    feature = int(d["feature"])
+    if not 0 <= feature < n_features:
+        raise ValueError(f"node feature {feature} outside [0, {n_features})")
+    return _Node(feature=feature, threshold=float(d["threshold"]),
+                 left=_node_from_dict(d["left"], n_features, n_classes),
+                 right=_node_from_dict(d["right"], n_features, n_classes))
 
 
 def save_model(stage_models: StageModels, path) -> None:
@@ -532,16 +517,27 @@ def load_model(path) -> StageModels:
     except (KeyError, TypeError):
         raise SchemaMismatch(f"{path}: unknown plan {payload.get('plan')!r}") from None
     try:
-        models = [
-            RandomForestModel(
-                trees=[_node_from_dict(t) for t in stage_payload["trees"]],
-                n_classes=int(stage_payload["n_classes"]),
-                n_features=len(stage_payload["features"]),
-                feature_names=tuple(stage_payload["features"]),
+        stages = payload["stages"]
+        if len(stages) != len(plan.stages):
+            raise SchemaMismatch(f"{path}: {len(stages)} stages, plan {plan.plan_id} "
+                                 f"has {len(plan.stages)}")
+        models = []
+        for s, (stage, stage_payload) in enumerate(zip(plan.stages, stages)):
+            features = tuple(stage_payload["features"])
+            n_classes = int(stage_payload["n_classes"])
+            if features != stage.features:
+                raise SchemaMismatch(f"{path}: stage {s} features differ from plan "
+                                     f"{plan.plan_id}")
+            if n_classes != stage.n_codes:
+                raise SchemaMismatch(f"{path}: stage {s} has {n_classes} classes, plan "
+                                     f"{plan.plan_id} needs {stage.n_codes}")
+            models.append(RandomForestModel(
+                trees=[_node_from_dict(t, len(features), n_classes)
+                       for t in stage_payload["trees"]],
+                n_classes=n_classes,
+                feature_names=features,
                 importances=np.array(stage_payload["importances"], dtype=np.float64),
-            )
-            for stage_payload in payload["stages"]
-        ]
+            ))
         return StageModels(plan=plan, models=models,
                            feature_names=tuple(payload["feature_names"]))
     except (KeyError, TypeError, ValueError) as exc:

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import asr_align, classify, featurize, lexical
 from .config import RunConfig, load_config
-from .corpus import CorpusIndex, load_wav, parse_intervals, parse_transcription, scan_corpus
+from .corpus import (CorpusIndex, json_object, load_wav, parse_intervals,
+                     parse_transcription, scan_corpus)
 from .dsp import dump_frames
 from .errors import NoModel, ReadskillError, SchemaMismatch, UnknownLabel
 from .lexical import SKILL_NAMES, SkillClass
@@ -193,6 +194,8 @@ def cmd_predict(cfg: RunConfig, args) -> int:
     model_path = args.model or str(
         Path(cfg.out_dir) / f"model_{cfg.plan_ids()[0]}.json")
     models = classify.load_model(model_path)
+    if models.feature_names != featurize.FEATURE_NAMES:
+        raise SchemaMismatch(f"{model_path}: feature_names differ from features.csv")
     rows = featurize.read_features(Path(cfg.out_dir) / "features.csv")
     X = np.array([r.values for r in rows])
     pred = classify.predict_stage(models, X)
@@ -268,17 +271,21 @@ def cmd_asr_align(cfg: RunConfig, args) -> int:
 
 
 def cmd_report(cfg: RunConfig, args) -> int:
-    import json
-
     out_dir = Path(cfg.out_dir)
     lines = []
     for path in sorted(out_dir.glob("cvreport*.json")):
-        payload = json.loads(path.read_text())
-        lines.append(f"plan {payload['plan']}: accuracy {payload['accuracy']:.4f} "
-                     f"over {payload['folds']} folds (seed {payload['seed']})")
-        ranked = sorted(payload["importances"].items(), key=lambda kv: (-kv[1], kv[0]))
-        for name, value in ranked[:5]:
-            lines.append(f"  {name}: {value:.4f}")
+        payload = json_object(path)
+        if payload.get("format") != classify.REPORT_VERSION:
+            raise SchemaMismatch(f"{path}: not a {classify.REPORT_VERSION} report")
+        try:
+            lines.append(f"plan {payload['plan']}: accuracy {payload['accuracy']:.4f} "
+                         f"over {payload['folds']} folds (seed {payload['seed']})")
+            ranked = sorted(payload["importances"].items(),
+                            key=lambda kv: (-kv[1], kv[0]))
+            lines.extend(f"  {name}: {value:.4f}" for name, value in ranked[:5])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SchemaMismatch(
+                f"{path}: malformed report ({type(exc).__name__}: {exc})") from None
     if not lines:
         lines.append("no evaluation reports found")
     text = "\n".join(lines) + "\n"

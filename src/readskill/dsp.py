@@ -72,21 +72,16 @@ def frame_energy(frames: np.ndarray) -> np.ndarray:
 
 
 def raw_frames(samples: np.ndarray, frame_len: int = FRAME_LEN, hop: int = HOP) -> np.ndarray:
-    """Unweighted frames of a signal, as a strided view."""
+    """Unweighted frames of a signal, as a strided view.
+
+    Returns floor((len - frame_len) / hop) + 1 frames; a trailing partial
+    frame is dropped.
+    """
     x = np.ascontiguousarray(samples, dtype=np.float64)
     if x.size < frame_len:
         raise TooShort(f"need at least {frame_len} samples, got {x.size}")
     view = np.lib.stride_tricks.sliding_window_view(x, frame_len)
     return view[::hop]
-
-
-def frame_signal(samples: np.ndarray, frame_len: int = FRAME_LEN, hop: int = HOP) -> np.ndarray:
-    """Split a signal into Hamming-weighted frames.
-
-    Yields floor((len - frame_len) / hop) + 1 frames; a trailing partial
-    frame is dropped.
-    """
-    return raw_frames(samples, frame_len, hop) * np.hamming(frame_len)
 
 
 def _centroid_batch(frames: np.ndarray) -> np.ndarray:

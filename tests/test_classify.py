@@ -3,6 +3,7 @@ rank-invariance of splits, tie-breaking, fold assignment, and persistence."""
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,13 +14,15 @@ from readskill.classify import (
     CV_FOLDS,
     PLANS,
     RandomForestModel,
+    StageModels,
+    _build_tree,
+    _columns,
     _fold_assignment,
     _gini_gain_scan,
+    _Node,
     accuracy,
     cross_validate,
-    feature_importance,
     load_model,
-    predict,
     predict_batch,
     predict_stage,
     save_model,
@@ -109,10 +112,10 @@ def test_identical_rows_tie_breaks_low():
     X = np.ones((8, 3))
     y = np.array([0, 1, 0, 1, 0, 1, 0, 1])
     model = train_forest(X, y, n_trees=9, seed_path=(4,))
-    assert predict(model, np.ones(3)) == 0
+    assert predict_batch(model, np.ones((1, 3))).tolist() == [0]
     y2 = np.array([1, 2, 1, 2, 1, 2, 1, 2])
     model2 = train_forest(X, y2, n_trees=9, seed_path=(4,))
-    assert predict(model2, np.ones(3)) == 1
+    assert predict_batch(model2, np.ones((1, 3))).tolist() == [1]
 
 
 def test_forest_deterministic():
@@ -152,10 +155,10 @@ def test_importances_sum_to_one_and_rank_signal():
     X = rng.standard_normal((n, 5))
     X[:, 2] = y * 2.0 + rng.standard_normal(n) * 0.05
     model = train_forest(X, y, n_trees=20, seed_path=(11,))
-    imp = feature_importance(model)
-    assert sum(imp.values()) == pytest.approx(1.0, abs=1e-9)
-    assert max(imp, key=imp.get) == "f2"
-    assert imp["f2"] > 0.5
+    assert (model.importances >= 0.0).all() and model.importances.sum() > 0.0
+    imp = model.importances / model.importances.sum()
+    assert model.feature_names[int(imp.argmax())] == "f2"
+    assert imp[2] > 0.5
 
 
 def test_importances_flat_on_pure_noise():
@@ -163,7 +166,7 @@ def test_importances_flat_on_pure_noise():
     X = rng.standard_normal((300, 6))
     y = rng.integers(0, 3, size=300)
     model = train_forest(X, y, n_trees=30, seed_path=(13,))
-    imp = np.array(list(feature_importance(model).values()))
+    imp = model.importances
     assert imp.max() <= 3.0 * imp.min()
 
 
@@ -429,3 +432,152 @@ def test_batched_scan_matches_per_column_scan(node):
     gain, f, pos, order = got
     assert (gain, f, pos) == want
     assert np.array_equal(order, np.argsort(X[:, f], kind="stable"))
+
+
+def _oracle_route_counts(root, X, y, n_classes):
+    """Oracle: the leaf-count walk the single leaf router replaced."""
+    stack = [(root, np.arange(len(X)))]
+    while stack:
+        node, idx = stack.pop()
+        if node.is_leaf:
+            node.counts = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
+            continue
+        mask = X[idx, node.feature] < node.threshold
+        stack.append((node.left, idx[mask]))
+        stack.append((node.right, idx[~mask]))
+
+
+def _oracle_tree_predict(root, X):
+    """Oracle: the per-tree prediction walk the single leaf router replaced."""
+    out = np.empty(len(X), dtype=np.int64)
+    stack = [(root, np.arange(len(X)))]
+    while stack:
+        node, idx = stack.pop()
+        if len(idx) == 0:
+            continue
+        if node.is_leaf:
+            out[idx] = int(np.argmax(node.counts))
+            continue
+        mask = X[idx, node.feature] < node.threshold
+        stack.append((node.left, idx[mask]))
+        stack.append((node.right, idx[~mask]))
+    return out
+
+
+def _oracle_forest(X, y, n_trees, seed_path, n_classes, feature_names):
+    """Oracle forest: the same trees, with leaf counts from the old walk."""
+    n, d = X.shape
+    m_features = math.ceil(math.sqrt(d))
+    trees = []
+    importance_sum = np.zeros(d)
+    for t in range(n_trees):
+        rng = np.random.default_rng([*seed_path, t])
+        boot = rng.integers(0, n, size=n)
+        imp = np.zeros(d)
+        root = _build_tree(X[boot], y[boot], n_classes, m_features, rng, imp, n)
+        _oracle_route_counts(root, X, y, n_classes)
+        importance_sum += imp
+        trees.append(root)
+    return RandomForestModel(trees=trees, n_classes=n_classes,
+                             feature_names=tuple(feature_names),
+                             importances=importance_sum / n_trees)
+
+
+def _oracle_predict_batch(model, X):
+    votes = np.zeros((len(X), model.n_classes))
+    for root in model.trees:
+        votes[np.arange(len(X)), _oracle_tree_predict(root, X)] += 1
+    return votes.argmax(axis=1)
+
+
+def _oracle_train_plan(plan, X, y, seed_path, n_trees):
+    """Oracle: the three-branch stage training the one stage rule replaced."""
+    models = []
+    for s, stage in enumerate(plan.stages):
+        cols = _columns(FEATURE_NAMES, stage.features)
+        if stage.target is not None:
+            Xs = X[:, cols]
+            ys = (y == int(stage.target)).astype(np.int64)
+            n_classes = 2
+        elif len(stage.classes) == 2:
+            pair = sorted(int(c) for c in stage.classes)
+            keep = np.isin(y, pair)
+            Xs = X[keep][:, cols]
+            ys = (y[keep] == pair[1]).astype(np.int64)
+            n_classes = 2
+        else:
+            Xs = X[:, cols]
+            ys = y
+            n_classes = len(stage.classes)
+        if len(np.unique(ys)) < 2:  # train_forest's check, which the oracle forest skips
+            raise SingleClassTraining("training labels hold fewer than two classes")
+        models.append(_oracle_forest(Xs, ys, n_trees, (*seed_path, s), n_classes,
+                                     stage.features))
+    return StageModels(plan=plan, models=models, feature_names=FEATURE_NAMES)
+
+
+def _oracle_predict_stage(stage_models, X):
+    """Oracle: the one-stage path and the hard-coded two-stage path."""
+    plan = stage_models.plan
+    if len(plan.stages) == 1:
+        stage = plan.stages[0]
+        cols = _columns(FEATURE_NAMES, stage.features)
+        codes = _oracle_predict_batch(stage_models.models[0], X[:, cols])
+        return np.array([int(stage.classes[c]) for c in codes], dtype=np.int64)
+    s1, s2 = plan.stages
+    cols1 = _columns(FEATURE_NAMES, s1.features)
+    cols2 = _columns(FEATURE_NAMES, s2.features)
+    hit = _oracle_predict_batch(stage_models.models[0], X[:, cols1]) == 1
+    out = np.empty(len(X), dtype=np.int64)
+    out[hit] = int(s1.target)
+    rest = ~hit
+    if rest.any():
+        pair = sorted(int(c) for c in s2.classes)
+        codes = _oracle_predict_batch(stage_models.models[1], X[rest][:, cols2])
+        out[rest] = np.where(codes == 1, pair[1], pair[0])
+    return out
+
+
+@st.composite
+def tie_heavy_tables(draw):
+    """Full feature tables of 2 or 3 classes whose cells take a few levels,
+    so most split candidates tie; plus probe rows on the same levels. A
+    staged plan trains only on all three classes, so they come up most."""
+    classes = draw(st.sampled_from([(0, 1, 2)] * 5 + [(0, 1), (0, 2), (1, 2)]))
+    sizes = [draw(st.integers(2, 7)) for _ in classes]
+    levels = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = np.repeat(classes, sizes).astype(np.int64)
+    X = rng.integers(0, levels, size=(len(y), len(FEATURE_NAMES))).astype(np.float64)
+    probes = rng.integers(0, levels + 1, size=(40, len(FEATURE_NAMES))) - 0.5
+    return X, y, probes, draw(st.integers(1, 4))
+
+
+@pytest.mark.parametrize("plan_id", sorted(PLANS))
+@settings(max_examples=60, deadline=None)
+@given(table=tie_heavy_tables())
+def test_plans_match_branching_oracle(tmp_path_factory, plan_id, table):
+    X, y, probes, n_trees = table
+    plan = PLANS[plan_id]
+    try:
+        want = _oracle_train_plan(plan, X, y, seed_path=(3,), n_trees=n_trees)
+    except SingleClassTraining:
+        with pytest.raises(SingleClassTraining):
+            train_plan(plan, X, y, seed_path=(3,), n_trees=n_trees)
+        return
+    got = train_plan(plan, X, y, seed_path=(3,), n_trees=n_trees)
+    assert all(isinstance(root, _Node) for m in got.models for root in m.trees)
+    root = tmp_path_factory.mktemp("models")
+    save_model(want, root / "want.json")
+    save_model(got, root / "got.json")
+    assert (root / "got.json").read_bytes() == (root / "want.json").read_bytes()
+
+    rows = np.vstack([X, probes])
+    cases = [rows, rows[:0]]
+    if len(plan.stages) > 1:
+        # probes that stage 0 claims in full, and probes it claims none of
+        cols = _columns(FEATURE_NAMES, plan.stages[0].features)
+        hit = _oracle_predict_batch(want.models[0], rows[:, cols]) == 1
+        cases += [rows[hit], rows[~hit]]
+    for probe in cases:
+        assert predict_stage(got, probe).tolist() == _oracle_predict_stage(want, probe).tolist()

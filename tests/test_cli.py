@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import readskill
@@ -528,21 +529,81 @@ def test_bad_feature_cell_exits_2(small_corpus, featurized, tmp_path, capsys,
     _one_line_schema_error(capsys, f"features.csv: row 3 has non-numeric pause_mean '{cell}'")
 
 
+@pytest.fixture(scope="module")
+def one_stage_model(tmp_path_factory):
+    """A valid one_stage model file's JSON payload."""
+    rng = np.random.default_rng(0)
+    X = np.repeat([[0.0], [10.0], [20.0]], 6, axis=0) + rng.standard_normal((18, 17))
+    models = classify.train_plan(classify.PLANS["one_stage"], X,
+                                 np.repeat([0, 1, 2], 6), n_trees=2)
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    classify.save_model(models, path)
+    return json.loads(path.read_text())
+
+
+def _edit_model(edit):
+    """File text of the valid model after edit(payload) changed it."""
+    def text(payload):
+        payload = json.loads(json.dumps(payload))
+        edit(payload)
+        return json.dumps(payload)
+    return text
+
+
+def _first_split(payload):
+    """Root of the first tree; a split, as the three classes lie far apart."""
+    return payload["stages"][0]["trees"][0]
+
+
+def _first_leaf(payload):
+    node = _first_split(payload)
+    while "counts" not in node:
+        node = node["left"]
+    return node
+
+
 @pytest.mark.parametrize("content, needle", [
-    ("model, but not JSON\n", "not a JSON file"),
-    ('{"format": "%s", "plan": "three_stage", "stages": [], "feature_names": []}\n'
-     % classify.MODEL_VERSION, "unknown plan 'three_stage'"),
-    ('{"format": "%s", "plan": "one_stage"}\n' % classify.MODEL_VERSION,
+    (lambda _: "model, but not JSON\n", "not a JSON file"),
+    (lambda _: '{"format": "%s", "plan": "three_stage", "stages": [], '
+     '"feature_names": []}\n' % classify.MODEL_VERSION,
+     "unknown plan 'three_stage'"),
+    (lambda _: '{"format": "%s", "plan": "one_stage"}\n' % classify.MODEL_VERSION,
      "malformed model (KeyError: 'stages')"),
-], ids=["not_json", "unknown_plan", "no_stages"])
+    (_edit_model(lambda m: m.update(stages=[])), "0 stages, plan one_stage has 1"),
+    (_edit_model(lambda m: _first_split(m).update(feature=99)),
+     "malformed model (ValueError: node feature 99 outside [0, 17))"),
+    (_edit_model(lambda m: m["stages"][0]["features"].reverse()),
+     "stage 0 features differ from plan one_stage"),
+    (_edit_model(lambda m: m["feature_names"].reverse()),
+     "feature_names differ from features.csv"),
+    (_edit_model(lambda m: m["stages"][0].update(n_classes=2)),
+     "stage 0 has 2 classes, plan one_stage needs 3"),
+    (_edit_model(lambda m: _first_leaf(m)["counts"].pop()),
+     "malformed model (ValueError: leaf counts of shape (2,), expected (3,))"),
+], ids=["not_json", "unknown_plan", "no_stages", "empty_stages",
+        "feature_out_of_range", "features_reordered", "feature_names_reordered",
+        "class_count", "leaf_counts_short"])
 def test_bad_model_file_exits_2(small_corpus, featurized, tmp_path, capsys,
-                                content, needle):
+                                one_stage_model, content, needle):
     model = tmp_path / "model.json"
-    model.write_text(content)
+    model.write_text(content(one_stage_model))
     rc = run("--set", f"corpus_root={small_corpus}", "--set", f"out_dir={featurized}",
              "--jobs", "1", "predict", "--model", str(model))
     assert rc == 2
     _one_line_schema_error(capsys, "model.json: ", needle)
+
+
+@pytest.mark.parametrize("content, needle", [
+    ("cvreport, but not JSON\n", "not a JSON file"),
+    ('{"format": "%s"}' % classify.MODEL_VERSION, "not a cvreport-v1 report"),
+    ('{"format": "cvreport-v1"}', "malformed report (KeyError: 'plan')"),
+], ids=["not_json", "other_format", "no_plan"])
+def test_bad_cvreport_exits_2(tmp_path, capsys, content, needle):
+    (tmp_path / "cvreport_x.json").write_text(content)
+    rc = run("--set", f"out_dir={tmp_path}", "--jobs", "1", "report")
+    assert rc == 2
+    _one_line_schema_error(capsys, "cvreport_x.json: ", needle)
+    assert not (tmp_path / "report.txt").exists()
 
 
 @pytest.mark.parametrize("content, needle", [

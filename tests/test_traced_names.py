@@ -10,9 +10,11 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from readskill import asr_align, classify, dsp
+from readskill.featurize import FEATURE_NAMES
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -56,3 +58,26 @@ def test_counter_inputs_keep_their_shape():
     # asr_align:align's cells counter multiplies the lengths of its first two
     # positional arguments, and cli passes them positionally
     assert list(inspect.signature(asr_align.align).parameters)[:2] == ["canonical", "hypothesis"]
+
+
+def test_cv_folds_reach_train_plan_through_the_module(monkeypatch):
+    # classify.cv_fold times each train_plan span nested directly in a
+    # cross_validate span, so every fold must call the module's train_plan,
+    # the attribute the tracer replaces
+    calls = []
+    train_plan = classify.train_plan
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].plan_id)
+        return train_plan(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "train_plan", counting)
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((18, len(FEATURE_NAMES)))
+    y = np.repeat([0, 1, 2], 6)
+    classify.cross_validate(classify.PLANS["two_stage_P"], X, y, folds=3,
+                            n_trees=2, map_fn=map)
+    assert calls == ["two_stage_P"] * 3
+    # and the classify.nodes counter walks _Node roots
+    trees = classify.train_forest(X, y, n_trees=2).trees
+    assert len(trees) == 2 and all(isinstance(t, classify._Node) for t in trees)
