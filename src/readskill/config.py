@@ -10,6 +10,7 @@ from pathlib import Path
 from .asr_align import DEFAULT_TAU
 from .classify import CV_FOLDS, N_TREES, PLANS
 from .corpus import text_lines
+from .dsp import SAMPLE_RATE
 from .errors import ConfigError
 from .featurize import FeatureConfig
 from .lexical import KMEANS_RESTARTS
@@ -42,6 +43,16 @@ class RunConfig:
         scope = self.feature.spdyn_ratio_scope
         if scope not in ("interval", "audio"):
             raise ConfigError(f"spdyn_ratio_scope must be interval or audio, got {scope!r}")
+        vad, syllable = self.feature.vad, self.feature.syllable
+        if vad.median_frames >= 2 and vad.median_frames % 2 == 0:
+            raise ConfigError(f"vad_median_frames must be odd, got {vad.median_frames}")
+        if not 0.0 <= vad.floor_percentile <= 100.0:
+            raise ConfigError(
+                f"vad_floor_percentile must lie in [0, 100], got {vad.floor_percentile}")
+        if not 0.0 < syllable.band_low_hz < syllable.band_high_hz < SAMPLE_RATE / 2:
+            raise ConfigError(
+                f"syllable band [{syllable.band_low_hz}, {syllable.band_high_hz}] Hz must "
+                f"satisfy 0 < syll_band_low_hz < syll_band_high_hz < {SAMPLE_RATE // 2}")
         if not 2 <= self.cluster_k_min <= self.cluster_k_max:
             raise ConfigError(
                 f"cluster K range [{self.cluster_k_min}, {self.cluster_k_max}] is invalid"

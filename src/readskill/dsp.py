@@ -7,6 +7,7 @@ All analysis runs on 25 ms frames (400 samples) advanced by 10 ms
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,17 +45,26 @@ class VadConfig:
 
 @dataclass
 class FrameTrack:
-    """Per-frame analysis of one recording."""
+    """Per-frame analysis of one recording.
 
+    ``frames`` holds the raw frames (a strided view of the samples).
+    The VAD needs harmonicity only on its band frames, so the full
+    per-frame harmonicity track is computed from ``frames`` on first read.
+    """
+
+    frames: np.ndarray
     energy: np.ndarray
     intensity_db: np.ndarray
     centroid_hz: np.ndarray
-    harmonicity: np.ndarray
     is_speech: np.ndarray
 
     @property
     def n_frames(self) -> int:
         return len(self.energy)
+
+    @cached_property
+    def harmonicity(self) -> np.ndarray:
+        return _harmonicity_batch(self.frames, self.intensity_db)
 
     @property
     def times(self) -> np.ndarray:
@@ -112,7 +122,13 @@ def _harmonicity_batch(frames: np.ndarray, intensity_db: np.ndarray) -> np.ndarr
     while nfft < 2 * n:
         nfft *= 2
     spec = np.fft.rfft(frames, n=nfft, axis=1)
-    ac = np.fft.irfft(spec * np.conj(spec), axis=1)[:, :LAG_MAX + 1]
+    # conj(spec) * spec, in this order: numpy's fused complex multiply
+    # leaves a last-bit imaginary residue whose sign follows the operand
+    # order, and numpy's temporary elision computes ``spec * np.conj(spec)``
+    # as ``conj(spec) * spec`` once the temporary reaches 256 KiB (32
+    # frames). With the order fixed, a frame's value does not depend on how
+    # many frames share its batch.
+    ac = np.fft.irfft(np.conj(spec) * spec, axis=1)[:, :LAG_MAX + 1]
 
     sq = frames * frames
     csum = np.cumsum(sq, axis=1)
@@ -183,6 +199,17 @@ def _close_short_gaps(mask: np.ndarray, min_run: int) -> np.ndarray:
     return out
 
 
+def vad_levels(intensity_db: np.ndarray, cfg: VadConfig) -> tuple[float, float]:
+    """The VAD's noise floor and energy threshold, in dB.
+
+    Frames above the threshold are speech and frames at or below
+    floor + harmonicity_margin_db are not, whatever their harmonicity;
+    only the band between reads it.
+    """
+    noise_floor = float(np.percentile(intensity_db, cfg.floor_percentile))
+    return noise_floor, max(noise_floor + cfg.margin_db, cfg.abs_threshold_db)
+
+
 def vad(intensity_db: np.ndarray, harm: np.ndarray, cfg: VadConfig | None = None) -> np.ndarray:
     """Per-frame speech decision.
 
@@ -194,8 +221,7 @@ def vad(intensity_db: np.ndarray, harm: np.ndarray, cfg: VadConfig | None = None
     output contains no run shorter than min_run_frames.
     """
     cfg = cfg or VadConfig()
-    noise_floor = float(np.percentile(intensity_db, cfg.floor_percentile))
-    threshold = max(noise_floor + cfg.margin_db, cfg.abs_threshold_db)
+    noise_floor, threshold = vad_levels(intensity_db, cfg)
     raw = (intensity_db > threshold) | (
         (harm > cfg.harmonicity_threshold)
         & (intensity_db > noise_floor + cfg.harmonicity_margin_db)
@@ -206,23 +232,29 @@ def vad(intensity_db: np.ndarray, harm: np.ndarray, cfg: VadConfig | None = None
 
 
 def build_track(samples: np.ndarray, vad_config: VadConfig | None = None) -> FrameTrack:
-    """Run the full frame-level analysis for one recording.
+    """Run the frame-level analysis for one recording.
 
     Energy, intensity and harmonicity come from raw frames; the spectral
-    centroid uses Hamming-weighted frames.
+    centroid uses Hamming-weighted frames. Harmonicity is computed here
+    only for the VAD's band frames and left at 0 elsewhere, where the VAD
+    does not read it; the result is the same as with the full track.
     """
+    cfg = vad_config or VadConfig()
     raw = raw_frames(samples)
     energy = frame_energy(raw)
     intensity_db = 10.0 * np.log10(energy + ENERGY_FLOOR)
     centroid = _centroid_batch(raw * _HAMMING)
-    harm = _harmonicity_batch(raw, intensity_db)
-    is_speech = vad(intensity_db, harm, vad_config)
+    noise_floor, threshold = vad_levels(intensity_db, cfg)
+    band = ((intensity_db > noise_floor + cfg.harmonicity_margin_db)
+            & (intensity_db <= threshold))
+    harm = np.zeros(len(raw))
+    harm[band] = _harmonicity_batch(raw[band], intensity_db[band])
     return FrameTrack(
+        frames=raw,
         energy=energy,
         intensity_db=intensity_db,
         centroid_hz=centroid,
-        harmonicity=harm,
-        is_speech=is_speech,
+        is_speech=vad(intensity_db, harm, cfg),
     )
 
 

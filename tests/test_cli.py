@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import readskill
-from readskill import classify, lexical
+from readskill import classify, dsp, lexical
 from readskill.cli import main
+from readskill.corpus import load_wav
 
 
 def run(*argv: str) -> int:
@@ -91,6 +92,69 @@ def test_featurize_dumps(small_corpus, tmp_path):
     assert len(list(out.glob("events_*.csv"))) == 9
     frame_lines = next(out.glob("frames_*.csv")).read_text().splitlines()
     assert frame_lines[0] == "time,energy,intensity_db,centroid_hz,harmonicity,is_speech"
+
+
+def _counting_harmonicity(monkeypatch) -> list[int]:
+    """Rows of every dsp._harmonicity_batch call from here on."""
+    rows = []
+    batch = dsp._harmonicity_batch
+
+    def counting(frames, intensity_db):
+        rows.append(len(frames))
+        return batch(frames, intensity_db)
+
+    monkeypatch.setattr(dsp, "_harmonicity_batch", counting)
+    return rows
+
+
+def _vad_inputs(small_corpus):
+    """Per recording id: raw frames, intensity and the VAD's band mask
+    (floor + harmonicity margin < dB <= threshold) at the default config."""
+    cfg = dsp.VadConfig()
+    inputs = {}
+    for wav in sorted(small_corpus.glob("*.wav")):
+        raw = dsp.raw_frames(load_wav(wav).samples)
+        intensity_db = 10.0 * np.log10(dsp.frame_energy(raw) + dsp.ENERGY_FLOOR)
+        floor = float(np.percentile(intensity_db, cfg.floor_percentile))
+        threshold = max(floor + cfg.margin_db, cfg.abs_threshold_db)
+        band = ((intensity_db > floor + cfg.harmonicity_margin_db)
+                & (intensity_db <= threshold))
+        inputs[wav.name.removesuffix(".wav")] = raw, intensity_db, band
+    return inputs
+
+
+def test_featurize_computes_harmonicity_on_the_band_only(small_corpus, tmp_path,
+                                                          monkeypatch):
+    rows = _counting_harmonicity(monkeypatch)
+    rc = run("--set", f"corpus_root={small_corpus}", "--set", f"out_dir={tmp_path}",
+             "--jobs", "1", "featurize")
+    assert rc == 0
+    inputs = _vad_inputs(small_corpus).values()
+    band = sum(int(b.sum()) for _, _, b in inputs)
+    total = sum(len(raw) for raw, _, _ in inputs)
+    assert sum(rows) == band
+    assert 0 < band < total
+
+
+def test_featurize_frame_dumps_match_the_full_track(small_corpus, tmp_path, monkeypatch):
+    rows = _counting_harmonicity(monkeypatch)
+    rc = run("--set", f"corpus_root={small_corpus}", "--set", f"out_dir={tmp_path}",
+             "--jobs", "1", "featurize", "--dump-frames")
+    assert rc == 0
+    inputs = _vad_inputs(small_corpus)
+    assert sum(rows) == sum(int(b.sum()) + len(raw) for raw, _, b in inputs.values())
+    for rid, (raw, intensity_db, _) in inputs.items():
+        # the frame track as computed before harmonicity went band-only:
+        # the full batch, then vad, then dump_frames's row format
+        energy = dsp.frame_energy(raw)
+        centroid = dsp._centroid_batch(raw * dsp._HAMMING)
+        harm = dsp._harmonicity_batch(raw, intensity_db)
+        is_speech = dsp.vad(intensity_db, harm, dsp.VadConfig())
+        lines = ["time,energy,intensity_db,centroid_hz,harmonicity,is_speech\n"]
+        for i, t in enumerate(dsp.frame_times(len(raw))):
+            lines.append(f"{float(t)!r},{float(energy[i])!r},{float(intensity_db[i])!r},"
+                         f"{float(centroid[i])!r},{float(harm[i])!r},{int(is_speech[i])}\n")
+        assert (tmp_path / f"frames_{rid}.csv").read_text() == "".join(lines), rid
 
 
 def test_featurize_partial_failure(small_corpus, tmp_path):
@@ -452,6 +516,36 @@ def test_bad_config_exit_code(tmp_path, capsys):
     cfg_file.write_text("mystery = 1\n")
     rc = run("--config", str(cfg_file), "config")
     assert rc == 2
+
+
+_BAND_RULE = "0 < syll_band_low_hz < syll_band_high_hz < 8000"
+BAD_FEATURE_SETTINGS = {
+    "vad_median_frames=4": "vad_median_frames must be odd",
+    "vad_median_frames=2": "vad_median_frames must be odd",
+    "vad_floor_percentile=150": "vad_floor_percentile must lie in [0, 100]",
+    "vad_floor_percentile=-1": "vad_floor_percentile must lie in [0, 100]",
+    "syll_band_high_hz=9000": _BAND_RULE,
+    "syll_band_high_hz=8000": _BAND_RULE,
+    "syll_band_low_hz=0": _BAND_RULE,
+    "syll_band_low_hz=3000": _BAND_RULE,
+}
+
+
+@pytest.mark.parametrize("setting", BAD_FEATURE_SETTINGS)
+def test_bad_feature_setting_exits_2(small_corpus, tmp_path, capsys, setting):
+    out = tmp_path / "out"
+    rc = run("--set", f"corpus_root={small_corpus}", "--set", f"out_dir={out}",
+             "--set", setting, "--jobs", "1", "featurize")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and BAD_FEATURE_SETTINGS[setting] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["vad_median_frames=1", "vad_median_frames=0",
+                                     "vad_floor_percentile=0", "vad_floor_percentile=100"])
+def test_edge_feature_settings_are_valid(setting):
+    assert run("--set", setting, "config") == 0
 
 
 def test_missing_config_file(tmp_path, capsys):

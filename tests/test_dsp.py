@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from readskill import synth
 from readskill.dsp import (
     FRAME_LEN,
     HOP,
@@ -14,16 +15,20 @@ from readskill.dsp import (
     LAG_MAX,
     LAG_MIN,
     SAMPLE_RATE,
+    SILENCE_DBFS,
     VadConfig,
+    _harmonicity_batch,
     bool_runs,
     build_track,
     harmonicity,
     moving_average,
+    frame_energy,
     raw_frames,
     spectral_centroid,
     vad,
 )
 from readskill.errors import TooShort
+from readskill.lexical import SkillClass
 
 CENTER_S = (FRAME_LEN / SAMPLE_RATE) / 2.0
 
@@ -149,6 +154,68 @@ def test_harmonicity_in_unit_range():
     for _ in range(20):
         h = harmonicity(rng.standard_normal(400))
         assert 0.0 <= h <= 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=60), st.integers(min_value=0, max_value=2**32 - 1),
+       st.floats(min_value=0.0, max_value=1.0))
+@example(0, 0, 1.0)
+@example(1, 1, 1.0)
+@example(1, 1, 0.0)
+@example(40, 0, 0.5)  # a 40-frame spectrum is past numpy's 256 KiB elision size
+def test_harmonicity_batch_on_masked_rows_is_bit_equal(n, seed, keep):
+    # build_track computes harmonicity on the VAD band rows only; each row
+    # must come out exactly as it does in the full batch
+    rng = np.random.default_rng(seed)
+    n_samples = FRAME_LEN + HOP * max(n - 1, 0)
+    # per-hop gains from -100 to 0 dBFS put ~40% of the rows under the
+    # silence gate; half the signal is a 90-300 Hz tone
+    gain = np.repeat(10.0 ** rng.uniform(-5.0, 0.0, size=n_samples // HOP + 1), HOP)
+    t = np.arange(n_samples) / SAMPLE_RATE
+    tone = np.sin(2.0 * np.pi * rng.uniform(90.0, 300.0) * t)
+    x = gain[:n_samples] * (rng.standard_normal(n_samples) + rng.integers(0, 2) * tone)
+    frames = raw_frames(x)[:n]  # a strided view, as in build_track
+    intensity_db = 10.0 * np.log10(frame_energy(frames) + 1e-12)
+    mask = rng.random(n) < keep
+    full = _harmonicity_batch(frames, intensity_db)
+    part = _harmonicity_batch(frames[mask], intensity_db[mask])
+    assert part.shape == (int(mask.sum()),)
+    assert np.array_equal(part, full[mask])
+    assert np.all(full[intensity_db < SILENCE_DBFS] == 0.0)
+
+
+def _band(intensity_db, cfg):
+    floor = float(np.percentile(intensity_db, cfg.floor_percentile))
+    threshold = max(floor + cfg.margin_db, cfg.abs_threshold_db)
+    return (intensity_db > floor + cfg.harmonicity_margin_db) & (intensity_db <= threshold)
+
+
+def _exactness_signals():
+    signals = {}
+    for skill in SkillClass:
+        profile = synth.make_profile(skill, seed=3)
+        signals[skill.name] = synth.generate(profile, duration=6.0)[0].samples
+    signals["noise"] = np.random.default_rng(4).standard_normal(48000) * 0.01
+    return signals
+
+
+@pytest.mark.parametrize("cfg, has_band", [
+    (VadConfig(), None),
+    (VadConfig(abs_threshold_db=-5.0), True),  # the absolute threshold tops the band
+    # harmonicity_margin_db >= margin_db, and no absolute threshold: no band
+    (VadConfig(harmonicity_margin_db=6.0, abs_threshold_db=-200.0), False),
+    (VadConfig(harmonicity_margin_db=9.0, abs_threshold_db=-200.0), False),
+], ids=["default", "abs_threshold", "margins_equal", "margin_above"])
+def test_build_track_speech_matches_full_harmonicity_vad(cfg, has_band):
+    band_frames = 0
+    for name, x in _exactness_signals().items():
+        track = build_track(x, cfg)
+        full = _harmonicity_batch(raw_frames(x), track.intensity_db)
+        assert np.array_equal(track.is_speech, vad(track.intensity_db, full, cfg)), name
+        assert np.array_equal(track.harmonicity, full), name
+        band_frames += int(_band(track.intensity_db, cfg).sum())
+    if has_band is not None:
+        assert (band_frames > 0) == has_band
 
 
 def test_bool_runs_reconstructs_mask():

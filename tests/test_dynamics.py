@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from readskill.corpus import VideoInterval
-from readskill.dsp import HOP_S, FrameTrack, moving_average
+from readskill.dsp import FRAME_LEN, HOP_S, FrameTrack, moving_average
 from readskill.dynamics import (
     IntensityDynamics,
     SpectralDynamics,
@@ -29,10 +29,10 @@ def make_track(centroids, intensity=None, speech=None) -> FrameTrack:
     intensity = np.asarray(intensity, dtype=np.float64)
     energy = 10.0 ** (intensity / 10.0)
     return FrameTrack(
+        frames=np.zeros((n, FRAME_LEN)),
         energy=energy,
         intensity_db=intensity,
         centroid_hz=centroids,
-        harmonicity=np.zeros(n),
         is_speech=np.asarray(speech, dtype=bool),
     )
 

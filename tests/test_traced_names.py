@@ -51,6 +51,9 @@ def test_counter_inputs_keep_their_shape():
             "harmonicity_margin_db"} <= vad_fields
     # dsp:build_track's counter reads FrameTrack.n_frames
     assert isinstance(inspect.getattr_static(dsp.FrameTrack, "n_frames"), property)
+    # dsp:_harmonicity_batch's harm_frames counter reads len(args[0])
+    assert list(inspect.signature(dsp._harmonicity_batch).parameters)[:2] == [
+        "frames", "intensity_db"]
     # classify:train_forest's counter walks model.trees through the node links
     node_fields = {f.name for f in dataclasses.fields(classify._Node)}
     assert {"left", "right"} <= node_fields and hasattr(classify._Node, "is_leaf")
@@ -58,6 +61,25 @@ def test_counter_inputs_keep_their_shape():
     # asr_align:align's cells counter multiplies the lengths of its first two
     # positional arguments, and cli passes them positionally
     assert list(inspect.signature(asr_align.align).parameters)[:2] == ["canonical", "hypothesis"]
+
+
+def test_harmonicity_is_computed_through_the_module(monkeypatch):
+    # dsp.harmonicity times every _harmonicity_batch call: the band-only one
+    # in build_track and the full track FrameTrack computes on first read
+    calls = []
+    batch = dsp._harmonicity_batch
+
+    def counting(frames, intensity_db):
+        calls.append(len(frames))
+        return batch(frames, intensity_db)
+
+    monkeypatch.setattr(dsp, "_harmonicity_batch", counting)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(16000) * np.repeat(10.0 ** rng.uniform(-4, 0, 100), 160)
+    track = dsp.build_track(x, dsp.VadConfig(abs_threshold_db=0.0))
+    assert len(calls) == 1 and 0 < calls[0] < track.n_frames
+    assert track.harmonicity is track.harmonicity  # computed once, then cached
+    assert calls == [calls[0], track.n_frames]
 
 
 def test_cv_folds_reach_train_plan_through_the_module(monkeypatch):
