@@ -68,64 +68,118 @@ class RandomForestModel:
         return len(self.feature_names)
 
 
-def _gini_gain_scan(X: np.ndarray, y: np.ndarray, feats: np.ndarray,
-                    n_classes: int):
-    """Best split of the node rows X over the ascending candidate columns
-    feats, or None when no candidate column holds two distinct values.
+def _gini_gain_scan(ranks: np.ndarray, y: np.ndarray, rows: np.ndarray,
+                    sizes: np.ndarray, feats: np.ndarray, n_classes: int):
+    """Best split of each of K nodes, all scored in one pass.
 
-    All columns are scored in one pass. Returns (gain, feature, pos, order):
-    order sorts the rows by X[:, feature] (stably) and the split separates
-    order[:pos+1] from order[pos+1:]. Gains derive from integer class counts
-    only, so equal partitions give bit-equal gains. Within a column ties take
-    the earliest position; across columns they take the lower feature.
+    ranks holds each column of X as dense ranks, so equal values share a
+    rank. Node k owns the next sizes[k] >= 2 entries of rows (row indices
+    into ranks and y) and scores its ascending candidate columns feats[k].
+    Returns (gain, feature, pos, order): order holds each node's rows sorted
+    stably by its best feature, and its split separates the first pos[k]+1
+    of them from the rest. A node whose candidate columns each hold one
+    value gets gain -1.0. Gains derive from integer class counts only, so
+    equal partitions give bit-equal gains. Within a column ties take the
+    earliest position; across columns they take the lower feature.
     """
-    n = len(y)
-    order = X[:, feats].argsort(axis=0, kind="stable")          # (n, m)
-    xs = X[order, feats]
-    valid = xs[:-1] < xs[1:]                                    # (n-1, m)
-    if not valid.any():
-        return None
-    counts = np.bincount(y, minlength=n_classes)
-    parent_gini = 1.0 - ((counts / n) ** 2).sum()
-    left = (y[order][:, :, None] == np.arange(n_classes)).cumsum(axis=0)[:-1]
-    right = counts - left                                       # (n-1, m, C)
-    nl = np.arange(1.0, n)[:, None]
+    k_nodes = len(sizes)
+    starts = np.cumsum(sizes) - sizes
+    ends = starts + sizes - 1
+    seg = np.repeat(np.arange(k_nodes), sizes)
+    # one key per (candidate, row) orders by node, then by value; the stable
+    # sort keeps tied rows in node order
+    key = seg * len(ranks) + ranks[rows, feats[seg].T]           # (m, N)
+    order = key.argsort(axis=1, kind="stable")
+    key = np.take_along_axis(key, order, axis=1)
+    ys = y[rows][order]
+    counts = np.empty((k_nodes, n_classes), dtype=np.int64)
+    sq_l = sq_r = 0
+    for c in range(n_classes):
+        cum = (ys == c).cumsum(axis=1)                          # (m, N)
+        through = cum[0, ends]
+        before = np.concatenate(([0], through[:-1]))
+        counts[:, c] = through - before
+        left = cum - before[seg]
+        right = counts[seg, c] - left
+        sq_l = sq_l + left * left
+        sq_r = sq_r + right * right
+    parent_gini = 1.0 - ((counts / sizes[:, None]) ** 2).sum(axis=1)
+    # position i splits its node after row i; the last row of a node ends it
+    n = sizes[seg]
+    nl = np.arange(len(rows)) - starts[seg] + 1.0
     nr = n - nl
-    gini_l = 1.0 - (left * left).sum(axis=2) / (nl * nl)
-    gini_r = 1.0 - (right * right).sum(axis=2) / (nr * nr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gini_l = 1.0 - sq_l / (nl * nl)
+        gini_r = 1.0 - sq_r / (nr * nr)
+        gain = parent_gini[seg] - (nl * gini_l + nr * gini_r) / n
+    valid = np.zeros(key.shape, dtype=bool)
+    valid[:, :-1] = key[:, :-1] < key[:, 1:]
+    valid[:, ends] = False
     # -1 marks positions between equal values; every real gain lies above
     # it, so a column without a valid position never wins.
-    gain = np.where(valid, parent_gini - (nl * gini_l + nr * gini_r) / n, -1.0)
-    best = gain.max(axis=0)
-    j = int(best.argmax())
-    return float(best[j]), int(feats[j]), int(gain[:, j].argmax()), order[:, j]
+    gain = np.where(valid, gain, -1.0)
+
+    col_best = np.maximum.reduceat(gain, starts, axis=1)         # (m, K)
+    col = col_best.argmax(axis=0)
+    best = col_best[col, np.arange(k_nodes)]
+    i = np.arange(len(rows))
+    first = np.minimum.reduceat(np.where(gain[col[seg], i] == best[seg], i, len(i)), starts)
+    return best, feats[np.arange(k_nodes), col], first - starts, rows[order[col[seg], i]]
 
 
-def _build_tree(X: np.ndarray, y: np.ndarray, n_classes: int, m_features: int,
-                rng: np.random.Generator, importance: np.ndarray,
-                n_total: int) -> _Node:
-    node = _Node()
-    if len(y) <= 1 or (y == y[0]).all():
-        node.counts = np.zeros(n_classes)
-        return node
+def _grow_trees(X: np.ndarray, y: np.ndarray, n_classes: int, m_features: int,
+                rngs: list[np.random.Generator], boots: list[np.ndarray]):
+    """Grow tree t on the rows boots[t] with generator rngs[t], all trees in
+    lockstep. Returns (roots, per-tree importance rows).
 
-    feats = np.sort(rng.choice(X.shape[1], size=m_features, replace=False))
-    best = _gini_gain_scan(X, y, feats, n_classes)
-    if best is None:
-        node.counts = np.zeros(n_classes)
-        return node
-
-    gain, f, pos, order = best
-    importance[f] += (len(y) / n_total) * gain
-    node.feature = f
-    node.threshold = (X[order[pos], f] + X[order[pos + 1], f]) / 2.0
-    left_idx = order[: pos + 1]
-    right_idx = order[pos + 1:]
-    node.left = _build_tree(X[left_idx], y[left_idx], n_classes, m_features,
-                            rng, importance, n_total)
-    node.right = _build_tree(X[right_idx], y[right_idx], n_classes, m_features,
-                             rng, importance, n_total)
-    return node
+    Each tree keeps a stack of pending nodes and expands them in preorder,
+    so each generator sees its draws in the order a recursive build makes
+    them. A round pops one node from every non-empty stack and scores them
+    all in one scan. A node with one row or one class is a leaf when it is
+    made, and draws nothing.
+    """
+    n, d = X.shape
+    ranks = np.column_stack([np.unique(column, return_inverse=True)[1] for column in X.T])
+    roots = [_Node() for _ in boots]
+    importance = np.zeros((len(boots), d))
+    stacks = [[] for _ in boots]
+    for root, rows, stack in zip(roots, boots, stacks):
+        if (y[rows] == y[rows[0]]).all():  # one row is one class too
+            root.counts = np.zeros(n_classes)
+        else:
+            stack.append((root, rows))
+    while live := [t for t, stack in enumerate(stacks) if stack]:
+        nodes, parts = zip(*(stacks[t].pop() for t in live))
+        feats = np.sort([rngs[t].choice(d, m_features, replace=False) for t in live],
+                        axis=1)
+        sizes = np.array([len(part) for part in parts])
+        gain, feature, pos, order = _gini_gain_scan(
+            ranks, y, np.concatenate(parts), sizes, feats, n_classes)
+        split = gain > -1.0
+        starts = np.cumsum(sizes) - sizes
+        cut = starts + pos + 1                       # first row of the right child
+        threshold = (X[order[cut - 1], feature] + X[order[cut], feature]) / 2.0
+        importance[np.array(live)[split], feature[split]] += (sizes[split] / n) * gain[split]
+        # a child is a leaf when its lowest and highest class code agree
+        ys = y[order]
+        bounds = np.column_stack((starts, cut)).ravel()
+        pure = (np.minimum.reduceat(ys, bounds) == np.maximum.reduceat(ys, bounds))
+        for t, node, ok, f, thr, a, c, b, (leaf_l, leaf_r) in zip(
+                live, nodes, split.tolist(), feature.tolist(), threshold.tolist(),
+                starts.tolist(), cut.tolist(), (starts + sizes).tolist(),
+                pure.reshape(-1, 2).tolist()):
+            if not ok:
+                node.counts = np.zeros(n_classes)
+                continue
+            node.feature, node.threshold = f, thr
+            node.left, node.right = _Node(), _Node()
+            for child, part, leaf in ((node.right, order[c:b], leaf_r),
+                                      (node.left, order[a:c], leaf_l)):
+                if leaf:
+                    child.counts = np.zeros(n_classes)
+                else:
+                    stacks[t].append((child, part))
+    return roots, importance
 
 
 def _leaf_rows(root: _Node, X: np.ndarray):
@@ -164,19 +218,15 @@ def train_forest(X: np.ndarray, y: np.ndarray, n_trees: int = N_TREES,
     if len(feature_names) != d:
         raise DimensionMismatch("feature_names length does not match X columns")
 
-    m_features = math.ceil(math.sqrt(d))
-    trees = []
+    rngs = [np.random.default_rng([*seed_path, t]) for t in range(n_trees)]
+    boots = [rng.integers(0, n, size=n) for rng in rngs]
+    trees, importance = _grow_trees(X, y, n_classes, math.ceil(math.sqrt(d)), rngs, boots)
     importance_sum = np.zeros(d)
-    for t in range(n_trees):
-        rng = np.random.default_rng([*seed_path, t])
-        boot = rng.integers(0, n, size=n)
-        imp = np.zeros(d)
-        root = _build_tree(X[boot], y[boot], n_classes, m_features, rng, imp, n)
+    for root, imp in zip(trees, importance):
         # a leaf that no training row reaches keeps its all-zero counts
         for leaf, idx in _leaf_rows(root, X):
             leaf.counts = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
         importance_sum += imp
-        trees.append(root)
     return RandomForestModel(
         trees=trees,
         n_classes=n_classes,

@@ -107,15 +107,6 @@ def _centroid_batch(frames: np.ndarray) -> np.ndarray:
     return out
 
 
-def spectral_centroid(frame: np.ndarray) -> float:
-    """Power-weighted mean frequency over (0, 8000] Hz of one frame.
-
-    The frame is zero-padded to a 512-point FFT. An all-zero frame maps
-    to 0.0.
-    """
-    return float(_centroid_batch(np.asarray(frame, dtype=np.float64)[None, :])[0])
-
-
 def _harmonicity_batch(frames: np.ndarray, intensity_db: np.ndarray) -> np.ndarray:
     n = frames.shape[1]
     nfft = 1
@@ -181,10 +172,12 @@ def _median_bool(mask: np.ndarray, win: int) -> np.ndarray:
 
 
 def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
+    """True wherever a True lies within radius frames; keeps len(mask)."""
     if radius <= 0 or mask.size == 0:
         return mask.copy()
+    # "same" would return 2 * radius + 1 values for a shorter mask
     counts = np.convolve(mask.astype(np.int32), np.ones(2 * radius + 1, dtype=np.int32),
-                         mode="same")
+                         mode="full")[radius:radius + mask.size]
     return counts > 0
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from .corpus import AudioRecording, StoryText, VideoInterval, csv_rows, finite_float
 from .dsp import HOP_S, FrameTrack, VadConfig, build_track
 from .dynamics import intensity_dynamics, spectral_dynamics
-from .errors import IntervalCountMismatch, SchemaMismatch
+from .errors import IntervalCountMismatch, SchemaMismatch, TooShort
 from .pauses import (
     MIN_PAUSE_S,
     Pause,
@@ -91,7 +91,9 @@ def extract_features(recording: AudioRecording, intervals: list[VideoInterval],
 
     A recording with no detected speech gets the all-silence policy: the
     pause group reflects one recording-length pause and every other group
-    is zero, with a "no_speech" warning attached.
+    is zero, with a "no_speech" warning attached. One too short to hold
+    that pause (min_pause_s or less) raises TooShort, as nothing in it was
+    measured.
     """
     cfg = cfg or FeatureConfig()
     if len(intervals) != len(story.sentences):
@@ -102,6 +104,9 @@ def extract_features(recording: AudioRecording, intervals: list[VideoInterval],
     track = build_track(recording.samples, cfg.vad)
     pauses = extract_pauses(track.is_speech, cfg.min_pause_s)
     speech_frames = int(track.is_speech.sum())
+    if not speech_frames and not pauses:
+        raise TooShort(f"no speech in {recording.duration} s, too short for a "
+                       f"{cfg.min_pause_s} s pause")
     peaks = (detect_syllables(recording.samples, track.is_speech, cfg.syllable)
              if speech_frames else [])
     groups = (

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from readskill.classify import (
@@ -15,7 +15,6 @@ from readskill.classify import (
     PLANS,
     RandomForestModel,
     StageModels,
-    _build_tree,
     _columns,
     _fold_assignment,
     _gini_gain_scan,
@@ -403,9 +402,16 @@ def _per_column_scan(X, y, feats, n_classes):
     return best
 
 
+def _ranks(X):
+    """Each column of X as dense ranks, the form the batched scan reads."""
+    return np.column_stack([np.unique(col, return_inverse=True)[1] for col in X.T])
+
+
 @st.composite
-def split_nodes(draw):
-    """Small node samples with heavy ties and constant columns."""
+def split_rounds(draw):
+    """One round of 1-6 nodes of 2-14 rows each, drawn with repeats from a
+    small table with heavy ties and constant columns, each node with its
+    own ascending candidate columns."""
     n = draw(st.integers(2, 14))
     d = draw(st.integers(1, 6))
     n_classes = draw(st.sampled_from([2, 3]))
@@ -416,22 +422,81 @@ def split_nodes(draw):
         X[:, j] = X[0, j]
     y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n,
                                max_size=n)), dtype=np.int64)
-    feats = np.array(sorted(draw(st.sets(st.integers(0, d - 1), min_size=1))))
-    return X, y, feats, n_classes
+    m = draw(st.integers(1, d))
+    nodes = draw(st.lists(st.tuples(
+        st.lists(st.integers(0, n - 1), min_size=2, max_size=14),
+        st.sets(st.integers(0, d - 1), min_size=m, max_size=m)),
+        min_size=1, max_size=6))
+    parts = [np.array(rows) for rows, _ in nodes]
+    feats = np.array([sorted(f) for _, f in nodes])
+    return X, y, parts, feats, n_classes
 
 
 @settings(max_examples=300, deadline=None)
-@given(split_nodes())
-def test_batched_scan_matches_per_column_scan(node):
-    X, y, feats, n_classes = node
-    want = _per_column_scan(X, y, feats, n_classes)
-    got = _gini_gain_scan(X, y, feats, n_classes)
-    if want is None:
-        assert got is None
-        return
-    gain, f, pos, order = got
-    assert (gain, f, pos) == want
-    assert np.array_equal(order, np.argsort(X[:, f], kind="stable"))
+@given(split_rounds())
+def test_batched_scan_matches_per_column_scan(round_):
+    X, y, parts, feats, n_classes = round_
+    sizes = np.array([len(p) for p in parts])
+    gain, feature, pos, order = _gini_gain_scan(
+        _ranks(X), y, np.concatenate(parts), sizes, feats, n_classes)
+    assert len(gain) == len(feature) == len(pos) == len(parts)
+    start = 0
+    for k, rows in enumerate(parts):
+        want = _per_column_scan(X[rows], y[rows], feats[k], n_classes)
+        if want is None:
+            assert gain[k] == -1.0
+        else:
+            assert (float(gain[k]), int(feature[k]), int(pos[k])) == want
+            got = order[start:start + len(rows)]
+            assert np.array_equal(got, rows[np.argsort(X[rows, feature[k]], kind="stable")])
+        start += len(rows)
+
+
+def _oracle_gini_gain_scan(X, y, feats, n_classes):
+    """Oracle: the one-node scan that the batched one replaced. Returns
+    (gain, feature, pos, order) or None."""
+    n = len(y)
+    order = X[:, feats].argsort(axis=0, kind="stable")
+    xs = X[order, feats]
+    valid = xs[:-1] < xs[1:]
+    if not valid.any():
+        return None
+    counts = np.bincount(y, minlength=n_classes)
+    parent_gini = 1.0 - ((counts / n) ** 2).sum()
+    left = (y[order][:, :, None] == np.arange(n_classes)).cumsum(axis=0)[:-1]
+    right = counts - left
+    nl = np.arange(1.0, n)[:, None]
+    nr = n - nl
+    gini_l = 1.0 - (left * left).sum(axis=2) / (nl * nl)
+    gini_r = 1.0 - (right * right).sum(axis=2) / (nr * nr)
+    gain = np.where(valid, parent_gini - (nl * gini_l + nr * gini_r) / n, -1.0)
+    best = gain.max(axis=0)
+    j = int(best.argmax())
+    return float(best[j]), int(feats[j]), int(gain[:, j].argmax()), order[:, j]
+
+
+def _oracle_build_tree(X, y, n_classes, m_features, rng, importance, n_total):
+    """Oracle: the recursive one-tree builder that lockstep growth replaced."""
+    node = _Node()
+    if len(y) <= 1 or (y == y[0]).all():
+        node.counts = np.zeros(n_classes)
+        return node
+    feats = np.sort(rng.choice(X.shape[1], size=m_features, replace=False))
+    best = _oracle_gini_gain_scan(X, y, feats, n_classes)
+    if best is None:
+        node.counts = np.zeros(n_classes)
+        return node
+    gain, f, pos, order = best
+    importance[f] += (len(y) / n_total) * gain
+    node.feature = f
+    node.threshold = (X[order[pos], f] + X[order[pos + 1], f]) / 2.0
+    left_idx = order[: pos + 1]
+    right_idx = order[pos + 1:]
+    node.left = _oracle_build_tree(X[left_idx], y[left_idx], n_classes, m_features,
+                                   rng, importance, n_total)
+    node.right = _oracle_build_tree(X[right_idx], y[right_idx], n_classes, m_features,
+                                    rng, importance, n_total)
+    return node
 
 
 def _oracle_route_counts(root, X, y, n_classes):
@@ -474,7 +539,7 @@ def _oracle_forest(X, y, n_trees, seed_path, n_classes, feature_names):
         rng = np.random.default_rng([*seed_path, t])
         boot = rng.integers(0, n, size=n)
         imp = np.zeros(d)
-        root = _build_tree(X[boot], y[boot], n_classes, m_features, rng, imp, n)
+        root = _oracle_build_tree(X[boot], y[boot], n_classes, m_features, rng, imp, n)
         _oracle_route_counts(root, X, y, n_classes)
         importance_sum += imp
         trees.append(root)
@@ -581,3 +646,36 @@ def test_plans_match_branching_oracle(tmp_path_factory, plan_id, table):
         cases += [rows[hit], rows[~hit]]
     for probe in cases:
         assert predict_stage(got, probe).tolist() == _oracle_predict_stage(want, probe).tolist()
+
+
+@st.composite
+def forest_tables(draw):
+    """Tables of 2-40 rows and 2 or 3 classes whose cells take a few levels,
+    with some constant columns, so many nodes draw only columns that cannot
+    split them."""
+    n_classes = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, draw(st.integers(1, 4)), size=(n, d)).astype(np.float64)
+    for j in draw(st.sets(st.integers(0, d - 1))):
+        X[:, j] = X[0, j]
+    y = rng.integers(0, n_classes, size=n)
+    y[:2] = [0, n_classes - 1]
+    return X, y, n_classes, draw(st.integers(1, 8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(forest_tables(), st.integers(0, 99))
+@example((np.ones((6, 3)), np.array([0, 1, 0, 1, 0, 1]), 2, 3), 0)  # no column splits
+def test_forest_matches_recursive_oracle(tmp_path_factory, table, seed):
+    X, y, n_classes, n_trees = table
+    names = tuple(f"f{i}" for i in range(X.shape[1]))
+    got = train_forest(X, y, n_trees=n_trees, seed_path=(seed,), n_classes=n_classes)
+    want = _oracle_forest(X, y, n_trees, (seed,), n_classes, names)
+    assert got.importances.tobytes() == want.importances.tobytes()
+    root = tmp_path_factory.mktemp("forests")
+    for name, model in (("got", got), ("want", want)):
+        save_model(StageModels(plan=PLANS["one_stage"], models=[model],
+                               feature_names=names), root / f"{name}.json")
+    assert (root / "got.json").read_bytes() == (root / "want.json").read_bytes()

@@ -15,7 +15,7 @@ import pytest
 import readskill
 from readskill import classify, dsp, lexical
 from readskill.cli import main
-from readskill.corpus import load_wav
+from readskill.corpus import load_wav, write_wav
 
 
 def run(*argv: str) -> int:
@@ -177,6 +177,34 @@ def test_featurize_partial_failure(small_corpus, tmp_path):
     assert log[1].startswith("i_a_002: SchemaMismatch: ")
     assert "i_a_002.intervals.csv: row 2 " in log[1]
     assert log[2].startswith("m_a_001: ")
+
+
+def test_featurize_700_sample_recordings(small_corpus, tmp_path):
+    # 700 samples make 2 frames, fewer than the VAD's hangover window of 5
+    corpus = tmp_path / "short"
+    shutil.copytree(small_corpus, corpus)
+    tone = 0.3 * np.sin(2.0 * np.pi * 200.0 * np.arange(700) / 16000)
+    onset = tone.copy()
+    onset[:400] *= 1e-4  # only the second frame is loud
+    quarter = 700 / 16000 / 4
+    for rid, samples in (("c_a_000", onset), ("m_a_001", tone)):
+        write_wav(samples, corpus / f"{rid}.wav")
+        (corpus / f"{rid}.intervals.csv").write_text(
+            "".join(f"{k * quarter!r},{(k + 1) * quarter!r}\n" for k in range(4)))
+    out = tmp_path / "out_short"
+    rc = run("--set", f"corpus_root={corpus}", "--set", f"out_dir={out}",
+             "--jobs", "1", "featurize", "--dump-frames")
+    assert rc == 1
+    rows = {r.split(",")[0]: r.split(",")[2:] for r in read_rows(out / "features.csv")}
+    # the onset is speech: its row comes from its 2 frames, both speech
+    frames = (out / "frames_c_a_000.csv").read_text().splitlines()[1:]
+    assert [line.rsplit(",", 1)[1] for line in frames] == ["1", "1"]
+    assert any(float(v) != 0.0 for v in rows["c_a_000"])
+    # the steady tone holds no speech and is too short to hold a pause, so
+    # nothing in it was measured: a typed error instead of a zero row
+    assert "m_a_001" not in rows and len(rows) == 8
+    log = (out / "errors.log").read_text().splitlines()
+    assert len(log) == 1 and log[0].startswith("m_a_001: TooShort: ")
 
 
 def test_asr_align_partial_failure(small_corpus, tmp_path):

@@ -17,6 +17,8 @@ from readskill.dsp import (
     SAMPLE_RATE,
     SILENCE_DBFS,
     VadConfig,
+    _centroid_batch,
+    _dilate,
     _harmonicity_batch,
     bool_runs,
     build_track,
@@ -24,7 +26,6 @@ from readskill.dsp import (
     moving_average,
     frame_energy,
     raw_frames,
-    spectral_centroid,
     vad,
 )
 from readskill.errors import TooShort
@@ -90,7 +91,7 @@ def test_frame_count_formula(n):
 
 
 def test_centroid_1khz_sine():
-    got = spectral_centroid(sine(1000.0, 400))
+    got = _centroid_batch(sine(1000.0, 400)[None, :])[0]
     assert abs(got - 1000.0) <= SAMPLE_RATE / 512
 
 
@@ -101,14 +102,14 @@ def test_track_centroid_1khz_sine():
 
 
 def test_centroid_zero_frame():
-    assert spectral_centroid(np.zeros(400)) == 0.0
+    assert _centroid_batch(np.zeros(400)[None, :])[0] == 0.0
 
 
 def test_centroid_matches_dft_oracle():
     rng = np.random.default_rng(7)
     for _ in range(5):
         frame = rng.standard_normal(400)
-        got = spectral_centroid(frame)
+        got = _centroid_batch(frame[None, :])[0]
         want = centroid_oracle(frame)
         assert abs(got - want) <= 1e-6 * abs(want)
 
@@ -116,8 +117,8 @@ def test_centroid_matches_dft_oracle():
 def test_centroid_amplitude_invariant():
     rng = np.random.default_rng(8)
     frame = rng.standard_normal(400)
-    a = spectral_centroid(frame)
-    b = spectral_centroid(frame * 37.5)
+    a = _centroid_batch(frame[None, :])[0]
+    b = _centroid_batch((frame * 37.5)[None, :])[0]
     assert abs(a - b) <= 1e-9 * abs(a)
 
 
@@ -277,6 +278,24 @@ def test_vad_no_short_runs(raw):
         if a == 0 and b == len(out):
             continue
         assert b - a >= 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=6), st.integers(0, 3))
+def test_dilate_matches_loop_oracle(values, radius):
+    # a mask shorter than the 2 * radius + 1 window keeps its own length
+    mask = np.array(values)
+    want = [any(values[max(0, i - radius):i + radius + 1]) for i in range(len(values))]
+    assert _dilate(mask, radius).tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-80.0, -10.0), min_size=1, max_size=6),
+       st.integers(0, 3), st.sampled_from([1, 3, 5]))
+def test_vad_keeps_the_frame_count(intensity, hangover, median):
+    cfg = VadConfig(hangover_frames=hangover, median_frames=median)
+    out = vad(np.array(intensity), np.zeros(len(intensity)), cfg)
+    assert out.shape == (len(intensity),)
 
 
 def test_vad_tone_boundaries_within_30ms():

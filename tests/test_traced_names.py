@@ -103,3 +103,36 @@ def test_cv_folds_reach_train_plan_through_the_module(monkeypatch):
     # and the classify.nodes counter walks _Node roots
     trees = classify.train_forest(X, y, n_trees=2).trees
     assert len(trees) == 2 and all(isinstance(t, classify._Node) for t in trees)
+
+
+def _walk(root):
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not node.is_leaf:
+            stack += [node.left, node.right]
+
+
+def test_gini_scans_batch_nodes_through_the_module(monkeypatch):
+    # classify.gini_scan times every _gini_gain_scan call; one call scores
+    # the next node of every tree, so there are fewer calls than split nodes
+    rng = np.random.default_rng(1)
+    X = rng.integers(0, 6, size=(40, 5)).astype(np.float64)
+    y = rng.integers(0, 3, size=40)
+    plain = classify.train_forest(X, y, n_trees=6, seed_path=(2,))
+    calls = []
+    scan = classify._gini_gain_scan
+
+    def counting(*args):
+        calls.append(len(args[3]))
+        return scan(*args)
+
+    monkeypatch.setattr(classify, "_gini_gain_scan", counting)
+    model = classify.train_forest(X, y, n_trees=6, seed_path=(2,))
+    splits = sum(not node.is_leaf for root in model.trees for node in _walk(root))
+    assert 0 < len(calls) <= splits
+    assert max(calls) > 1
+    assert [classify._node_to_dict(t) for t in model.trees] == \
+        [classify._node_to_dict(t) for t in plain.trees]
+    assert model.importances.tobytes() == plain.importances.tobytes()
