@@ -8,6 +8,7 @@ CSV files.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,6 +65,19 @@ def _texts(hypothesis) -> list[str]:
     return [w.text if isinstance(w, HypWord) else str(w) for w in hypothesis]
 
 
+@functools.lru_cache(maxsize=8)
+def _canonical_ids(words: tuple[str, ...]) -> tuple[dict[str, int], np.ndarray]:
+    """Ids of the normalized canonical words, numbered in first-seen order.
+
+    Every hypothesis of a command is aligned to the same story, so the
+    story is normalized once; callers must not change what is returned.
+    """
+    ids: dict[str, int] = {}
+    ref = np.array([ids.setdefault(normalize_word(w), len(ids)) for w in words], dtype=np.int64)
+    ref.flags.writeable = False
+    return ids, ref
+
+
 def align(canonical, hypothesis) -> tuple[int, list[AlignmentOp]]:
     """Word-level edit distance plus one op sequence realizing it.
 
@@ -71,9 +85,10 @@ def align(canonical, hypothesis) -> tuple[int, list[AlignmentOp]]:
     runs front to back over a cost-to-go table, breaking cost ties in the
     order match/substitute, then delete, then insert.
     """
-    ids: dict[str, int] = {}  # normalized word -> id, shared by both sides
-    ref, hyp = (np.array([ids.setdefault(normalize_word(w), len(ids)) for w in _texts(words)],
-                         dtype=np.int64) for words in (canonical, hypothesis))
+    story_ids, ref = _canonical_ids(tuple(_texts(canonical)))
+    ids = dict(story_ids)  # normalized word -> id, shared by both sides
+    hyp = np.array([ids.setdefault(normalize_word(w), len(ids)) for w in _texts(hypothesis)],
+                   dtype=np.int64)
     n, m = len(ref), len(hyp)
     if n == 0:
         raise EmptyCanonical("canonical text holds no words")

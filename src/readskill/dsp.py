@@ -20,6 +20,7 @@ HOP_S = HOP / SAMPLE_RATE
 FFT_SIZE = 512
 ENERGY_FLOOR = 1e-12     # keeps log10 finite on digital silence
 SILENCE_DBFS = -60.0     # below this, harmonicity is forced to 0
+HARM_BLOCK = 64          # harmonicity frames per block: ~0.5 MB of spectra
 CENTROID_MAX_HZ = 8000.0
 
 # autocorrelation lag range for 60..400 Hz voicing
@@ -95,6 +96,9 @@ def raw_frames(samples: np.ndarray, frame_len: int = FRAME_LEN, hop: int = HOP) 
 
 
 def _centroid_batch(frames: np.ndarray) -> np.ndarray:
+    # One batch, unlike _harmonicity_batch: the matmul's BLAS kernel picks
+    # its summation order by row count, so a row's last bits would depend
+    # on the size of its block.
     spec = np.abs(np.fft.rfft(frames, n=FFT_SIZE, axis=1)) ** 2
     freqs = np.fft.rfftfreq(FFT_SIZE, d=1.0 / SAMPLE_RATE)
     keep = (freqs > 0.0) & (freqs <= CENTROID_MAX_HZ)
@@ -108,31 +112,40 @@ def _centroid_batch(frames: np.ndarray) -> np.ndarray:
 
 
 def _harmonicity_batch(frames: np.ndarray, intensity_db: np.ndarray) -> np.ndarray:
+    """Harmonicity of each frame; 0 where intensity_db < SILENCE_DBFS.
+
+    Frames under the silence gate are skipped. The rest are computed
+    HARM_BLOCK at a time, so each block's spectrum and autocorrelation
+    stay in cache; every row gets the same ops and bits as in one batch.
+    """
     n = frames.shape[1]
     nfft = 1
     while nfft < 2 * n:
         nfft *= 2
-    spec = np.fft.rfft(frames, n=nfft, axis=1)
-    # conj(spec) * spec, in this order: numpy's fused complex multiply
-    # leaves a last-bit imaginary residue whose sign follows the operand
-    # order, and numpy's temporary elision computes ``spec * np.conj(spec)``
-    # as ``conj(spec) * spec`` once the temporary reaches 256 KiB (32
-    # frames). With the order fixed, a frame's value does not depend on how
-    # many frames share its batch.
-    ac = np.fft.irfft(np.conj(spec) * spec, axis=1)[:, :LAG_MAX + 1]
-
-    sq = frames * frames
-    csum = np.cumsum(sq, axis=1)
-    total = csum[:, -1]
     taus = np.arange(LAG_MIN, LAG_MAX + 1)
-    head = csum[:, n - 1 - taus]               # energy of x[0 : n-tau]
-    tail = total[:, None] - csum[:, taus - 1]  # energy of x[tau : n]
-    denom = np.sqrt(head * tail)
-    num = ac[:, LAG_MIN:LAG_MAX + 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.where(denom > 0.0, num / denom, 0.0)
-    h = np.clip(rho.max(axis=1), 0.0, 1.0)
-    h[intensity_db < SILENCE_DBFS] = 0.0
+    h = np.zeros(len(frames))
+    live = np.flatnonzero(~(intensity_db < SILENCE_DBFS))
+    for lo in range(0, live.size, HARM_BLOCK):
+        rows = live[lo:lo + HARM_BLOCK]
+        block = frames[rows]
+        spec = np.fft.rfft(block, n=nfft, axis=1)
+        # conj(spec) * spec, in this order: numpy's fused complex multiply
+        # leaves a last-bit imaginary residue whose sign follows the operand
+        # order, and numpy's temporary elision computes ``spec * np.conj(spec)``
+        # as ``conj(spec) * spec`` once the temporary reaches 256 KiB (32
+        # frames). With the order fixed, a frame's value does not depend on
+        # how many frames share its block.
+        ac = np.fft.irfft(np.conj(spec) * spec, axis=1)[:, :LAG_MAX + 1]
+
+        csum = np.cumsum(block * block, axis=1)
+        total = csum[:, -1]
+        head = csum[:, n - 1 - taus]               # energy of x[0 : n-tau]
+        tail = total[:, None] - csum[:, taus - 1]  # energy of x[tau : n]
+        denom = np.sqrt(head * tail)
+        num = ac[:, LAG_MIN:LAG_MAX + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = np.where(denom > 0.0, num / denom, 0.0)
+        h[rows] = np.clip(rho.max(axis=1), 0.0, 1.0)
     return h
 
 
@@ -266,12 +279,9 @@ def moving_average(x: np.ndarray, win: int) -> np.ndarray:
 
 def dump_frames(track: FrameTrack, path) -> None:
     """Write one row per frame for debugging and audits."""
-    times = track.times
+    cols = (track.times.tolist(), track.energy.tolist(), track.intensity_db.tolist(),
+            track.centroid_hz.tolist(), track.harmonicity.tolist(),
+            np.asarray(track.is_speech, dtype=np.int64).tolist())
+    rows = [f"{t!r},{e!r},{i!r},{c!r},{h!r},{s}\n" for t, e, i, c, h, s in zip(*cols)]
     with open(path, "w") as fh:
-        fh.write("time,energy,intensity_db,centroid_hz,harmonicity,is_speech\n")
-        for i in range(track.n_frames):
-            fh.write(
-                f"{float(times[i])!r},{float(track.energy[i])!r},"
-                f"{float(track.intensity_db[i])!r},{float(track.centroid_hz[i])!r},"
-                f"{float(track.harmonicity[i])!r},{int(track.is_speech[i])}\n"
-            )
+        fh.write("time,energy,intensity_db,centroid_hz,harmonicity,is_speech\n" + "".join(rows))

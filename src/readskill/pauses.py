@@ -1,6 +1,7 @@
 """Pause extraction and syllable nucleus detection on top of the VAD."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,20 @@ def pause_features(pauses: list[Pause], intervals: list[VideoInterval],
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _band_sos(band_low_hz: float, band_high_hz: float) -> np.ndarray:
+    """4th-order Butterworth band-pass sections, designed once per band.
+
+    The array is shared by every caller, so it is read-only; sosfiltfilt
+    needs a writable one and gets a copy."""
+    from scipy import signal
+
+    sos = signal.butter(4, [band_low_hz, band_high_hz], btype="bandpass",
+                        fs=SAMPLE_RATE, output="sos")
+    sos.flags.writeable = False
+    return sos
+
+
 def detect_syllables(samples: np.ndarray, is_speech: np.ndarray,
                      cfg: SyllableConfig | None = None) -> list[SyllablePeak]:
     """Find syllable nuclei as energy peaks in the 300..2500 Hz band.
@@ -119,9 +134,7 @@ def detect_syllables(samples: np.ndarray, is_speech: np.ndarray,
     x = np.asarray(samples, dtype=np.float64)
     if x.size < FRAME_LEN:
         return []
-    sos = signal.butter(4, [cfg.band_low_hz, cfg.band_high_hz], btype="bandpass",
-                        fs=SAMPLE_RATE, output="sos")
-    band = signal.sosfiltfilt(sos, x)
+    band = signal.sosfiltfilt(_band_sos(cfg.band_low_hz, cfg.band_high_hz).copy(), x)
 
     env = frame_energy(raw_frames(band))
     n = min(len(env), len(is_speech))

@@ -192,6 +192,31 @@ def test_align_matches_oracle_at_paper_scale():
     assert (dist, ops) == align_oracle(story, spoken)
 
 
+def test_story_is_normalized_once(monkeypatch):
+    from readskill import asr_align
+
+    story = ["The", "red", "fox", "saw", "the", "Fox!"]
+    hyps = (["the", "fox", "ran"], ["a", "red", "fox"], ["zebra"])
+    want = [align_oracle(story, h) for h in hyps]
+    asr_align._canonical_ids.cache_clear()
+    normalized = []
+    normalize = asr_align.normalize_word
+
+    def counting(word):
+        normalized.append(word)
+        return normalize(word)
+
+    monkeypatch.setattr(asr_align, "normalize_word", counting)
+    # the story as cli passes it (a tuple) and as a list: one cache entry
+    got = [align(tuple(story), hyps[0]), align(story, hyps[1]), align(story, hyps[2])]
+    assert got == want
+    assert normalized == story + [w for h in hyps for w in h]
+    # hypothesis words never join the story's cached ids
+    ids, ref = asr_align._canonical_ids(tuple(story))
+    assert ids == {"the": 0, "red": 1, "fox": 2, "saw": 3}
+    assert ref.tolist() == [0, 1, 2, 3, 0, 2]
+
+
 def test_remap_all_correct():
     words = ["the", "red", "fox"]
     dist, ops = align(words, words)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import readskill
+from conftest import harmonicity_batch_oracle
 from readskill import classify, dsp, lexical
 from readskill.cli import main
 from readskill.corpus import load_wav, write_wav
@@ -144,11 +145,12 @@ def test_featurize_frame_dumps_match_the_full_track(small_corpus, tmp_path, monk
     inputs = _vad_inputs(small_corpus)
     assert sum(rows) == sum(int(b.sum()) + len(raw) for raw, _, b in inputs.values())
     for rid, (raw, intensity_db, _) in inputs.items():
-        # the frame track as computed before harmonicity went band-only:
-        # the full batch, then vad, then dump_frames's row format
+        # the frame track as computed before harmonicity went band-only and
+        # blocked: the one-batch full track, then vad, then dump_frames's
+        # old row-by-row format
         energy = dsp.frame_energy(raw)
         centroid = dsp._centroid_batch(raw * dsp._HAMMING)
-        harm = dsp._harmonicity_batch(raw, intensity_db)
+        harm = harmonicity_batch_oracle(raw, intensity_db)
         is_speech = dsp.vad(intensity_db, harm, dsp.VadConfig())
         lines = ["time,energy,intensity_db,centroid_hz,harmonicity,is_speech\n"]
         for i, t in enumerate(dsp.frame_times(len(raw))):

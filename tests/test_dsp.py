@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import harmonicity_batch_oracle
 from readskill import synth
 from readskill.dsp import (
     FRAME_LEN,
+    HARM_BLOCK,
     HOP,
     HOP_S,
     LAG_MAX,
@@ -183,6 +185,68 @@ def test_harmonicity_batch_on_masked_rows_is_bit_equal(n, seed, keep):
     assert part.shape == (int(mask.sum()),)
     assert np.array_equal(part, full[mask])
     assert np.all(full[intensity_db < SILENCE_DBFS] == 0.0)
+
+
+def _gated_frames(n, seed, silence):
+    """n raw frames (a strided view, as in build_track) and their intensity.
+
+    silence "none" keeps every frame above the gate, "all" puts every
+    frame under it, and "mixed" draws per-hop gains from -100 to 0 dBFS;
+    half the signals add a 90-300 Hz tone."""
+    rng = np.random.default_rng(seed)
+    n_samples = FRAME_LEN + HOP * max(n - 1, 0)
+    lo, hi = {"none": (-1.0, 0.0), "mixed": (-5.0, 0.0), "all": (-6.0, -5.0)}[silence]
+    gain = np.repeat(10.0 ** rng.uniform(lo, hi, size=n_samples // HOP + 1), HOP)
+    t = np.arange(n_samples) / SAMPLE_RATE
+    tone = np.sin(2.0 * np.pi * rng.uniform(90.0, 300.0) * t)
+    x = gain[:n_samples] * (rng.standard_normal(n_samples) + rng.integers(0, 2) * tone)
+    frames = raw_frames(x)[:n]
+    return frames, 10.0 * np.log10(frame_energy(frames) + 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(["none", "mixed", "all"]), st.booleans())
+@example(63, 0, "mixed", False)
+@example(64, 1, "mixed", False)
+@example(65, 2, "mixed", False)
+@example(128, 3, "mixed", False)
+@example(129, 4, "mixed", False)
+@example(129, 5, "none", False)
+@example(129, 6, "all", False)
+@example(0, 7, "mixed", False)
+@example(100, 8, "mixed", True)
+def test_harmonicity_batch_matches_one_batch_oracle(n, seed, silence, nan_row):
+    frames, intensity_db = _gated_frames(n, seed, silence)
+    if nan_row and n:
+        # a NaN intensity is not under the gate: the row is computed
+        intensity_db[n // 2] = np.nan
+    want = harmonicity_batch_oracle(frames, intensity_db)
+    got = _harmonicity_batch(frames, intensity_db)
+    assert got.dtype == want.dtype and got.shape == (n,)
+    assert got.tobytes() == want.tobytes()
+    assert not got[intensity_db < SILENCE_DBFS].any()
+
+
+def test_harmonicity_batch_skips_silent_frames_and_blocks_the_rest(monkeypatch):
+    frames, intensity_db = _gated_frames(5 * HARM_BLOCK + 7, 9, "mixed")
+    live = ~(intensity_db < SILENCE_DBFS)
+    assert 2 * HARM_BLOCK < live.sum() < len(frames)
+    blocks = []
+    rfft = np.fft.rfft
+
+    def recording(a, *args, **kwargs):
+        blocks.append(np.array(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", recording)
+    got = _harmonicity_batch(frames, intensity_db)
+    monkeypatch.undo()
+    assert [len(b) for b in blocks] == [min(HARM_BLOCK, live.sum() - k)
+                                        for k in range(0, live.sum(), HARM_BLOCK)]
+    # every live frame reaches the FFT once, in order, and no silent one does
+    assert np.array_equal(np.concatenate(blocks), frames[live])
+    assert got.tobytes() == harmonicity_batch_oracle(frames, intensity_db).tobytes()
 
 
 def _band(intensity_db, cfg):

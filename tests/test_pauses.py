@@ -11,6 +11,7 @@ from readskill.dsp import FRAME_LEN, HOP_S, SAMPLE_RATE, build_track
 from readskill.errors import IntervalCountMismatch
 from readskill.pauses import (
     Pause,
+    SyllableConfig,
     SyllablePeak,
     detect_syllables,
     dump_events,
@@ -129,6 +130,29 @@ def test_detect_syllables_silence():
     track = build_track(x)
     peaks = detect_syllables(x, np.zeros(track.n_frames, dtype=bool))
     assert peaks == []
+
+
+def test_band_pass_is_designed_once_per_band(monkeypatch):
+    from scipy import signal
+
+    from readskill import pauses
+
+    x = am_tone(4.0, 2.0)
+    ones = np.ones(build_track(x).n_frames, dtype=bool)
+    pauses._band_sos.cache_clear()
+    designs = []
+    butter = signal.butter
+
+    def counting(*args, **kwargs):
+        designs.append(args)
+        return butter(*args, **kwargs)
+
+    monkeypatch.setattr(signal, "butter", counting)
+    first = detect_syllables(x, ones)
+    assert detect_syllables(x * 0.5, ones) and detect_syllables(x, ones) == first
+    assert len(designs) == 1
+    detect_syllables(x, ones, SyllableConfig(band_low_hz=200.0))
+    assert len(designs) == 2
 
 
 def test_detect_syllables_too_short_input():
