@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import csv_rows, finite_float, normalize_word
-from .errors import EmptyCanonical, NoModel, OutOfRange, SchemaMismatch
-from .lexical import VARIANT_B_DIMS, ClusterModel, SkillClass
+from .errors import EmptyCanonical, OutOfRange, SchemaMismatch
+from .lexical import VARIANT_B_DIMS, SkillClass
 
 DEFAULT_TAU = 0.5
 
@@ -168,16 +168,12 @@ def confidence_remap(ops: list[AlignmentOp], hypothesis: list[HypWord],
     )
 
 
-def classify_by_centroid(percentages: RemapPercentages,
-                         model: ClusterModel | np.ndarray | None,
+def classify_by_centroid(percentages: RemapPercentages, centroids: np.ndarray,
                          labels: dict[int, SkillClass]) -> SkillClass:
     """Nearest centroid in (correct, missed, incorrect) coordinates; ties
-    go to the lower skill class. Accepts a fitted cluster model or a bare
-    centroid array in the merged-variant space."""
-    if model is None:
-        raise NoModel("classification needs a labeled cluster model")
-    raw = model.centroids if isinstance(model, ClusterModel) else model
-    cents = np.asarray(raw, dtype=np.float64)[:, list(_PROJECTION)]
+    go to the lower skill class. The centroids live in the merged-variant
+    space."""
+    cents = np.asarray(centroids, dtype=np.float64)[:, list(_PROJECTION)]
     d2 = ((cents - percentages.as_vector()[None, :]) ** 2).sum(axis=1)
     best = None
     for cluster, dist in enumerate(d2):

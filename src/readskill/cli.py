@@ -100,8 +100,7 @@ def _miscue_rows(index: CorpusIndex, rid: str):
     """(rid, variant A fractions, variant B fractions) of one transcription;
     only the fractions outlive the call, which keeps the peak RSS low."""
     tr = parse_transcription(index.words_path(rid), index.story)
-    return (rid, lexical.miscue_fractions(tr, "A").values,
-            lexical.miscue_fractions(tr, "B").values)
+    return rid, lexical.miscue_fractions(tr, "A"), lexical.miscue_fractions(tr, "B")
 
 
 def cmd_cluster(cfg: RunConfig, args) -> int:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .asr_align import DEFAULT_TAU
 from .classify import CV_FOLDS, N_TREES, PLANS
-from .corpus import text_lines
+from .corpus import METADATA_FIELDS, text_lines
 from .dsp import SAMPLE_RATE
 from .errors import ConfigError
 from .featurize import FeatureConfig
@@ -40,9 +40,9 @@ class RunConfig:
             raise ConfigError(f"folds must be at least 2, got {self.folds}")
         if self.n_trees < 1:
             raise ConfigError(f"n_trees must be positive, got {self.n_trees}")
-        scope = self.feature.spdyn_ratio_scope
-        if scope not in ("interval", "audio"):
-            raise ConfigError(f"spdyn_ratio_scope must be interval or audio, got {scope!r}")
+        if self.group_by not in ("", *METADATA_FIELDS):
+            raise ConfigError(
+                f"group_by must be empty or one of {METADATA_FIELDS}, got {self.group_by!r}")
         vad, syllable = self.feature.vad, self.feature.syllable
         if vad.median_frames >= 2 and vad.median_frames % 2 == 0:
             raise ConfigError(f"vad_median_frames must be odd, got {vad.median_frames}")
@@ -53,6 +53,8 @@ class RunConfig:
             raise ConfigError(
                 f"syllable band [{syllable.band_low_hz}, {syllable.band_high_hz}] Hz must "
                 f"satisfy 0 < syll_band_low_hz < syll_band_high_hz < {SAMPLE_RATE // 2}")
+        if self.kmeans_restarts < 1:
+            raise ConfigError(f"kmeans_restarts must be positive, got {self.kmeans_restarts}")
         if not 2 <= self.cluster_k_min <= self.cluster_k_max:
             raise ConfigError(
                 f"cluster K range [{self.cluster_k_min}, {self.cluster_k_max}] is invalid"

@@ -50,6 +50,9 @@ PCM_SCALE = 32768.0
 WORD_LABELS = ("C", "M", "D", "S1", "Sm", "I")
 SUBSTITUTION_LABELS = ("S1", "Sm")
 
+# metadata.csv columns after the id; evaluate's group_by names one of them
+METADATA_FIELDS = ("child_id", "story_id", "timestamp")
+
 VOWELS = frozenset("aeiouy")
 
 
@@ -418,10 +421,7 @@ def scan_corpus(root: str | Path) -> CorpusIndex:
     if meta_path.exists():
         for _, rec in csv_rows(meta_path):
             if rec[0].strip() and rec[0] != "id":
-                metadata[rec[0]] = {
-                    "child_id": rec[1] if len(rec) > 1 else "",
-                    "story_id": rec[2] if len(rec) > 2 else "",
-                    "timestamp": rec[3] if len(rec) > 3 else "",
-                }
+                metadata[rec[0]] = {name: rec[k] if len(rec) > k else ""
+                                     for k, name in enumerate(METADATA_FIELDS, 1)}
     return CorpusIndex(root=root, story=story, lexicon=lexicon, ids=ids,
                        labels=labels, metadata=metadata)

@@ -112,7 +112,13 @@ def _centroid_batch(frames: np.ndarray) -> np.ndarray:
 
 
 def _harmonicity_batch(frames: np.ndarray, intensity_db: np.ndarray) -> np.ndarray:
-    """Harmonicity of each frame; 0 where intensity_db < SILENCE_DBFS.
+    """Harmonicity of each frame: its peak normalized autocorrelation over
+    lags spanning 60..400 Hz.
+
+    Each lag's correlation is normalized by the energies of the two
+    overlapping segments, so periodic frames score near 1 regardless of
+    how many periods fit. Clamped to [0, 1], and 0 where intensity_db <
+    SILENCE_DBFS (-60 dBFS).
 
     Frames under the silence gate are skipped. The rest are computed
     HARM_BLOCK at a time, so each block's spectrum and autocorrelation
@@ -147,20 +153,6 @@ def _harmonicity_batch(frames: np.ndarray, intensity_db: np.ndarray) -> np.ndarr
             rho = np.where(denom > 0.0, num / denom, 0.0)
         h[rows] = np.clip(rho.max(axis=1), 0.0, 1.0)
     return h
-
-
-def harmonicity(frame: np.ndarray) -> float:
-    """Peak normalized autocorrelation over lags spanning 60..400 Hz.
-
-    Each lag's correlation is normalized by the energies of the two
-    overlapping segments, so periodic frames score near 1 regardless of
-    how many periods fit. Clamped to [0, 1]; frames below -60 dBFS
-    return 0.
-    """
-    f = np.asarray(frame, dtype=np.float64)[None, :]
-    e = float(np.mean(f * f))
-    idb = 10.0 * np.log10(e + ENERGY_FLOOR)
-    return float(_harmonicity_batch(f, np.array([idb]))[0])
 
 
 def bool_runs(mask: np.ndarray):

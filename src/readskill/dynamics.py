@@ -45,13 +45,11 @@ def _top_two(counts: np.ndarray) -> tuple[int, int]:
     return c1, c2
 
 
-def spectral_dynamics(track: FrameTrack, intervals: list[VideoInterval],
-                      ratio_scope: str = "interval") -> SpectralDynamics:
+def spectral_dynamics(track: FrameTrack, intervals: list[VideoInterval]) -> SpectralDynamics:
     """Histogram speech-frame centroids into fixed 400 Hz bands.
 
     freq_distribution_ratio: mean over intervals of c1/c2 (a lone occupied
-    band contributes c1 itself). With ratio_scope="audio" the ratio comes
-    from the whole-recording histogram instead.
+    band contributes c1 itself).
     norm_mode_count: whole-recording c1 over the speech frame count.
     norm_mode_variation: population std over intervals of the per-interval
     c1 over that interval's speech frame count.
@@ -77,16 +75,9 @@ def spectral_dynamics(track: FrameTrack, intervals: list[VideoInterval],
         norms.append(c1 / count)
 
     global_hist = np.bincount(bands[speech], minlength=n_bands)
-    g1, g2 = _top_two(global_hist)
-    total_speech = int(speech.sum())
-
-    if ratio_scope == "audio":
-        ratio = g1 / g2 if g2 > 0 else float(g1)
-    else:
-        ratio = float(np.mean(ratios))
     return SpectralDynamics(
-        freq_distribution_ratio=ratio,
-        norm_mode_count=g1 / total_speech,
+        freq_distribution_ratio=float(np.mean(ratios)),
+        norm_mode_count=int(global_hist.max()) / int(speech.sum()),
         norm_mode_variation=float(np.std(norms)),
     )
 

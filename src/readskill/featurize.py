@@ -61,7 +61,6 @@ class FeatureConfig:
     """Knobs for the full extraction pipeline."""
 
     min_pause_s: float = MIN_PAUSE_S
-    spdyn_ratio_scope: str = "interval"  # or "audio"
     vad: VadConfig = field(default_factory=VadConfig)
     syllable: SyllableConfig = field(default_factory=SyllableConfig)
 
@@ -113,7 +112,7 @@ def extract_features(recording: AudioRecording, intervals: list[VideoInterval],
         pause_features(pauses, intervals, recording.duration),
         syllable_rate_features(peaks, intervals, list(story.sentence_syllables),
                                speech_frames * HOP_S),
-        spectral_dynamics(track, intervals, cfg.spdyn_ratio_scope),
+        spectral_dynamics(track, intervals),
         intensity_dynamics(track, intervals),
     )
     values = np.array([v for group in groups for v in astuple(group)])

@@ -25,6 +25,7 @@ from .errors import (
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
+LABEL_TIE_TOL = 1e-9  # missed fractions this close leave M_A and I_A ambiguous
 CLUSTER_MODEL_VERSION = "cluster-model-v1"
 
 
@@ -51,13 +52,6 @@ MERGE_A_TO_B = np.array([
 ], dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class MiscueVector:
-    recording_id: str
-    variant: str
-    values: np.ndarray
-
-
 @dataclass
 class ClusterModel:
     centroids: np.ndarray
@@ -72,8 +66,7 @@ class ClusterModel:
         return len(self.centroids)
 
 
-def miscue_fractions(transcription: Transcription, variant: str = "B",
-                     recording_id: str = "") -> MiscueVector:
+def miscue_fractions(transcription: Transcription, variant: str = "B") -> np.ndarray:
     """Fractions of word outcomes over the canonical word count.
 
     Variant A: (C, S1, Sm+D, M, I). Variant B: (C+S1, Sm+D, M, I).
@@ -89,10 +82,9 @@ def miscue_fractions(transcription: Transcription, variant: str = "B",
         counts["M"], counts["I"],
     ], dtype=np.float64) / n
     if variant == "A":
-        return MiscueVector(recording_id=recording_id, variant="A", values=a)
+        return a
     if variant == "B":
-        return MiscueVector(recording_id=recording_id, variant="B",
-                            values=MERGE_A_TO_B @ a)
+        return MERGE_A_TO_B @ a
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -123,12 +115,12 @@ def _init_plusplus(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return points[chosen].copy()
 
 
-def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
-           max_iter: int) -> tuple[np.ndarray, np.ndarray, float, int]:
+def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator
+           ) -> tuple[np.ndarray, np.ndarray, float, int]:
     centroids = _init_plusplus(points, k, rng)
     prev = None
     repairs = 0
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         idx = _assign(points, centroids, prev)
         # re-seed empty clusters at the point farthest from its own centroid;
         # sole members stay put so no donor cluster is emptied in turn
@@ -152,8 +144,7 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
 
 
 def kmeans(points: np.ndarray, k: int, seed: int = 0,
-           restarts: int = KMEANS_RESTARTS,
-           max_iter: int = KMEANS_MAX_ITER) -> ClusterModel:
+           restarts: int = KMEANS_RESTARTS) -> ClusterModel:
     """Best-of-restarts Lloyd clustering with k-means++ seeding.
 
     Deterministic for a given seed: restart r uses the generator seeded
@@ -168,7 +159,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0,
     best = None
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        cents, idx, inertia, repairs = _lloyd(points, k, rng, max_iter)
+        cents, idx, inertia, repairs = _lloyd(points, k, rng)
         if best is None or inertia < best[0]:
             best = (inertia, cents, idx, repairs)
     inertia, cents, idx, repairs = best
@@ -216,16 +207,13 @@ def sweep_k(points: np.ndarray, k_range: range, seed: int = 0,
     return out
 
 
-def label_clusters(centroids: np.ndarray, variant: str = "B",
-                   tol: float = 1e-9) -> dict[int, SkillClass]:
-    """Map K=3 centroids to skill classes.
+def label_clusters(centroids: np.ndarray) -> dict[int, SkillClass]:
+    """Map K=3 variant B centroids to skill classes.
 
     The centroid with the highest correct-or-self-corrected fraction is
     C_A; of the remaining two, the one with the larger missed fraction is
     M_A and the other is I_A.
     """
-    if variant != "B":
-        raise ValueError("labeling is defined on variant B centroids")
     cents = np.asarray(centroids, dtype=np.float64)
     if cents.shape != (3, len(VARIANT_B_DIMS)):
         raise ValueError(f"expected centroid shape (3, {len(VARIANT_B_DIMS)})")
@@ -233,7 +221,7 @@ def label_clusters(centroids: np.ndarray, variant: str = "B",
     m = cents[:, VARIANT_B_DIMS.index("M")]
     c_cluster = int(np.argmax(cs1))
     rest = [c for c in range(3) if c != c_cluster]
-    if abs(m[rest[0]] - m[rest[1]]) <= tol:
+    if abs(m[rest[0]] - m[rest[1]]) <= LABEL_TIE_TOL:
         raise AmbiguousLabeling(
             f"clusters {rest[0]} and {rest[1]} tie on the missed fraction"
         )
@@ -241,41 +229,6 @@ def label_clusters(centroids: np.ndarray, variant: str = "B",
     i_cluster = rest[1] if m_cluster == rest[0] else rest[0]
     return {c_cluster: SkillClass.C_A, m_cluster: SkillClass.M_A,
             i_cluster: SkillClass.I_A}
-
-
-def balanced_subset(ids: list[str], labels: list[SkillClass], target_total: int,
-                    seed: int = 0) -> list[str]:
-    """Pick a class-balanced subset of about target_total recordings.
-
-    Each class contributes min(class size, ceil(target/3)); any shortfall
-    from small classes is redistributed one at a time round-robin over the
-    classes that still have unused recordings, in class order. Sampling
-    within a class is a seeded shuffle of its sorted ids.
-    """
-    if target_total > len(ids):
-        raise TooFewPoints(f"target {target_total} exceeds corpus size {len(ids)}")
-    by_class: dict[SkillClass, list[str]] = {c: [] for c in SkillClass}
-    for rid, lab in zip(ids, labels):
-        by_class[SkillClass(lab)].append(rid)
-    base = -(-target_total // 3)
-    take = {c: min(len(by_class[c]), base) for c in SkillClass}
-    while sum(take.values()) < target_total:
-        progressed = False
-        for c in SkillClass:
-            if sum(take.values()) >= target_total:
-                break
-            if take[c] < len(by_class[c]):
-                take[c] += 1
-                progressed = True
-        if not progressed:
-            break
-    chosen: list[str] = []
-    for c in SkillClass:
-        pool = sorted(by_class[c])
-        rng = np.random.default_rng([seed, int(c)])
-        order = rng.permutation(len(pool))
-        chosen.extend(pool[i] for i in order[: take[c]])
-    return sorted(chosen)
 
 
 def save_cluster_model(model: ClusterModel, labels: dict[int, SkillClass],

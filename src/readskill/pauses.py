@@ -20,6 +20,7 @@ from .dsp import (
 from .errors import IntervalCountMismatch
 
 MIN_PAUSE_S = 0.2
+MIN_SPEECH_S = 0.1  # less speech than this gives an articulation rate of 0
 
 
 @dataclass(frozen=True)
@@ -170,8 +171,8 @@ def detect_syllables(samples: np.ndarray, is_speech: np.ndarray,
 
 
 def syllable_rate_features(peaks: list[SyllablePeak], intervals: list[VideoInterval],
-                           expected_counts: list[int], speech_duration: float,
-                           min_speech_s: float = 0.1) -> SyllableRateFeatures:
+                           expected_counts: list[int],
+                           speech_duration: float) -> SyllableRateFeatures:
     """Relate detected nuclei to the expected per-sentence syllable counts.
 
     rel = detected / expected per interval; cv is std/mean (0 when the mean
@@ -190,7 +191,7 @@ def syllable_rate_features(peaks: list[SyllablePeak], intervals: list[VideoInter
     mean = float(rel.mean())
     std = float(rel.std())
     cv = std / mean if mean > 0.0 else 0.0
-    ar = len(peaks) / speech_duration if speech_duration >= min_speech_s else 0.0
+    ar = len(peaks) / speech_duration if speech_duration >= MIN_SPEECH_S else 0.0
     return SyllableRateFeatures(
         rel_syll_mean=mean,
         rel_syll_std=std,

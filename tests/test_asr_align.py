@@ -25,8 +25,8 @@ from readskill.corpus import (
     Transcription,
     normalize_word,
 )
-from readskill.errors import EmptyCanonical, NoModel, OutOfRange, SchemaMismatch
-from readskill.lexical import ClusterModel, SkillClass
+from readskill.errors import EmptyCanonical, OutOfRange, SchemaMismatch
+from readskill.lexical import SkillClass
 
 
 def hyp(*pairs: tuple[str, float]) -> list[HypWord]:
@@ -369,15 +369,3 @@ def test_classify_midpoint_tie_takes_lower_class():
     swapped = {0: SkillClass.M_A, 1: SkillClass.C_A, 2: SkillClass.I_A}
     got = classify_by_centroid(RemapPercentages(*mid), cents, swapped)
     assert got == SkillClass.C_A
-
-
-def test_classify_accepts_cluster_model():
-    model = ClusterModel(centroids=CENTROIDS_B, assignments=np.zeros(3, dtype=int),
-                         inertia=0.0, seed=0)
-    got = classify_by_centroid(RemapPercentages(0.9, 0.05, 0.05), model, LABELS)
-    assert got == SkillClass.C_A
-
-
-def test_classify_without_model():
-    with pytest.raises(NoModel):
-        classify_by_centroid(RemapPercentages(0.9, 0.05, 0.05), None, LABELS)

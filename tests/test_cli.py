@@ -548,6 +548,40 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
+def test_removed_key_exits_2(tmp_path, capsys):
+    rc = run("--set", "spdyn_ratio_scope=audio", "config", "--dump")
+    assert rc == 2
+    assert "unknown config key 'spdyn_ratio_scope'" in capsys.readouterr().err
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("spdyn_ratio_scope = interval\n")
+    rc = run("--config", str(cfg_file), "config", "--dump")
+    assert rc == 2
+    assert "unknown config key 'spdyn_ratio_scope'" in capsys.readouterr().err
+
+
+def test_kmeans_restarts_below_one_exits_2(small_corpus, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = run("--set", f"corpus_root={small_corpus}", "--set", f"out_dir={out}",
+             "--set", "kmeans_restarts=0", "--jobs", "1", "cluster")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: kmeans_restarts must be positive, got 0\n"
+    assert not out.exists()
+
+
+def test_unknown_group_by_exits_2(small_corpus, featurized, tmp_path, capsys):
+    out = tmp_path / "out_grouped"
+    out.mkdir()
+    shutil.copy(featurized / "features.csv", out / "features.csv")
+    rc = run("--set", f"corpus_root={small_corpus}", "--set", f"out_dir={out}",
+             "--set", "folds=3", "--set", "group_by=child",
+             "--jobs", "1", "evaluate")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "group_by" in err and "'child'" in err
+    assert not (out / "cvreport.json").exists()
+
+
 _BAND_RULE = "0 < syll_band_low_hz < syll_band_high_hz < 8000"
 BAD_FEATURE_SETTINGS = {
     "vad_median_frames=4": "vad_median_frames must be odd",

@@ -22,7 +22,8 @@ def test_defaults():
     assert cfg.tau == 0.5
     assert cfg.n_trees == 50
     assert cfg.feature.min_pause_s == 0.2
-    assert cfg.feature.spdyn_ratio_scope == "interval"
+    assert cfg.group_by == ""
+    assert cfg.kmeans_restarts == 10
     assert cfg.cluster_k_min == 2
     assert cfg.cluster_k_max == 6
     cfg.validate()
@@ -116,11 +117,31 @@ def test_validate_folds_and_trees():
         load_config(overrides=["n_trees=0"])
 
 
-def test_validate_ratio_scope():
-    cfg = load_config(overrides=["spdyn_ratio_scope=audio"])
-    assert cfg.feature.spdyn_ratio_scope == "audio"
-    with pytest.raises(ConfigError):
-        load_config(overrides=["spdyn_ratio_scope=global"])
+def test_validate_kmeans_restarts():
+    assert load_config(overrides=["kmeans_restarts=1"]).kmeans_restarts == 1
+    for bad in ("0", "-2"):
+        with pytest.raises(ConfigError, match="kmeans_restarts must be positive"):
+            load_config(overrides=[f"kmeans_restarts={bad}"])
+
+
+@pytest.mark.parametrize("name", ["", "child_id", "story_id", "timestamp"])
+def test_validate_group_by_accepts_metadata_fields(name):
+    assert load_config(overrides=[f"group_by={name}"]).group_by == name
+
+
+@pytest.mark.parametrize("name", ["child", "id", "Child_ID", "class"])
+def test_validate_group_by_rejects_other_names(name):
+    with pytest.raises(ConfigError, match=f"group_by must be empty or one of .*{name!r}"):
+        load_config(overrides=[f"group_by={name}"])
+
+
+def test_removed_ratio_scope_key_is_unknown(tmp_path):
+    with pytest.raises(ConfigError, match="unknown config key 'spdyn_ratio_scope'"):
+        load_config(overrides=["spdyn_ratio_scope=audio"])
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = 1\nspdyn_ratio_scope = interval\n")
+    with pytest.raises(ConfigError, match="run.cfg:2: unknown config key 'spdyn_ratio_scope'"):
+        load_config(path)
 
 
 def test_validate_k_range():
@@ -144,12 +165,12 @@ def test_plan_ids_strips_blanks():
 
 def test_derived_configs_carry_fields():
     cfg = load_config(overrides=["vad_margin_db=9.0", "syll_min_gap_s=0.2",
-                                 "min_pause_s=0.25", "spdyn_ratio_scope=audio"])
+                                 "min_pause_s=0.25", "syll_band_low_hz=250"])
     fc = cfg.feature
     assert fc.vad.margin_db == 9.0
     assert fc.syllable.min_gap_s == 0.2
     assert fc.min_pause_s == 0.25
-    assert fc.spdyn_ratio_scope == "audio"
+    assert fc.syllable.band_low_hz == 250.0
 
 
 @pytest.mark.parametrize("prefix, section", [("vad_", VadConfig),
@@ -181,7 +202,6 @@ tau = 0.5
 n_trees = 50
 group_by = 
 min_pause_s = 0.2
-spdyn_ratio_scope = interval
 vad_floor_percentile = 10.0
 vad_margin_db = 6.0
 vad_abs_threshold_db = -45.0
@@ -204,9 +224,9 @@ cluster_k_max = 6
 
 @pytest.mark.parametrize("overrides, changed", [
     ([], {}),
-    (["vad_margin_db=9", "min_pause_s=0.25", "spdyn_ratio_scope=audio",
+    (["vad_margin_db=9", "min_pause_s=0.25", "group_by=story_id",
       "syll_min_gap_s=0.3", "tau=0.3"],
-     {"vad_margin_db": "9.0", "min_pause_s": "0.25", "spdyn_ratio_scope": "audio",
+     {"vad_margin_db": "9.0", "min_pause_s": "0.25", "group_by": "story_id",
       "syll_min_gap_s": "0.3", "tau": "0.3"}),
 ])
 def test_config_dump_text_is_pinned(capsys, overrides, changed):

@@ -56,7 +56,7 @@ def frame_interval(n: int, k_intervals: int, duration: float) -> list[int]:
     return out
 
 
-def spectral_oracle(centroids, speech, interval_of, ratio_scope="interval"):
+def spectral_oracle(centroids, speech, interval_of):
     """Counter-based reimplementation of the three sp-dyn features."""
     bands = [min(int(c // 400.0), 19) for c in centroids]
     k_intervals = max(interval_of) + 1
@@ -75,11 +75,7 @@ def spectral_oracle(centroids, speech, interval_of, ratio_scope="interval"):
     counts = Counter(all_sel)
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     g1 = ordered[0][1]
-    g2 = ordered[1][1] if len(ordered) > 1 else 0
-    if ratio_scope == "audio":
-        ratio = g1 / g2 if g2 > 0 else float(g1)
-    else:
-        ratio = sum(ratios) / len(ratios)
+    ratio = sum(ratios) / len(ratios)
     norm_mean = sum(norms) / len(norms)
     variation = (sum((x - norm_mean) ** 2 for x in norms) / len(norms)) ** 0.5
     return ratio, g1 / len(all_sel), variation
@@ -111,12 +107,11 @@ def test_spectral_matches_counting_oracle():
     ivs = spans((0.0, duration / 3), (duration / 3, 2 * duration / 3),
                 (2 * duration / 3, duration))
     interval_of = frame_interval(n, 3, duration)
-    for scope in ("interval", "audio"):
-        got = spectral_dynamics(track, ivs, ratio_scope=scope)
-        want = spectral_oracle(cents, speech, interval_of, scope)
-        assert got.freq_distribution_ratio == pytest.approx(want[0], abs=1e-9)
-        assert got.norm_mode_count == pytest.approx(want[1], abs=1e-9)
-        assert got.norm_mode_variation == pytest.approx(want[2], abs=1e-9)
+    got = spectral_dynamics(track, ivs)
+    want = spectral_oracle(cents, speech, interval_of)
+    assert got.freq_distribution_ratio == pytest.approx(want[0], abs=1e-9)
+    assert got.norm_mode_count == pytest.approx(want[1], abs=1e-9)
+    assert got.norm_mode_variation == pytest.approx(want[2], abs=1e-9)
 
 
 def test_band_edges_clip_to_top_band():
