@@ -85,46 +85,61 @@ def align(canonical, hypothesis) -> tuple[int, list[AlignmentOp]]:
     runs front to back over a cost-to-go table, breaking cost ties in the
     order match/substitute, then delete, then insert.
     """
-    story_ids, ref = _canonical_ids(tuple(_texts(canonical)))
+    story_ids, ref_ids = _canonical_ids(tuple(_texts(canonical)))
     ids = dict(story_ids)  # normalized word -> id, shared by both sides
-    hyp = np.array([ids.setdefault(normalize_word(w), len(ids)) for w in _texts(hypothesis)],
-                   dtype=np.int64)
+    hyp = [ids.setdefault(normalize_word(w), len(ids)) for w in _texts(hypothesis)]
+    ref = ref_ids.tolist()
     n, m = len(ref), len(hyp)
     if n == 0:
         raise EmptyCanonical("canonical text holds no words")
 
-    # togo[i, j] = cost of aligning ref[i:] with hyp[j:], filled bottom-up
-    # one row at a time. With cand[j] the cheaper of substitute and delete
-    # (and cand[m] = n - i), the insert recurrence row[j] = min(cand[j],
-    # row[j + 1] + 1) unrolls to row[j] = min over k >= j of cand[k] + k - j.
-    k = np.arange(m + 1)
-    togo = np.empty((n + 1, m + 1), dtype=np.int64)
-    togo[n] = m - k
-    cand = np.empty(m + 1, dtype=np.int64)
+    # togo[i][j], the cost of aligning ref[i:] with hyp[j:], is the prefix
+    # edit distance D[r][c] of the reversed sequences, with r = n - i and
+    # c = m - j. Row r is kept as Myers/Hyyro delta bit vectors (Myers 1999;
+    # Hyyro 2001), filled for r = 1..n from D[0][c] = c: bit c - 1 of pv/mv
+    # is set where D[r][c] - D[r][c-1] is +1/-1, and bit c of ph/mh where
+    # D[r][c] - D[r-1][c] is +1/-1; bit 0 of ph carries D[r][0] = r.
+    mask = (1 << m) - 1
+    peq: dict[int, int] = {}  # word id -> bits c - 1 of its reversed positions
+    for j, w in enumerate(hyp):
+        peq[w] = peq.get(w, 0) | 1 << (m - 1 - j)
+    pv, mv = mask, 0
+    rows = [None]
     for i in range(n - 1, -1, -1):
-        below = togo[i + 1]
-        np.minimum(below[1:] + (hyp != ref[i]), below[:m] + 1, out=cand[:m])
-        cand[m] = n - i
-        cand += k
-        togo[i] = np.minimum.accumulate(cand[::-1])[::-1] - k
+        eq = peq.get(ref[i], 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = (mv | ~(xh | pv)) & mask
+        mh = pv & xh
+        ph = ph << 1 | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+        rows.append((pv, mv, ph, mh))
+    dist = n + pv.bit_count() - mv.bit_count()  # D[n][m] = togo[0][0]
 
+    # Each test of the walk reads deltas of row r alone. togo[i][j] minus
+    # togo[i+1][j+1] is the sum of the two deltas at bit c - 1: 0 at every
+    # match, 1 where a substitution lies on a cheapest path. togo[i][j]
+    # minus togo[i+1][j] is bit c of ph/mh: 1 where a deletion does.
     ops = []
     i = j = 0
-    while i < n or j < m:
-        if i < n and j < m:
-            cost = 0 if ref[i] == hyp[j] else 1
-            if togo[i, j] == togo[i + 1, j + 1] + cost:
-                ops.append(AlignmentOp("c" if cost == 0 else "s", i, j))
-                i += 1
-                j += 1
-                continue
-        if i < n and togo[i, j] == togo[i + 1, j] + 1:
+    while i < n:
+        pv, mv, ph, mh = rows[n - i]
+        c = m - j
+        same = j < m and ref[i] == hyp[j]
+        if same or j < m and ((pv | ph) & ~(mv | mh)) >> (c - 1) & 1:
+            ops.append(AlignmentOp("c" if same else "s", i, j))
+            i += 1
+            j += 1
+        elif ph >> c & 1:
             ops.append(AlignmentOp("d", i, None))
             i += 1
-            continue
-        ops.append(AlignmentOp("i", None, j))
-        j += 1
-    return int(togo[0, 0]), ops
+        else:
+            ops.append(AlignmentOp("i", None, j))
+            j += 1
+    ops.extend(AlignmentOp("i", None, k) for k in range(j, m))
+    return dist, ops
 
 
 @dataclass(frozen=True)

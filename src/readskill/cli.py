@@ -71,7 +71,7 @@ def _featurize_one(index: CorpusIndex, fcfg, out_dir: Path, dump_fr: bool,
     intervals, _ = parse_intervals(index.intervals_path(rid), recording.duration)
     vec, detail = featurize.extract_features(
         recording, intervals, index.story, label=index.labels.get(rid),
-        recording_id=rid, cfg=fcfg, return_detail=True)
+        recording_id=rid, cfg=fcfg)
     if dump_fr:
         dump_frames(detail.track, out_dir / f"frames_{rid}.csv")
     if dump_ev:
@@ -131,7 +131,7 @@ def cmd_cluster(cfg: RunConfig, args) -> int:
     model = lexical.kmeans(points_b, 3, seed=cfg.seed, restarts=cfg.kmeans_restarts)
     model.silhouette = lexical.silhouette(points_b, model.assignments)
     labels = lexical.label_clusters(model.centroids)
-    lexical.save_cluster_model(model, labels, "B", out_dir / "cluster_model.json")
+    lexical.save_cluster_model(model, labels, out_dir / "cluster_model.json")
 
     with open(out_dir / "clusters.csv", "w") as fh:
         fh.write("id,cluster,skill\n")

@@ -271,7 +271,7 @@ def write_transcription(transcription: Transcription, path: str | Path) -> None:
 
 
 def normalize_word(word: str) -> str:
-    return "".join(ch for ch in word.lower() if ch.isalpha())
+    return "".join(filter(str.isalpha, word.lower()))
 
 
 def expected_syllables(word: str, lexicon: dict[str, int] | None = None) -> int:

@@ -85,8 +85,9 @@ class ExtractionDetail:
 def extract_features(recording: AudioRecording, intervals: list[VideoInterval],
                      story: StoryText, label: str | None = None,
                      recording_id: str = "", cfg: FeatureConfig | None = None,
-                     return_detail: bool = False):
-    """Compute the 17 acoustic features for one recording.
+                     ) -> tuple[FeatureVector, ExtractionDetail]:
+    """Compute the 17 acoustic features for one recording, with the
+    intermediate products they were measured from.
 
     A recording with no detected speech gets the all-silence policy: the
     pause group reflects one recording-length pause and every other group
@@ -119,9 +120,7 @@ def extract_features(recording: AudioRecording, intervals: list[VideoInterval],
     warnings = () if speech_frames else ("no_speech",)
     vec = FeatureVector(recording_id=recording_id, values=values, label=label,
                         warnings=warnings)
-    if return_detail:
-        return vec, ExtractionDetail(track=track, pauses=pauses, peaks=peaks)
-    return vec
+    return vec, ExtractionDetail(track=track, pauses=pauses, peaks=peaks)
 
 
 def write_features(rows: list[FeatureVector], path) -> None:

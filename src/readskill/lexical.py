@@ -231,11 +231,11 @@ def label_clusters(centroids: np.ndarray) -> dict[int, SkillClass]:
             i_cluster: SkillClass.I_A}
 
 
-def save_cluster_model(model: ClusterModel, labels: dict[int, SkillClass],
-                       variant: str, path) -> None:
+def save_cluster_model(model: ClusterModel, labels: dict[int, SkillClass], path) -> None:
+    """Write a labeled merged-variant (B) model."""
     payload = {
         "format": CLUSTER_MODEL_VERSION,
-        "variant": variant,
+        "variant": "B",
         "k": model.k,
         "seed": model.seed,
         "inertia": model.inertia,

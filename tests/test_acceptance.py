@@ -37,9 +37,9 @@ def _feature_matrix(root):
     for rid in index.ids:
         rec = load_wav(index.wav_path(rid))
         ivs, _ = parse_intervals(index.intervals_path(rid), rec.duration)
-        vec = featurize.extract_features(rec, ivs, index.story,
-                                         label=index.labels[rid],
-                                         recording_id=rid, cfg=cfg)
+        vec, _ = featurize.extract_features(rec, ivs, index.story,
+                                            label=index.labels[rid],
+                                            recording_id=rid, cfg=cfg)
         rows.append(vec.values)
         labels.append(int(SkillClass[index.labels[rid]]))
     return np.array(rows), np.array(labels)

@@ -166,6 +166,17 @@ TIE_WORDS = st.sampled_from(["a", "b", "ab", "A!", "b."])
 @example(["a", "b", "a"], [])
 @example(["a"], ["b", "a", "A!", "b."])
 @example(["a"], [])
+# hypotheses past one and two 64-bit words
+@example(["a", "b", "ab"] * 10, ["b", "a", "A!", "ab"] * 20)
+@example(["a", "b"] * 15, ["ab", "b.", "a"] * 50)
+# insertion-heavy: two extra words around every story word
+@example(["a", "b", "ab", "b."] * 5, [w for s in ["a", "b", "ab", "b."] * 5 for w in ("b", s, "a")])
+# a one-word story against a long hypothesis
+@example(["b."], ["a", "ab", "b", "A!"] * 40)
+# no story word in the hypothesis
+@example(["a", "A!", "b"] * 4, ["ab"] * 100)
+# leading insertions: the first op is "i", after a delete test at j = 0
+@example(["a", "b", "a"], ["b.", "ab", "ab", "a", "b", "a"])
 def test_align_matches_cell_by_cell_oracle(ref, hyp_words):
     dist, ops = align(ref, hyp_words)
     assert type(dist) is int
@@ -189,6 +200,24 @@ def test_align_matches_oracle_at_paper_scale():
     assert 200 < len(spoken) <= 400
     dist, ops = align(story, spoken)
     assert type(dist) is int
+    assert (dist, ops) == align_oracle(story, spoken)
+
+
+def test_align_matches_oracle_for_a_rereading_reader():
+    # a 400-word story against about three times as many recognized words:
+    # a reader who restarts and repeats, so insertions dominate and the
+    # hypothesis spans many machine words
+    rng = np.random.default_rng(11)
+    vocab = sorted(set(synth.default_story().words))[:60]
+    story = [vocab[k] for k in rng.integers(len(vocab), size=400)]
+    spoken = []
+    for w in story:
+        spoken += [vocab[k] for k in rng.integers(len(vocab), size=rng.integers(5))]
+        if rng.random() < 0.9:
+            spoken.append(w)
+    assert 1000 < len(spoken) < 1400
+    dist, ops = align(story, spoken)
+    assert sum(op.op == "i" for op in ops) > len(story)
     assert (dist, ops) == align_oracle(story, spoken)
 
 

@@ -91,8 +91,8 @@ def test_feature_index_round_trip():
 def test_all_silence_policy():
     duration = 2.0
     rec = recording(np.zeros(int(duration * SAMPLE_RATE)))
-    vec = extract_features(rec, spans((0.0, 1.0), (1.0, duration)), STORY,
-                           recording_id="quiet")
+    vec, _ = extract_features(rec, spans((0.0, 1.0), (1.0, duration)), STORY,
+                              recording_id="quiet")
     assert "no_speech" in vec.warnings
     v = vec.values
     # one recording-length pause (whole hops, so a hair under 2.0 s)
@@ -121,8 +121,7 @@ def test_values_wired_to_component_outputs():
     profile = synth.make_profile(synth.SkillClass.M_A, seed=5)
     rec, ivs, _ = synth.generate(profile, duration=8.0)
     story = synth.default_story()
-    vec, detail = extract_features(rec, ivs, story, recording_id="m",
-                                   return_detail=True)
+    vec, detail = extract_features(rec, ivs, story, recording_id="m")
 
     pf = pause_features(detail.pauses, ivs, rec.duration)
     speech_duration = float(detail.track.is_speech.sum()) * HOP_S
@@ -157,8 +156,7 @@ def test_articulation_rate_tracks_bump_rate():
     profile = synth.make_profile(synth.SkillClass.C_A, seed=1,
                                  pause_schedule=())
     rec, ivs, _ = synth.generate(profile, duration=8.0)
-    vec, detail = extract_features(rec, ivs, synth.default_story(),
-                                   return_detail=True)
+    vec, detail = extract_features(rec, ivs, synth.default_story())
     # every rendered bump is found exactly once
     assert len(detail.peaks) == round(profile.syllable_rate_hz * 8.0)
     # speech time can only shrink below the full duration (AM troughs dip
@@ -171,8 +169,8 @@ def test_extract_deterministic():
     profile = synth.make_profile(synth.SkillClass.I_A, seed=9)
     rec, ivs, _ = synth.generate(profile, duration=8.0)
     story = synth.default_story()
-    a = extract_features(rec, ivs, story)
-    b = extract_features(rec, ivs, story)
+    a, _ = extract_features(rec, ivs, story)
+    b, _ = extract_features(rec, ivs, story)
     assert np.array_equal(a.values, b.values)
 
 

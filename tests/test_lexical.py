@@ -287,7 +287,7 @@ def test_save_load_cluster_model(tmp_path):
     model.silhouette = silhouette(lifted, model.assignments)
     labels = {0: SkillClass.C_A, 1: SkillClass.M_A, 2: SkillClass.I_A}
     path = tmp_path / "cluster_model.json"
-    save_cluster_model(model, labels, "B", path)
+    save_cluster_model(model, labels, path)
     cents, got_labels, variant = load_cluster_model(path)
     assert np.allclose(cents, model.centroids)
     assert got_labels == labels
