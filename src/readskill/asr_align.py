@@ -9,35 +9,20 @@ CSV files.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import csv_rows, finite_float, normalize_word
 from .errors import EmptyCanonical, OutOfRange, SchemaMismatch
-from .lexical import VARIANT_B_DIMS, SkillClass
+from .lexical import CMI_COLUMNS, SkillClass
 
 DEFAULT_TAU = 0.5
 
-# variant-B centroid columns that carry the (correct, missed, incorrect) axes
-_PROJECTION = tuple(VARIANT_B_DIMS.index(d) for d in ("CS1", "M", "I"))
 
-
-@dataclass(frozen=True)
-class HypWord:
-    text: str
-    confidence: float
-
-    def __post_init__(self):
-        c = self.confidence
-        if not (math.isfinite(c) and 0.0 <= c <= 1.0):
-            raise OutOfRange(f"confidence {c!r} for word {self.text!r}")
-
-
-@dataclass(frozen=True)
-class AlignmentOp:
+class AlignmentOp(NamedTuple):
     """One edit step. c and s carry both indices, d only the canonical
     index, i only the hypothesis index."""
 
@@ -46,9 +31,10 @@ class AlignmentOp:
     hyp_index: int | None
 
 
-def parse_hypothesis(path: str | Path) -> list[HypWord]:
-    """Parse word,confidence rows; a literal header row is skipped."""
-    out = []
+def parse_hypothesis(path: str | Path) -> tuple[list[str], list[float]]:
+    """The words and confidences of word,confidence rows; a literal header
+    row is skipped."""
+    words, confidences = [], []
     for k, rec in csv_rows(path):
         if k == 0 and rec[0].strip().lower() == "word":
             continue
@@ -57,12 +43,9 @@ def parse_hypothesis(path: str | Path) -> list[HypWord]:
         confidence = finite_float(path, k, "confidence", rec[1])
         if not 0.0 <= confidence <= 1.0:
             raise SchemaMismatch(f"{path}: row {k} has confidence {rec[1]!r} outside [0, 1]")
-        out.append(HypWord(text=rec[0].strip(), confidence=confidence))
-    return out
-
-
-def _texts(hypothesis) -> list[str]:
-    return [w.text if isinstance(w, HypWord) else str(w) for w in hypothesis]
+        words.append(rec[0].strip())
+        confidences.append(confidence)
+    return words, confidences
 
 
 @functools.lru_cache(maxsize=8)
@@ -78,16 +61,18 @@ def _canonical_ids(words: tuple[str, ...]) -> tuple[dict[str, int], np.ndarray]:
     return ids, ref
 
 
-def align(canonical, hypothesis) -> tuple[int, list[AlignmentOp]]:
-    """Word-level edit distance plus one op sequence realizing it.
+def align(canonical: Sequence[str], hypothesis: Sequence[str]
+          ) -> tuple[int, list[AlignmentOp]]:
+    """Word-level edit distance between two word sequences, plus one op
+    sequence realizing it.
 
     Comparison is case-insensitive after punctuation stripping. The walk
     runs front to back over a cost-to-go table, breaking cost ties in the
     order match/substitute, then delete, then insert.
     """
-    story_ids, ref_ids = _canonical_ids(tuple(_texts(canonical)))
+    story_ids, ref_ids = _canonical_ids(tuple(canonical))
     ids = dict(story_ids)  # normalized word -> id, shared by both sides
-    hyp = [ids.setdefault(normalize_word(w), len(ids)) for w in _texts(hypothesis)]
+    hyp = [ids.setdefault(normalize_word(w), len(ids)) for w in hypothesis]
     ref = ref_ids.tolist()
     n, m = len(ref), len(hyp)
     if n == 0:
@@ -142,23 +127,14 @@ def align(canonical, hypothesis) -> tuple[int, list[AlignmentOp]]:
     return dist, ops
 
 
-@dataclass(frozen=True)
-class RemapPercentages:
-    """Fractions of the canonical word count. Insertions add to pct_C or
-    pct_I without growing the denominator, so pct_C can pass 1."""
+def confidence_remap(ops: list[AlignmentOp], confidences: list[float],
+                     threshold: float = DEFAULT_TAU) -> tuple[float, float, float]:
+    """(pct_C, pct_M, pct_I) as fractions of the canonical word count.
 
-    pct_C: float
-    pct_M: float
-    pct_I: float
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.pct_C, self.pct_M, self.pct_I])
-
-
-def confidence_remap(ops: list[AlignmentOp], hypothesis: list[HypWord],
-                     threshold: float = DEFAULT_TAU) -> RemapPercentages:
-    """Deletions count missed, correct ops correct; substituted and
-    inserted words count correct at or above the threshold, else incorrect.
+    Deletions count missed, correct ops correct; substituted and inserted
+    words count correct when their confidence is at or above the
+    threshold, else incorrect. Insertions add to pct_C or pct_I without
+    growing the denominator, so pct_C can pass 1.
     """
     if not (0.0 <= threshold <= 1.0):
         raise OutOfRange(f"threshold {threshold} outside [0, 1]")
@@ -166,30 +142,25 @@ def confidence_remap(ops: list[AlignmentOp], hypothesis: list[HypWord],
     if n_canonical == 0:
         raise EmptyCanonical("ops cover no canonical words")
     n_c = n_m = n_i = 0
-    for op in ops:
-        if op.op == "d":
+    for op, _, hyp_index in ops:
+        if op == "d":
             n_m += 1
-        elif op.op == "c":
+        elif op == "c":
             n_c += 1
+        elif confidences[hyp_index] < threshold:
+            n_i += 1
         else:
-            if hypothesis[op.hyp_index].confidence < threshold:
-                n_i += 1
-            else:
-                n_c += 1
-    return RemapPercentages(
-        pct_C=n_c / n_canonical,
-        pct_M=n_m / n_canonical,
-        pct_I=n_i / n_canonical,
-    )
+            n_c += 1
+    return n_c / n_canonical, n_m / n_canonical, n_i / n_canonical
 
 
-def classify_by_centroid(percentages: RemapPercentages, centroids: np.ndarray,
+def classify_by_centroid(percentages: tuple[float, float, float], centroids: np.ndarray,
                          labels: dict[int, SkillClass]) -> SkillClass:
     """Nearest centroid in (correct, missed, incorrect) coordinates; ties
     go to the lower skill class. The centroids live in the merged-variant
     space."""
-    cents = np.asarray(centroids, dtype=np.float64)[:, list(_PROJECTION)]
-    d2 = ((cents - percentages.as_vector()[None, :]) ** 2).sum(axis=1)
+    cents = np.asarray(centroids, dtype=np.float64)[:, list(CMI_COLUMNS)]
+    d2 = ((cents - np.array(percentages)[None, :]) ** 2).sum(axis=1)
     best = None
     for cluster, dist in enumerate(d2):
         skill = labels[cluster]

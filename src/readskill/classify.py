@@ -419,12 +419,12 @@ def _fold_assignment(y: np.ndarray, folds: int, seed: int,
 
 
 def _cv_fold(plan: StagePlan, X: np.ndarray, y: np.ndarray, fold_of: np.ndarray,
-             seed: int, n_trees: int, feature_names: tuple[str, ...], f: int):
+             seed: int, n_trees: int, f: int):
     """Train on every fold but f and test on fold f: (confusion, one
     importance vector per stage over the full feature set)."""
     test = fold_of == f
     train = ~test
-    models = train_plan(plan, X[train], y[train], feature_names,
+    models = train_plan(plan, X[train], y[train], FEATURE_NAMES,
                         seed_path=(seed, f), n_trees=n_trees)
     pred = predict_stage(models, X[test])
     n_classes = len(SkillClass)
@@ -433,14 +433,13 @@ def _cv_fold(plan: StagePlan, X: np.ndarray, y: np.ndarray, fold_of: np.ndarray,
         conf[a, p] += 1
     vectors = []
     for model in models.models:
-        vec = np.zeros(len(feature_names))
-        vec[_columns(feature_names, model.feature_names)] = model.importances
+        vec = np.zeros(len(FEATURE_NAMES))
+        vec[_columns(FEATURE_NAMES, model.feature_names)] = model.importances
         vectors.append(vec)
     return conf, vectors
 
 
 def cross_validate(plan: StagePlan, X: np.ndarray, y: np.ndarray,
-                   feature_names: tuple[str, ...] = FEATURE_NAMES,
                    folds: int = CV_FOLDS, seed: int = 0,
                    n_trees: int = N_TREES,
                    groups: list[str] | None = None,
@@ -462,8 +461,7 @@ def cross_validate(plan: StagePlan, X: np.ndarray, y: np.ndarray,
             f"every class needs at least {folds} samples, got {counts.tolist()}"
         )
     fold_of = _fold_assignment(y, folds, seed, groups)
-    work = functools.partial(_cv_fold, plan, X, y, fold_of, seed, n_trees,
-                             feature_names)
+    work = functools.partial(_cv_fold, plan, X, y, fold_of, seed, n_trees)
     outcomes = list(map_fn(work, range(folds)))
     fold_confusions = [conf for conf, _ in outcomes]
     importance_vectors = [vec for _, vectors in outcomes for vec in vectors]
@@ -480,7 +478,7 @@ def cross_validate(plan: StagePlan, X: np.ndarray, y: np.ndarray,
         fold_confusions=fold_confusions,
         pooled_confusion=pooled,
         accuracy=accuracy(pooled),
-        importances={name: float(v) for name, v in zip(feature_names, imp)},
+        importances={name: float(v) for name, v in zip(FEATURE_NAMES, imp)},
     )
 
 

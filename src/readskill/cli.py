@@ -96,11 +96,11 @@ def cmd_featurize(cfg: RunConfig, args) -> int:
     return 1 if errors else 0
 
 
-def _miscue_rows(index: CorpusIndex, rid: str):
-    """(rid, variant A fractions, variant B fractions) of one transcription;
-    only the fractions outlive the call, which keeps the peak RSS low."""
+def _miscue_row(index: CorpusIndex, rid: str):
+    """(rid, variant A fractions) of one transcription; only the fractions
+    outlive the call, which keeps the peak RSS low."""
     tr = parse_transcription(index.words_path(rid), index.story)
-    return rid, lexical.miscue_fractions(tr, "A"), lexical.miscue_fractions(tr, "B")
+    return rid, lexical.miscue_fractions(tr)
 
 
 def cmd_cluster(cfg: RunConfig, args) -> int:
@@ -109,13 +109,13 @@ def cmd_cluster(cfg: RunConfig, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     ids = [rid for rid in index.ids if index.words_path(rid).exists()]
-    work = functools.partial(_miscue_rows, index)
+    work = functools.partial(_miscue_row, index)
     results, errors = _per_recording(work, ids, args.jobs)
     _write_errors(out_dir, errors)
-    ids = [rid for rid, _, _ in results]
-    a_dims, b_dims = len(lexical.VARIANT_A_DIMS), len(lexical.VARIANT_B_DIMS)
-    points_a = np.array([a for _, a, _ in results]).reshape(-1, a_dims)  # 2-D if empty
-    points_b = np.array([b for _, _, b in results]).reshape(-1, b_dims)
+    ids = [rid for rid, _ in results]
+    points_a = np.array([a for _, a in results]).reshape(
+        -1, len(lexical.VARIANT_A_DIMS))  # 2-D if empty
+    points_b = points_a @ lexical.MERGE_A_TO_B.T
     k_range = range(cfg.cluster_k_min, cfg.cluster_k_max + 1)
     sweep_a = lexical.sweep_k(points_a, k_range, seed=cfg.seed,
                               restarts=cfg.kmeans_restarts)
@@ -146,9 +146,7 @@ def cmd_cluster(cfg: RunConfig, args) -> int:
         "Mean silhouette by cluster count", "clusters", "mean silhouette",
         out_dir / "silhouette.svg")
 
-    cs1 = lexical.VARIANT_B_DIMS.index("CS1")
-    mis = lexical.VARIANT_B_DIMS.index("M")
-    inc = lexical.VARIANT_B_DIMS.index("I")
+    cs1, mis, inc = lexical.CMI_COLUMNS
     groups = []
     for cluster in range(3):
         name = labels[cluster].name
@@ -234,9 +232,9 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
 
 def _asr_align_one(index: CorpusIndex, centroids, labels, tau: float, rid: str):
     """(rid, miscue percentages, nearest-centroid class) of one hypothesis."""
-    hyp = asr_align.parse_hypothesis(index.hyp_path(rid))
-    _, ops = asr_align.align(index.story.words, hyp)
-    pct = asr_align.confidence_remap(ops, hyp, tau)
+    words, confidences = asr_align.parse_hypothesis(index.hyp_path(rid))
+    _, ops = asr_align.align(index.story.words, words)
+    pct = asr_align.confidence_remap(ops, confidences, tau)
     return rid, pct, asr_align.classify_by_centroid(pct, centroids, labels)
 
 
@@ -247,19 +245,14 @@ def cmd_asr_align(cfg: RunConfig, args) -> int:
         return 2
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    centroids, labels, variant = lexical.load_cluster_model(
-        out_dir / "cluster_model.json")
-    if variant != "B" or centroids.shape != (3, len(lexical.VARIANT_B_DIMS)):
-        raise SchemaMismatch("asr-align needs a labeled K=3 merged-variant model")
-
+    centroids, labels = lexical.load_cluster_model(out_dir / "cluster_model.json")
     work = functools.partial(_asr_align_one, index, centroids, labels, cfg.tau)
     results, errors = _per_recording(work, index.ids, args.jobs)
     confusion = np.zeros((3, 3), dtype=np.int64)
     with open(out_dir / "asr_classes.csv", "w") as fh:
         fh.write("id,pct_C,pct_M,pct_I,skill\n")
-        for rid, pct, skill in results:
-            fh.write(f"{rid},{pct.pct_C!r},{pct.pct_M!r},{pct.pct_I!r},"
-                     f"{skill.name}\n")
+        for rid, (pct_c, pct_m, pct_i), skill in results:
+            fh.write(f"{rid},{pct_c!r},{pct_m!r},{pct_i!r},{skill.name}\n")
             truth = index.labels.get(rid)
             if truth in SKILL_NAMES:
                 confusion[int(SkillClass[truth]), int(skill)] += 1

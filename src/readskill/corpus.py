@@ -109,7 +109,7 @@ class StoryText:
         return tuple(w for s in self.sentences for w in s)
 
 
-def load_wav(path: str | Path, metadata: dict[str, str] | None = None) -> AudioRecording:
+def load_wav(path: str | Path) -> AudioRecording:
     """Read a RIFF/WAVE file, enforcing mono 16-bit PCM at 16 kHz.
 
     Samples are scaled by 1/32768 so the result lies in [-1, 1).
@@ -152,7 +152,6 @@ def load_wav(path: str | Path, metadata: dict[str, str] | None = None) -> AudioR
         samples=samples,
         sample_rate=SAMPLE_RATE,
         duration=len(samples) / SAMPLE_RATE,
-        metadata=dict(metadata or {}),
     )
 
 
@@ -344,10 +343,9 @@ def load_lexicon(path: str | Path) -> dict[str, int]:
     return lex
 
 
-def load_story(path: str | Path, lexicon: dict[str, int] | None = None,
-               story_id: str | None = None) -> StoryText:
-    """Load a one-sentence-per-line story and precompute per-sentence
-    expected syllable counts."""
+def load_story(path: str | Path, lexicon: dict[str, int] | None = None) -> StoryText:
+    """Load a one-sentence-per-line story, named by its file stem, and
+    precompute per-sentence expected syllable counts."""
     sentences, counts = [], []
     for k, line in enumerate(text_lines(path)):
         words = tuple(line.split())
@@ -359,7 +357,7 @@ def load_story(path: str | Path, lexicon: dict[str, int] | None = None,
             raise EmptyWord(f"{path}:{k + 1}: {exc}") from None
         sentences.append(words)
     return StoryText(
-        story_id=story_id if story_id is not None else Path(path).stem,
+        story_id=Path(path).stem,
         sentences=tuple(sentences),
         sentence_syllables=tuple(counts),
     )
@@ -371,7 +369,6 @@ class CorpusIndex:
 
     root: Path
     story: StoryText | None
-    lexicon: dict[str, int]
     ids: list[str]
     labels: dict[str, str]
     metadata: dict[str, dict[str, str]]
@@ -423,5 +420,5 @@ def scan_corpus(root: str | Path) -> CorpusIndex:
             if rec[0].strip() and rec[0] != "id":
                 metadata[rec[0]] = {name: rec[k] if len(rec) > k else ""
                                      for k, name in enumerate(METADATA_FIELDS, 1)}
-    return CorpusIndex(root=root, story=story, lexicon=lexicon, ids=ids,
+    return CorpusIndex(root=root, story=story, ids=ids,
                        labels=labels, metadata=metadata)

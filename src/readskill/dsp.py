@@ -82,17 +82,17 @@ def frame_energy(frames: np.ndarray) -> np.ndarray:
     return np.mean(frames * frames, axis=1)
 
 
-def raw_frames(samples: np.ndarray, frame_len: int = FRAME_LEN, hop: int = HOP) -> np.ndarray:
+def raw_frames(samples: np.ndarray) -> np.ndarray:
     """Unweighted frames of a signal, as a strided view.
 
-    Returns floor((len - frame_len) / hop) + 1 frames; a trailing partial
+    Returns floor((len - FRAME_LEN) / HOP) + 1 frames; a trailing partial
     frame is dropped.
     """
     x = np.ascontiguousarray(samples, dtype=np.float64)
-    if x.size < frame_len:
-        raise TooShort(f"need at least {frame_len} samples, got {x.size}")
-    view = np.lib.stride_tricks.sliding_window_view(x, frame_len)
-    return view[::hop]
+    if x.size < FRAME_LEN:
+        raise TooShort(f"need at least {FRAME_LEN} samples, got {x.size}")
+    view = np.lib.stride_tricks.sliding_window_view(x, FRAME_LEN)
+    return view[::HOP]
 
 
 def _centroid_batch(frames: np.ndarray) -> np.ndarray:

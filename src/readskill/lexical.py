@@ -51,6 +51,9 @@ MERGE_A_TO_B = np.array([
     [0, 0, 0, 0, 1],
 ], dtype=np.float64)
 
+# the variant-B columns of the correct, missed and incorrect axes
+CMI_COLUMNS = tuple(VARIANT_B_DIMS.index(d) for d in ("CS1", "M", "I"))
+
 
 @dataclass
 class ClusterModel:
@@ -66,26 +69,20 @@ class ClusterModel:
         return len(self.centroids)
 
 
-def miscue_fractions(transcription: Transcription, variant: str = "B") -> np.ndarray:
-    """Fractions of word outcomes over the canonical word count.
-
-    Variant A: (C, S1, Sm+D, M, I). Variant B: (C+S1, Sm+D, M, I).
-    """
+def miscue_fractions(transcription: Transcription) -> np.ndarray:
+    """Variant A fractions (C, S1, Sm+D, M, I) of word outcomes over the
+    canonical word count. ``MERGE_A_TO_B`` maps them to variant B,
+    (C+S1, Sm+D, M, I)."""
     if not transcription.words:
         raise EmptyTranscription("transcription has no words")
     n = len(transcription.words)
     counts = {label: 0 for label in ("C", "S1", "Sm", "D", "M", "I")}
     for w in transcription.words:
         counts[w.label] += 1
-    a = np.array([
+    return np.array([
         counts["C"], counts["S1"], counts["Sm"] + counts["D"],
         counts["M"], counts["I"],
     ], dtype=np.float64) / n
-    if variant == "A":
-        return a
-    if variant == "B":
-        return MERGE_A_TO_B @ a
-    raise ValueError(f"unknown variant {variant!r}")
 
 
 def _assign(points: np.ndarray, centroids: np.ndarray,
@@ -217,8 +214,7 @@ def label_clusters(centroids: np.ndarray) -> dict[int, SkillClass]:
     cents = np.asarray(centroids, dtype=np.float64)
     if cents.shape != (3, len(VARIANT_B_DIMS)):
         raise ValueError(f"expected centroid shape (3, {len(VARIANT_B_DIMS)})")
-    cs1 = cents[:, VARIANT_B_DIMS.index("CS1")]
-    m = cents[:, VARIANT_B_DIMS.index("M")]
+    cs1, m = cents[:, CMI_COLUMNS[0]], cents[:, CMI_COLUMNS[1]]
     c_cluster = int(np.argmax(cs1))
     rest = [c for c in range(3) if c != c_cluster]
     if abs(m[rest[0]] - m[rest[1]]) <= LABEL_TIE_TOL:
@@ -246,8 +242,9 @@ def save_cluster_model(model: ClusterModel, labels: dict[int, SkillClass], path)
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def load_cluster_model(path) -> tuple[np.ndarray, dict[int, SkillClass], str]:
-    """Read centroids, cluster labels and variant from a saved model."""
+def load_cluster_model(path) -> tuple[np.ndarray, dict[int, SkillClass]]:
+    """Read the centroids and cluster labels of a saved K=3 variant-B
+    model; labels must name each skill class for exactly one cluster."""
     p = Path(path)
     if not p.exists():
         raise NoModel(f"no cluster model at {path}")
@@ -257,7 +254,19 @@ def load_cluster_model(path) -> tuple[np.ndarray, dict[int, SkillClass], str]:
     try:
         centroids = np.array(payload["centroids"], dtype=np.float64)
         labels = {int(c): SkillClass[name] for c, name in payload["labels"].items()}
-        return centroids, labels, payload["variant"]
+        variant = payload["variant"]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaMismatch(
             f"{path}: malformed cluster model ({type(exc).__name__}: {exc})") from None
+    if variant != "B":
+        raise SchemaMismatch(f"{path}: variant {variant!r}, expected 'B'")
+    if centroids.shape != (3, len(VARIANT_B_DIMS)):
+        raise SchemaMismatch(f"{path}: centroids of shape {centroids.shape}, "
+                             f"expected (3, {len(VARIANT_B_DIMS)})")
+    if not np.isfinite(centroids).all():
+        raise SchemaMismatch(f"{path}: non-finite centroid")
+    if sorted(labels) != [0, 1, 2] or sorted(labels.values()) != list(SkillClass):
+        named = ", ".join(f"{c}: {s.name}" for c, s in sorted(labels.items()))
+        raise SchemaMismatch(
+            f"{path}: labels {{{named}}} must give clusters 0, 1 and 2 one class each")
+    return centroids, labels

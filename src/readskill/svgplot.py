@@ -13,6 +13,7 @@ MARGIN_L = 62
 MARGIN_R = 20
 MARGIN_T = 40
 MARGIN_B = 50
+N_TICKS = 5  # per axis, ends included
 
 CLASS_COLORS = {
     "C_A": "#7b3294",
@@ -50,9 +51,9 @@ class _Frame:
         return HEIGHT - MARGIN_B - t * (HEIGHT - MARGIN_T - MARGIN_B)
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    step = (hi - lo) / (n - 1)
-    return [lo + k * step for k in range(n)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    step = (hi - lo) / (N_TICKS - 1)
+    return [lo + k * step for k in range(N_TICKS)]
 
 
 def _chrome(frame: _Frame, title: str, x_label: str, y_label: str) -> list[str]:

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from readskill import synth
 from readskill.asr_align import (
     AlignmentOp,
-    HypWord,
-    RemapPercentages,
     align,
     classify_by_centroid,
     confidence_remap,
@@ -29,8 +27,9 @@ from readskill.errors import EmptyCanonical, OutOfRange, SchemaMismatch
 from readskill.lexical import SkillClass
 
 
-def hyp(*pairs: tuple[str, float]) -> list[HypWord]:
-    return [HypWord(text=t, confidence=c) for t, c in pairs]
+def hyp(*pairs: tuple[str, float]) -> tuple[list[str], list[float]]:
+    """(words, confidences), as parse_hypothesis returns them."""
+    return [t for t, _ in pairs], [c for _, c in pairs]
 
 
 def distance_oracle(ref: list[str], hyp_words: list[str]) -> int:
@@ -82,6 +81,13 @@ def align_oracle(canonical: list[str], hypothesis: list[str]) -> tuple[int, list
         ops.append(AlignmentOp("i", None, j))
         j += 1
     return togo[0][0], ops
+
+
+def test_alignment_op_fields():
+    op = AlignmentOp("s", 3, 4)
+    assert AlignmentOp._fields == ("op", "ref_index", "hyp_index")
+    assert op == ("s", 3, 4)
+    assert (op.op, op.ref_index, op.hyp_index) == ("s", 3, 4)
 
 
 def test_align_identical():
@@ -249,93 +255,83 @@ def test_story_is_normalized_once(monkeypatch):
 def test_remap_all_correct():
     words = ["the", "red", "fox"]
     dist, ops = align(words, words)
-    pct = confidence_remap(ops, hyp(("the", 0.9), ("red", 0.9), ("fox", 0.9)))
-    assert (pct.pct_C, pct.pct_M, pct.pct_I) == (1.0, 0.0, 0.0)
+    pct = confidence_remap(ops, [0.9, 0.9, 0.9])
+    assert pct == (1.0, 0.0, 0.0)
+    assert all(type(v) is float for v in pct)
 
 
 def test_remap_mixed_thresholding():
     # c, d, s(conf .2), s(conf .9) over 4 canonical words
     ref = ["a", "b", "c", "d"]
-    hy = hyp(("a", 0.9), ("x", 0.2), ("y", 0.9))
-    dist, ops = align(ref, [w.text for w in hy])
+    hy, conf = hyp(("a", 0.9), ("x", 0.2), ("y", 0.9))
+    dist, ops = align(ref, hy)
     assert dist == 3
-    pct = confidence_remap(ops, hy, threshold=0.5)
-    assert pct.pct_C == pytest.approx(0.5)
-    assert pct.pct_M == pytest.approx(0.25)
-    assert pct.pct_I == pytest.approx(0.25)
+    pct_c, pct_m, pct_i = confidence_remap(ops, conf, threshold=0.5)
+    assert pct_c == pytest.approx(0.5)
+    assert pct_m == pytest.approx(0.25)
+    assert pct_i == pytest.approx(0.25)
 
 
 def test_remap_insertions_escape_denominator():
     # 4 matches plus one low-confidence insertion: pct_C stays 1.0 and the
     # insertion lands in pct_I over the canonical count
     ref = ["a", "b", "c", "d"]
-    hy = hyp(("a", 0.9), ("b", 0.9), ("zz", 0.1), ("c", 0.9), ("d", 0.9))
-    dist, ops = align(ref, [w.text for w in hy])
-    pct = confidence_remap(ops, hy, threshold=0.5)
-    assert pct.pct_C == pytest.approx(1.0)
-    assert pct.pct_I == pytest.approx(0.25)
-    assert pct.pct_M == 0.0
+    hy, conf = hyp(("a", 0.9), ("b", 0.9), ("zz", 0.1), ("c", 0.9), ("d", 0.9))
+    dist, ops = align(ref, hy)
+    pct_c, pct_m, pct_i = confidence_remap(ops, conf, threshold=0.5)
+    assert pct_c == pytest.approx(1.0)
+    assert pct_i == pytest.approx(0.25)
+    assert pct_m == 0.0
 
 
 def test_remap_confidence_at_threshold_counts_correct():
     ref = ["a"]
-    hy = hyp(("x", 0.5))
-    _, ops = align(ref, [w.text for w in hy])
-    pct = confidence_remap(ops, hy, threshold=0.5)
-    assert pct.pct_C == pytest.approx(1.0)
-    assert pct.pct_I == 0.0
+    hy, conf = hyp(("x", 0.5))
+    _, ops = align(ref, hy)
+    pct_c, _, pct_i = confidence_remap(ops, conf, threshold=0.5)
+    assert pct_c == pytest.approx(1.0)
+    assert pct_i == 0.0
 
 
 def test_remap_threshold_monotone():
     rng = np.random.default_rng(0)
     ref = [f"w{k}" for k in range(12)]
-    hy = [HypWord(text=(f"w{k}" if rng.random() < 0.5 else "x"),
-                  confidence=float(rng.random())) for k in range(12)]
-    _, ops = align(ref, [w.text for w in hy])
+    hy, conf = hyp(*[(f"w{k}" if rng.random() < 0.5 else "x", float(rng.random()))
+                     for k in range(12)])
+    _, ops = align(ref, hy)
     last_i = -1.0
     for tau in (0.0, 0.25, 0.5, 0.75, 1.0):
-        pct = confidence_remap(ops, hy, threshold=tau)
-        assert pct.pct_I >= last_i
-        last_i = pct.pct_I
-        assert pct.pct_C + pct.pct_M + pct.pct_I == pytest.approx(
+        pct_c, pct_m, pct_i = confidence_remap(ops, conf, threshold=tau)
+        assert pct_i >= last_i
+        last_i = pct_i
+        assert pct_c + pct_m + pct_i == pytest.approx(
             len(ops) / 12.0)
 
 
 def test_remap_threshold_out_of_range():
     ref = ["a"]
-    hy = hyp(("a", 0.9))
-    _, ops = align(ref, [w.text for w in hy])
+    hy, conf = hyp(("a", 0.9))
+    _, ops = align(ref, hy)
     for tau in (-0.1, 1.5):
         with pytest.raises(OutOfRange):
-            confidence_remap(ops, hy, threshold=tau)
+            confidence_remap(ops, conf, threshold=tau)
 
 
 def test_remap_no_canonical_ops():
     with pytest.raises(EmptyCanonical):
-        confidence_remap([AlignmentOp("i", None, 0)], hyp(("x", 0.5)))
-
-
-def test_hyp_word_confidence_validation():
-    with pytest.raises(OutOfRange):
-        HypWord(text="w", confidence=1.5)
-    with pytest.raises(OutOfRange):
-        HypWord(text="w", confidence=-0.1)
-    with pytest.raises(OutOfRange):
-        HypWord(text="w", confidence=float("nan"))
+        confidence_remap([AlignmentOp("i", None, 0)], [0.5])
 
 
 def test_parse_hypothesis_with_header(tmp_path):
     path = tmp_path / "hyp.csv"
     path.write_text("word,confidence\nthe,0.9\nfox,0.35\n")
-    words = parse_hypothesis(path)
-    assert [(w.text, w.confidence) for w in words] == [("the", 0.9), ("fox", 0.35)]
+    assert parse_hypothesis(path) == (["the", "fox"], [0.9, 0.35])
 
 
 def test_parse_hypothesis_without_header(tmp_path):
     path = tmp_path / "hyp.csv"
     path.write_text("the,0.9\n\nfox,0.35\n")
-    words = parse_hypothesis(path)
-    assert len(words) == 2
+    assert parse_hypothesis(path) == (["the", "fox"], [0.9, 0.35])
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-0.1", "1.5"])
@@ -349,7 +345,7 @@ def test_parse_hypothesis_rejects_bad_confidence(tmp_path, cell):
 def test_parse_hypothesis_keeps_confidence_bounds(tmp_path):
     path = tmp_path / "hyp.csv"
     path.write_text("a,0\nb,1\nc,1.0\n")
-    assert [w.confidence for w in parse_hypothesis(path)] == [0.0, 1.0, 1.0]
+    assert parse_hypothesis(path)[1] == [0.0, 1.0, 1.0]
 
 
 CENTROIDS_B = np.array([
@@ -361,24 +357,21 @@ LABELS = {0: SkillClass.C_A, 1: SkillClass.M_A, 2: SkillClass.I_A}
 
 
 def test_classify_nearest_centroid():
-    got = classify_by_centroid(RemapPercentages(0.92, 0.02, 0.02),
-                               CENTROIDS_B, LABELS)
+    got = classify_by_centroid((0.92, 0.02, 0.02), CENTROIDS_B, LABELS)
     assert got == SkillClass.C_A
-    got = classify_by_centroid(RemapPercentages(0.5, 0.36, 0.04),
-                               CENTROIDS_B, LABELS)
+    got = classify_by_centroid((0.5, 0.36, 0.04), CENTROIDS_B, LABELS)
     assert got == SkillClass.M_A
-    got = classify_by_centroid(RemapPercentages(0.48, 0.06, 0.37),
-                               CENTROIDS_B, LABELS)
+    got = classify_by_centroid((0.48, 0.06, 0.37), CENTROIDS_B, LABELS)
     assert got == SkillClass.I_A
 
 
 def test_classify_matches_brute_force():
     rng = np.random.default_rng(7)
     for _ in range(200):
-        pct = RemapPercentages(*rng.uniform(0.0, 1.0, size=3))
+        pct = tuple(rng.uniform(0.0, 1.0, size=3).tolist())
         got = classify_by_centroid(pct, CENTROIDS_B, LABELS)
         proj = CENTROIDS_B[:, [0, 2, 3]]
-        d2 = ((proj - pct.as_vector()) ** 2).sum(axis=1)
+        d2 = ((proj - np.array(pct)) ** 2).sum(axis=1)
         want = LABELS[int(np.argmin(d2))]
         # argmin takes the first minimum, matching the lower-class rule
         assert got == want
@@ -392,9 +385,9 @@ def test_classify_midpoint_tie_takes_lower_class():
     ])
     # equidistant from clusters 0 and 1 in the projected space
     mid = (cents[0, [0, 2, 3]] + cents[1, [0, 2, 3]]) / 2.0
-    got = classify_by_centroid(RemapPercentages(*mid), cents, LABELS)
+    got = classify_by_centroid(tuple(mid), cents, LABELS)
     assert got == SkillClass.C_A
     # label permutation flips which class wins the tie
     swapped = {0: SkillClass.M_A, 1: SkillClass.C_A, 2: SkillClass.I_A}
-    got = classify_by_centroid(RemapPercentages(*mid), cents, swapped)
+    got = classify_by_centroid(tuple(mid), cents, swapped)
     assert got == SkillClass.C_A

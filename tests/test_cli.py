@@ -764,6 +764,18 @@ def test_bad_cvreport_exits_2(tmp_path, capsys, content, needle):
     assert not (tmp_path / "report.txt").exists()
 
 
+CLUSTER_CENTROIDS = [[0.9, 0.04, 0.03, 0.03], [0.5, 0.1, 0.35, 0.05],
+                     [0.5, 0.1, 0.05, 0.35]]
+
+
+def _cluster_model(**fields) -> str:
+    """A labeled K=3 variant-B cluster model file, with fields replaced."""
+    payload = {"format": lexical.CLUSTER_MODEL_VERSION, "variant": "B", "k": 3,
+               "centroids": CLUSTER_CENTROIDS,
+               "labels": {"0": "C_A", "1": "M_A", "2": "I_A"}}
+    return json.dumps({**payload, **fields})
+
+
 @pytest.mark.parametrize("content, needle", [
     ("[centroids]\n", "not a JSON file"),
     (json.dumps({"format": lexical.CLUSTER_MODEL_VERSION, "variant": "B",
@@ -772,7 +784,20 @@ def test_bad_cvreport_exits_2(tmp_path, capsys, content, needle):
      "malformed cluster model (KeyError: 'X_A')"),
     (json.dumps({"format": lexical.CLUSTER_MODEL_VERSION, "variant": "B"}),
      "malformed cluster model (KeyError: 'centroids')"),
-], ids=["not_json", "unknown_class", "no_centroids"])
+    (_cluster_model(labels={"0": "C_A", "1": "M_A"}),
+     "labels {0: C_A, 1: M_A} must give clusters 0, 1 and 2 one class each"),
+    (_cluster_model(labels={"0": "C_A", "1": "C_A", "2": "I_A"}),
+     "labels {0: C_A, 1: C_A, 2: I_A} must give clusters 0, 1 and 2 one class each"),
+    (_cluster_model(labels={"0": "C_A", "1": "M_A", "3": "I_A"}),
+     "labels {0: C_A, 1: M_A, 3: I_A} must give clusters 0, 1 and 2 one class each"),
+    (_cluster_model(centroids=[[0.9, 0.0, 0.05, float("nan")]] + CLUSTER_CENTROIDS[1:]),
+     "non-finite centroid"),
+    (_cluster_model(variant="A"), "variant 'A', expected 'B'"),
+    (_cluster_model(centroids=[row + [0.0] for row in CLUSTER_CENTROIDS]),
+     "centroids of shape (3, 5), expected (3, 4)"),
+], ids=["not_json", "unknown_class", "no_centroids", "missing_cluster",
+        "repeated_class", "cluster_out_of_range", "nan_centroid", "variant_a",
+        "wrong_shape"])
 def test_bad_cluster_model_exits_2(small_corpus, tmp_path, capsys, content, needle):
     (tmp_path / "cluster_model.json").write_text(content)
     rc = run("--set", f"corpus_root={small_corpus}", "--set", f"out_dir={tmp_path}",

@@ -2,6 +2,7 @@
 brute-force oracles for the geometry."""
 from __future__ import annotations
 
+import json
 from itertools import combinations
 
 import numpy as np
@@ -80,22 +81,22 @@ def silhouette_oracle(points: np.ndarray, idx: np.ndarray) -> float:
 
 def test_miscue_all_correct():
     tr = words(*[("w", "C")] * 10)
-    vec = miscue_fractions(tr, variant="B")
-    assert np.allclose(vec, [1.0, 0.0, 0.0, 0.0])
+    vec = miscue_fractions(tr)
+    assert np.allclose(vec, [1.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def test_miscue_mixed_counts():
     # 8 C, 1 M, 1 I out of 10
     tr = words(*([("w", "C")] * 8 + [("w", "M"), ("w", "I")]))
-    vec = miscue_fractions(tr, variant="B")
-    assert np.allclose(vec, [0.8, 0.0, 0.1, 0.1])
+    vec = miscue_fractions(tr)
+    assert np.allclose(vec, [0.8, 0.0, 0.0, 0.1, 0.1])
 
 
 def test_miscue_variant_a_and_merge():
     # 6 C, 2 S1, 1 Sm, 1 D over 10: A = (.6, .2, .2, 0, 0)
     tr = words(*([("w", "C")] * 6 + [("w", "S1")] * 2 + [("w", "Sm"), ("w", "D")]))
-    a = miscue_fractions(tr, variant="A")
-    b = miscue_fractions(tr, variant="B")
+    a = miscue_fractions(tr)
+    b = MERGE_A_TO_B @ a
     assert np.allclose(a, [0.6, 0.2, 0.2, 0.0, 0.0])
     assert np.allclose(b, [0.8, 0.2, 0.0, 0.0])
     assert a.shape == (len(VARIANT_A_DIMS),)
@@ -103,25 +104,27 @@ def test_miscue_variant_a_and_merge():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.sampled_from(["C", "S1", "Sm", "D", "M", "I"]),
-                min_size=1, max_size=60))
-def test_miscue_b_is_merge_of_a(labels):
-    tr = words(*[("w", lab) for lab in labels])
-    a = miscue_fractions(tr, variant="A")
-    b = miscue_fractions(tr, variant="B")
-    assert np.allclose(b, MERGE_A_TO_B @ a, atol=1e-12)
-    assert a.sum() == pytest.approx(1.0)
-    assert b.sum() == pytest.approx(1.0)
+@given(st.lists(st.lists(st.sampled_from(["C", "S1", "Sm", "D", "M", "I"]),
+                         min_size=1, max_size=60), min_size=1, max_size=5))
+def test_miscue_b_is_merge_of_a(readers):
+    # cli merges a whole matrix of variant A rows at once; each row must
+    # equal the one-row merge and the merged label counts
+    a = np.array([miscue_fractions(words(*[("w", lab) for lab in labels]))
+                  for labels in readers])
+    b = a @ MERGE_A_TO_B.T
+    for row_a, row_b, labels in zip(a, b, readers):
+        assert np.array_equal(row_b, MERGE_A_TO_B @ row_a)
+        merged = ["CS1" if lab in ("C", "S1") else "SmD" if lab in ("Sm", "D") else lab
+                  for lab in labels]
+        counts = [merged.count(d) / len(labels) for d in VARIANT_B_DIMS]
+        assert np.allclose(row_b, counts, atol=1e-12)
+        assert row_a.sum() == pytest.approx(1.0)
+        assert row_b.sum() == pytest.approx(1.0)
 
 
 def test_miscue_empty_transcription():
     with pytest.raises(EmptyTranscription):
         miscue_fractions(Transcription(story_id="t", words=()))
-
-
-def test_miscue_unknown_variant():
-    with pytest.raises(ValueError):
-        miscue_fractions(words(("w", "C")), variant="Q")
 
 
 def separable_blobs(seed: int = 0, sizes=(20, 20, 20)) -> tuple[np.ndarray, list[int]]:
@@ -288,10 +291,10 @@ def test_save_load_cluster_model(tmp_path):
     labels = {0: SkillClass.C_A, 1: SkillClass.M_A, 2: SkillClass.I_A}
     path = tmp_path / "cluster_model.json"
     save_cluster_model(model, labels, path)
-    cents, got_labels, variant = load_cluster_model(path)
+    cents, got_labels = load_cluster_model(path)
     assert np.allclose(cents, model.centroids)
     assert got_labels == labels
-    assert variant == "B"
+    assert json.loads(path.read_text())["variant"] == "B"
 
 
 def test_load_cluster_model_missing(tmp_path):
