@@ -86,7 +86,6 @@ def cmd_featurize(cfg: RunConfig, args) -> int:
         return 2
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    import scipy.signal  # noqa: F401  load it before the pool forks, not in each worker
     work = functools.partial(_featurize_one, index, cfg.feature, out_dir,
                              args.dump_frames, args.dump_events)
     rows, errors = _per_recording(work, index.ids, args.jobs)

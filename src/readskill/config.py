@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -107,7 +108,10 @@ def _coerce(name: str, raw: str):
         if f.type == "int":
             return int(raw)
         if f.type == "float":
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {raw!r}")
+            return value
     except ValueError:
         raise ConfigError(f"{name} expects a {f.type}, got {raw!r}") from None
     return raw

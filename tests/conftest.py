@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from readskill import synth
-from readskill.dsp import LAG_MAX, LAG_MIN, SILENCE_DBFS
+from readskill.dsp import (FRAME_LEN, HOP_S, LAG_MAX, LAG_MIN, SAMPLE_RATE, SILENCE_DBFS,
+                           frame_energy, frame_times, moving_average, raw_frames)
+from readskill.pauses import SyllableConfig, SyllablePeak
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +42,49 @@ def harmonicity_batch_oracle(frames, intensity_db):
     h = np.clip(rho.max(axis=1), 0.0, 1.0)
     h[intensity_db < SILENCE_DBFS] = 0.0
     return h
+
+
+def detect_syllables_oracle(samples, is_speech, cfg=None):
+    """pauses.detect_syllables as it was when scipy.signal did its filtering
+    and peak finding. The numpy port must find the same peak frames; only
+    the envelope's last bits, which ``strength`` carries, may differ."""
+    from scipy import signal
+
+    cfg = cfg or SyllableConfig()
+    x = np.asarray(samples, dtype=np.float64)
+    if x.size < FRAME_LEN:
+        return []
+    sos = signal.butter(4, [cfg.band_low_hz, cfg.band_high_hz], btype="bandpass",
+                        fs=SAMPLE_RATE, output="sos")
+    band = signal.sosfiltfilt(sos, x)
+
+    env = frame_energy(raw_frames(band))
+    n = min(len(env), len(is_speech))
+    env = env[:n]
+    smooth_frames = max(1, int(round(cfg.smooth_s / HOP_S)))
+    env = moving_average(env, smooth_frames)
+
+    peak_idx, _ = signal.find_peaks(env)
+    if len(peak_idx) == 0:
+        return []
+    top = float(env.max())
+    if top <= 0.0:
+        return []
+    prom = signal.peak_prominences(env, peak_idx)[0]
+    speech = np.asarray(is_speech, dtype=bool)[:n]
+    ok = speech[peak_idx] & (env[peak_idx] >= cfg.height_frac * top) \
+        & (prom >= cfg.prominence_frac * top)
+    candidates = peak_idx[ok]
+    if len(candidates) == 0:
+        return []
+
+    min_gap = int(round(cfg.min_gap_s / HOP_S))
+    order = sorted(range(len(candidates)), key=lambda i: (-env[candidates[i]], candidates[i]))
+    kept: list[int] = []
+    for i in order:
+        c = candidates[i]
+        if all(abs(c - k) >= min_gap for k in kept):
+            kept.append(int(c))
+    kept.sort()
+    times = frame_times(n)
+    return [SyllablePeak(time=float(times[i]), strength=float(env[i])) for i in kept]

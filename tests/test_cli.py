@@ -618,15 +618,54 @@ def test_missing_config_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_import_leaves_scipy_unloaded():
-    code = ("import sys, readskill.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+# Runs CLI commands with every scipy import refused; fork workers inherit
+# the refusing finder. argv: the commands as JSON, then the common arguments.
+_WITHOUT_SCIPY = """
+import json
+import sys
+from importlib.abc import MetaPathFinder
+
+
+class RefuseScipy(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+from readskill.cli import main
+
+for command in json.loads(sys.argv[1]):
+    rc = main(sys.argv[2:] + command)
+    if rc != 0:
+        sys.exit(f"{command[0]} exited {rc}")
+"""
+
+CHAIN = (("featurize", "--dump-frames", "--dump-events"), ("cluster",), ("evaluate",),
+         ("train",), ("predict",), ("asr-align",), ("report",))
+
+
+def test_cli_chain_runs_with_scipy_unimportable(small_corpus, tmp_path):
+    blocked, free = tmp_path / "blocked", tmp_path / "free"
     src = str(Path(readskill.__file__).parents[1])  # the copy under test
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert done.stdout.strip() == "[]"
+
+    def settings(out):
+        return ["--set", f"corpus_root={small_corpus}", "--set", f"out_dir={out}",
+                "--set", "folds=3", "--jobs", "2"]
+
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(CHAIN),
+                           *settings(blocked)], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    for command in CHAIN:
+        assert run(*settings(free), *command) == 0
+    names = sorted(p.name for p in free.iterdir())
+    assert sorted(p.name for p in blocked.iterdir()) == names
+    assert len([n for n in names if n.startswith("events_")]) == 9
+    for name in names:
+        assert (blocked / name).read_bytes() == (free / name).read_bytes(), name
 
 
 def test_bad_lexicon_line_exits_2(tmp_path, capsys):

@@ -95,6 +95,25 @@ def test_apply_set_errors():
         apply_set(cfg, "tau=not_a_float")
 
 
+@pytest.mark.parametrize("setting", [
+    "min_pause_s=nan", "syll_smooth_s=nan", "min_pause_s=inf", "syll_min_gap_s=inf",
+    "syll_height_frac=nan", "vad_margin_db=nan", "vad_abs_threshold_db=-inf",
+    "tau=NaN", "syll_band_high_hz=Infinity"])
+def test_non_finite_float_setting_exits_2(tmp_path, capsys, setting):
+    key, raw = setting.split("=")
+    out = tmp_path / "out"
+    rc = main(["--set", f"corpus_root={tmp_path}", "--set", f"out_dir={out}",
+               "--set", setting, "--jobs", "1", "featurize"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {key} must be a finite number, got {raw!r}\n"
+    assert not out.exists()
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {raw}\n")
+    with pytest.raises(ConfigError, match=f"{key} must be a finite number"):
+        load_config(path)
+
+
 def test_overrides_win_over_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("seed = 1\nfolds = 3\n")

@@ -133,21 +133,19 @@ def test_detect_syllables_silence():
 
 
 def test_band_pass_is_designed_once_per_band(monkeypatch):
-    from scipy import signal
-
     from readskill import pauses
 
     x = am_tone(4.0, 2.0)
     ones = np.ones(build_track(x).n_frames, dtype=bool)
-    pauses._band_sos.cache_clear()
+    pauses._band_pass.cache_clear()
     designs = []
-    butter = signal.butter
+    design = pauses._butter_band_sos
 
     def counting(*args, **kwargs):
         designs.append(args)
-        return butter(*args, **kwargs)
+        return design(*args, **kwargs)
 
-    monkeypatch.setattr(signal, "butter", counting)
+    monkeypatch.setattr(pauses, "_butter_band_sos", counting)
     first = detect_syllables(x, ones)
     assert detect_syllables(x * 0.5, ones) and detect_syllables(x, ones) == first
     assert len(designs) == 1
