@@ -49,7 +49,8 @@ def _pool_map(jobs: int):
 def _per_recording(work, ids, jobs: int):
     """Run ``work(rid)`` for every id through ``_pool_map(jobs)``. Returns
     the results in id order, and a (rid, message) error for each recording
-    that raised ReadskillError or OSError."""
+    that raised ReadskillError or OSError. An id that a CSV cell cannot
+    hold fails without running ``work``."""
     with _pool_map(jobs) as map_fn:
         outcomes = list(map_fn(functools.partial(_isolated, work), ids))
     results = [result for _, result, err in outcomes if err is None]
@@ -59,6 +60,10 @@ def _per_recording(work, ids, jobs: int):
 
 def _isolated(work, rid):
     try:
+        if any(c in rid for c in ',"\r\n'):
+            rid = repr(rid)  # keeps its errors.log entry on one line
+            raise SchemaMismatch("recording id holds a comma, a double quote, CR or LF, "
+                                 "which a CSV cell of an output table cannot hold")
         return rid, work(rid), None
     except (ReadskillError, OSError) as exc:
         return rid, None, f"{type(exc).__name__}: {exc}"
@@ -161,9 +166,18 @@ def cmd_cluster(cfg: RunConfig, args) -> int:
     return 1 if errors else 0
 
 
-def _labeled_matrix(cfg: RunConfig):
+def _feature_matrix(cfg: RunConfig):
+    """The rows of features.csv and their (n, 17) matrix, 2-D even when
+    the table holds no rows."""
     rows = featurize.read_features(Path(cfg.out_dir) / "features.csv")
-    X = np.array([r.values for r in rows])
+    X = np.array([r.values for r in rows]).reshape(-1, len(featurize.FEATURE_NAMES))
+    return rows, X
+
+
+def _labeled_matrix(cfg: RunConfig):
+    rows, X = _feature_matrix(cfg)
+    if not rows:
+        raise SchemaMismatch(f"{Path(cfg.out_dir) / 'features.csv'}: no feature rows")
     y = []
     for r in rows:
         if r.label not in SKILL_NAMES:
@@ -192,8 +206,7 @@ def cmd_predict(cfg: RunConfig, args) -> int:
     models = classify.load_model(model_path)
     if models.feature_names != featurize.FEATURE_NAMES:
         raise SchemaMismatch(f"{model_path}: feature_names differ from features.csv")
-    rows = featurize.read_features(Path(cfg.out_dir) / "features.csv")
-    X = np.array([r.values for r in rows])
+    rows, X = _feature_matrix(cfg)
     pred = classify.predict_stage(models, X)
     out = Path(cfg.out_dir) / "predictions.csv"
     with open(out, "w") as fh:

@@ -61,27 +61,16 @@ class AudioRecording:
     """Mono 16 kHz recording with samples normalized to [-1, 1]."""
 
     samples: np.ndarray
-    sample_rate: int
     duration: float
     metadata: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class VideoInterval:
-    """Time span of one spoken sentence within a recording."""
-
-    start: float
-    end: float
-    sentence_index: int
-
-
-def interval_index(times, intervals: list[VideoInterval]) -> np.ndarray:
-    """Index of the interval containing each time; a time that no interval
-    contains, such as one at or past the last end, goes to the last one."""
-    starts = np.array([iv.start for iv in intervals])
-    ends = np.array([iv.end for iv in intervals])
+def interval_index(times, intervals: np.ndarray) -> np.ndarray:
+    """Index of the (start, end) row of ``intervals`` containing each time;
+    a time that no interval contains, such as one at or past the last end,
+    goes to the last one."""
     t = np.asarray(times, dtype=np.float64)[:, None]
-    inside = (starts <= t) & (t < ends)
+    inside = (intervals[:, 0] <= t) & (t < intervals[:, 1])
     return np.where(inside.any(axis=1), inside.argmax(axis=1), len(intervals) - 1)
 
 
@@ -150,7 +139,6 @@ def load_wav(path: str | Path) -> AudioRecording:
     samples.flags.writeable = False
     return AudioRecording(
         samples=samples,
-        sample_rate=SAMPLE_RATE,
         duration=len(samples) / SAMPLE_RATE,
     )
 
@@ -190,8 +178,9 @@ def finite_float(path, k: int, what: str, cell: str) -> float:
     return value
 
 
-def parse_intervals(path: str | Path, duration: float) -> tuple[list[VideoInterval], bool]:
-    """Parse start,end rows into sentence intervals.
+def parse_intervals(path: str | Path, duration: float) -> tuple[np.ndarray, bool]:
+    """Parse start,end rows into a (k, 2) array of sentence intervals in
+    seconds, one (start, end) row per sentence.
 
     Intervals must be sorted, non-overlapping and cover [0, duration].
     A last end that runs past the recording is clipped; the returned flag
@@ -207,7 +196,6 @@ def parse_intervals(path: str | Path, duration: float) -> tuple[list[VideoInterv
         raise EmptyIntervals(f"{path}: no intervals")
 
     clipped = False
-    out = []
     eps = 1e-9
     prev_end = 0.0
     for k, (start, end) in enumerate(rows):
@@ -220,16 +208,14 @@ def parse_intervals(path: str | Path, duration: float) -> tuple[list[VideoInterv
         if start > prev_end + eps:
             raise CoverageGap(f"{path}: gap before row {k} at {start}")
         if end > duration + eps:
-            if k == len(rows) - 1:
-                end = duration
-                clipped = True
-            else:
+            if k < len(rows) - 1:
                 raise OutOfRange(f"{path}: row {k} ends past the recording")
-        out.append(VideoInterval(start=start, end=end, sentence_index=k))
+            end, clipped = duration, True
+            rows[k] = (start, end)
         prev_end = end
-    if out[-1].end < duration - eps:
-        raise CoverageGap(f"{path}: intervals end at {out[-1].end}, recording lasts {duration}")
-    return out, clipped
+    if prev_end < duration - eps:
+        raise CoverageGap(f"{path}: intervals end at {prev_end}, recording lasts {duration}")
+    return np.array(rows), clipped
 
 
 def parse_transcription(path: str | Path, story: StoryText | None = None) -> Transcription:
@@ -336,10 +322,13 @@ def load_lexicon(path: str | Path) -> dict[str, int]:
             raise SchemaMismatch(f"{path}:{k + 1}: expected 'word count', got {line!r}")
         word, count = fields
         try:
-            lex[normalize_word(word)] = int(count)
+            value = int(count)
         except ValueError:
             raise SchemaMismatch(
                 f"{path}:{k + 1}: syllable count {count!r} is not an integer") from None
+        if value < 1:
+            raise SchemaMismatch(f"{path}:{k + 1}: syllable count {count!r} is below 1")
+        lex[normalize_word(word)] = value
     return lex
 
 

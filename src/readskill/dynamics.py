@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import VideoInterval, interval_index
+from .corpus import interval_index
 from .dsp import FrameTrack, moving_average
 
 BAND_WIDTH_HZ = 400.0
@@ -45,7 +45,7 @@ def _top_two(counts: np.ndarray) -> tuple[int, int]:
     return c1, c2
 
 
-def spectral_dynamics(track: FrameTrack, intervals: list[VideoInterval]) -> SpectralDynamics:
+def spectral_dynamics(track: FrameTrack, intervals: np.ndarray) -> SpectralDynamics:
     """Histogram speech-frame centroids into fixed 400 Hz bands.
 
     freq_distribution_ratio: mean over intervals of c1/c2 (a lone occupied
@@ -82,7 +82,7 @@ def spectral_dynamics(track: FrameTrack, intervals: list[VideoInterval]) -> Spec
     )
 
 
-def intensity_dynamics(track: FrameTrack, intervals: list[VideoInterval]) -> IntensityDynamics:
+def intensity_dynamics(track: FrameTrack, intervals: np.ndarray) -> IntensityDynamics:
     """Loudness dynamics of the speech-only intensity contour.
 
     Each interval's speech frames are mean-normalized in dB. The macro

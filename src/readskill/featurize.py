@@ -10,15 +10,13 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .corpus import AudioRecording, StoryText, VideoInterval, csv_rows, finite_float
+from .corpus import AudioRecording, StoryText, csv_rows, finite_float
 from .dsp import HOP_S, FrameTrack, VadConfig, build_track
 from .dynamics import intensity_dynamics, spectral_dynamics
 from .errors import IntervalCountMismatch, SchemaMismatch, TooShort
 from .pauses import (
     MIN_PAUSE_S,
-    Pause,
     SyllableConfig,
-    SyllablePeak,
     detect_syllables,
     extract_pauses,
     pause_features,
@@ -75,14 +73,16 @@ class FeatureVector:
 
 @dataclass
 class ExtractionDetail:
-    """Intermediate products kept around for dumps and tests."""
+    """Intermediate products kept around for dumps and tests: the frame
+    track, the (k, 2) array of (start, duration) pauses and the syllable
+    nucleus times, all in seconds."""
 
     track: FrameTrack
-    pauses: list[Pause]
-    peaks: list[SyllablePeak]
+    pauses: np.ndarray
+    peaks: np.ndarray
 
 
-def extract_features(recording: AudioRecording, intervals: list[VideoInterval],
+def extract_features(recording: AudioRecording, intervals: np.ndarray,
                      story: StoryText, label: str | None = None,
                      recording_id: str = "", cfg: FeatureConfig | None = None,
                      ) -> tuple[FeatureVector, ExtractionDetail]:
@@ -104,11 +104,11 @@ def extract_features(recording: AudioRecording, intervals: list[VideoInterval],
     track = build_track(recording.samples, cfg.vad)
     pauses = extract_pauses(track.is_speech, cfg.min_pause_s)
     speech_frames = int(track.is_speech.sum())
-    if not speech_frames and not pauses:
+    if not speech_frames and not len(pauses):
         raise TooShort(f"no speech in {recording.duration} s, too short for a "
                        f"{cfg.min_pause_s} s pause")
     peaks = (detect_syllables(recording.samples, track.is_speech, cfg.syllable)
-             if speech_frames else [])
+             if speech_frames else np.empty(0))
     groups = (
         pause_features(pauses, intervals, recording.duration),
         syllable_rate_features(peaks, intervals, list(story.sentence_syllables),

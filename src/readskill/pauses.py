@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import VideoInterval, interval_index
+from .corpus import interval_index
 from .dsp import (
     FRAME_LEN,
     HOP_S,
@@ -22,28 +22,6 @@ from .errors import IntervalCountMismatch
 
 MIN_PAUSE_S = 0.2
 MIN_SPEECH_S = 0.1  # less speech than this gives an articulation rate of 0
-
-
-@dataclass(frozen=True)
-class Pause:
-    start: float
-    duration: float
-
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
-    @property
-    def midpoint(self) -> float:
-        return self.start + self.duration / 2.0
-
-
-@dataclass(frozen=True)
-class SyllablePeak:
-    """One detected syllable nucleus; time is the peak frame's center."""
-
-    time: float
-    strength: float
 
 
 @dataclass(frozen=True)
@@ -74,28 +52,29 @@ class SyllableConfig:
     min_gap_s: float = 0.1
 
 
-def extract_pauses(is_speech: np.ndarray, min_pause_s: float = MIN_PAUSE_S) -> list[Pause]:
-    """Maximal non-speech runs strictly longer than min_pause_s.
+def extract_pauses(is_speech: np.ndarray, min_pause_s: float = MIN_PAUSE_S) -> np.ndarray:
+    """Maximal non-speech runs strictly longer than min_pause_s, as a
+    (k, 2) array of (start, duration) rows in seconds.
 
     Leading and trailing silence count. Durations are whole frame hops.
     """
     min_frames = int(round(min_pause_s / HOP_S))
-    pauses = []
-    for a, b, val in bool_runs(~np.asarray(is_speech, dtype=bool)):
-        if val and b - a > min_frames:
-            pauses.append(Pause(start=a * HOP_S, duration=(b - a) * HOP_S))
-    return pauses
+    pauses = [(a * HOP_S, (b - a) * HOP_S)
+              for a, b, val in bool_runs(~np.asarray(is_speech, dtype=bool))
+              if val and b - a > min_frames]
+    return np.array(pauses).reshape(-1, 2)
 
 
-def pause_features(pauses: list[Pause], intervals: list[VideoInterval],
+def pause_features(pauses: np.ndarray, intervals: np.ndarray,
                    total_duration: float) -> PauseFeatures:
-    """Aggregate pause durations; a recording without pauses maps to all
-    zeros. pauses_per_interval assigns each pause to the interval holding
-    its midpoint and averages the per-interval counts."""
-    if not pauses:
+    """Aggregate the durations of (start, duration) pause rows; a recording
+    without pauses maps to all zeros. pauses_per_interval assigns each
+    pause to the interval holding its midpoint and averages the
+    per-interval counts."""
+    if not len(pauses):
         return PauseFeatures(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    durations = np.array([p.duration for p in pauses])
-    per_interval = np.bincount(interval_index([p.midpoint for p in pauses], intervals),
+    starts, durations = pauses.T
+    per_interval = np.bincount(interval_index(starts + durations / 2.0, intervals),
                                minlength=len(intervals))
     return PauseFeatures(
         pause_mean=float(durations.mean()),
@@ -306,8 +285,9 @@ def _peak_prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
 
 
 def detect_syllables(samples: np.ndarray, is_speech: np.ndarray,
-                     cfg: SyllableConfig | None = None) -> list[SyllablePeak]:
-    """Find syllable nuclei as energy peaks in the 300..2500 Hz band.
+                     cfg: SyllableConfig | None = None) -> np.ndarray:
+    """Times in seconds of the syllable nuclei, each the center of its peak
+    frame: energy peaks in the 300..2500 Hz band.
 
     The signal goes through a BAND_ORDER Butterworth band-pass, run forward
     and backward so the peaks keep their place. The band is reduced to a
@@ -318,7 +298,7 @@ def detect_syllables(samples: np.ndarray, is_speech: np.ndarray,
     cfg = cfg or SyllableConfig()
     x = np.asarray(samples, dtype=np.float64)
     if x.size < FRAME_LEN:
-        return []
+        return np.empty(0)
     band = _filtfilt(_band_pass(cfg.band_low_hz, cfg.band_high_hz), x)
 
     env = frame_energy(raw_frames(band))
@@ -329,17 +309,17 @@ def detect_syllables(samples: np.ndarray, is_speech: np.ndarray,
 
     peak_idx = _find_peaks(env)
     if len(peak_idx) == 0:
-        return []
+        return np.empty(0)
     top = float(env.max())
     if top <= 0.0:
-        return []
+        return np.empty(0)
     prom = _peak_prominences(env, peak_idx)
     speech = np.asarray(is_speech, dtype=bool)[:n]
     ok = speech[peak_idx] & (env[peak_idx] >= cfg.height_frac * top) \
         & (prom >= cfg.prominence_frac * top)
     candidates = peak_idx[ok]
     if len(candidates) == 0:
-        return []
+        return np.empty(0)
 
     # strongest first; ties go to the earlier peak
     min_gap = int(round(cfg.min_gap_s / HOP_S))
@@ -350,14 +330,14 @@ def detect_syllables(samples: np.ndarray, is_speech: np.ndarray,
         if all(abs(c - k) >= min_gap for k in kept):
             kept.append(int(c))
     kept.sort()
-    times = frame_times(n)
-    return [SyllablePeak(time=float(times[i]), strength=float(env[i])) for i in kept]
+    return frame_times(n)[kept]
 
 
-def syllable_rate_features(peaks: list[SyllablePeak], intervals: list[VideoInterval],
+def syllable_rate_features(peaks: np.ndarray, intervals: np.ndarray,
                            expected_counts: list[int],
                            speech_duration: float) -> SyllableRateFeatures:
-    """Relate detected nuclei to the expected per-sentence syllable counts.
+    """Relate the detected nucleus times to the expected per-sentence
+    syllable counts.
 
     rel = detected / expected per interval; cv is std/mean (0 when the mean
     is 0). The articulation rate divides the total peak count by the speech
@@ -369,8 +349,7 @@ def syllable_rate_features(peaks: list[SyllablePeak], intervals: list[VideoInter
         )
     if any(c < 1 for c in expected_counts):
         raise ValueError("expected syllable counts must be >= 1")
-    detected = np.bincount(interval_index([p.time for p in peaks], intervals),
-                           minlength=len(intervals))
+    detected = np.bincount(interval_index(peaks, intervals), minlength=len(intervals))
     rel = detected / np.asarray(expected_counts, dtype=np.float64)
     mean = float(rel.mean())
     std = float(rel.std())
@@ -384,10 +363,11 @@ def syllable_rate_features(peaks: list[SyllablePeak], intervals: list[VideoInter
     )
 
 
-def dump_events(pauses: list[Pause], peaks: list[SyllablePeak], path) -> None:
-    """Write detected pauses and syllable nuclei as a flat event list."""
-    events = [("pause", p.start, p.duration) for p in pauses]
-    events += [("syllable", p.time, None) for p in peaks]
+def dump_events(pauses: np.ndarray, peaks: np.ndarray, path) -> None:
+    """Write (start, duration) pause rows and syllable nucleus times as a
+    flat event list."""
+    events = [("pause", start, duration) for start, duration in pauses.tolist()]
+    events += [("syllable", time, None) for time in peaks.tolist()]
     events.sort(key=lambda e: (e[1], e[0]))
     with open(path, "w") as fh:
         fh.write("kind,time,duration\n")

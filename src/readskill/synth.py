@@ -21,7 +21,6 @@ from .corpus import (
     StoryText,
     TranscribedWord,
     Transcription,
-    VideoInterval,
     write_transcription,
     write_wav,
 )
@@ -167,8 +166,9 @@ def _allocate_bumps(segment_lengths: list[int], total: int) -> list[int]:
 
 
 def generate(profile: ProfileSpec, duration: float
-             ) -> tuple[AudioRecording, list[VideoInterval], Transcription]:
-    """Render one recording plus its sentence intervals and transcription.
+             ) -> tuple[AudioRecording, np.ndarray, Transcription]:
+    """Render one recording plus its (k, 2) array of (start, end) sentence
+    intervals and its transcription.
 
     The recording's metadata carries the realized schedule: aligned pause
     spans, bump count, carrier f0 and the profile numbers.
@@ -225,10 +225,7 @@ def generate(profile: ProfileSpec, duration: float
     samples = np.clip(samples, -0.999, 0.999)
 
     boundaries = [duration * k / len(_SENTENCES) for k in range(len(_SENTENCES) + 1)]
-    intervals = [
-        VideoInterval(start=boundaries[k], end=boundaries[k + 1], sentence_index=k)
-        for k in range(len(_SENTENCES))
-    ]
+    intervals = np.column_stack((boundaries[:-1], boundaries[1:]))
     transcription = _synth_transcription(profile)
 
     metadata = {
@@ -247,7 +244,6 @@ def generate(profile: ProfileSpec, duration: float
     }
     recording = AudioRecording(
         samples=samples,
-        sample_rate=SAMPLE_RATE,
         duration=n / SAMPLE_RATE,
         metadata=metadata,
     )
@@ -335,8 +331,8 @@ def write_corpus(out_dir, per_class: int = 3, duration: float = 10.0,
             recording, intervals, transcription = generate(profile, duration)
             write_wav(recording.samples, root / f"{rid}.wav")
             with open(root / f"{rid}.intervals.csv", "w") as fh:
-                for iv in intervals:
-                    fh.write(f"{float(iv.start)!r},{float(iv.end)!r}\n")
+                for start, end in intervals.tolist():
+                    fh.write(f"{start!r},{end!r}\n")
             write_transcription(transcription, root / f"{rid}.words.csv")
             if with_hyp:
                 with open(root / f"{rid}.hyp.csv", "w") as fh:

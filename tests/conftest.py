@@ -8,7 +8,7 @@ import pytest
 from readskill import synth
 from readskill.dsp import (FRAME_LEN, HOP_S, LAG_MAX, LAG_MIN, SAMPLE_RATE, SILENCE_DBFS,
                            frame_energy, frame_times, moving_average, raw_frames)
-from readskill.pauses import SyllableConfig, SyllablePeak
+from readskill.pauses import SyllableConfig
 
 
 @pytest.fixture(scope="session")
@@ -46,14 +46,14 @@ def harmonicity_batch_oracle(frames, intensity_db):
 
 def detect_syllables_oracle(samples, is_speech, cfg=None):
     """pauses.detect_syllables as it was when scipy.signal did its filtering
-    and peak finding. The numpy port must find the same peak frames; only
-    the envelope's last bits, which ``strength`` carries, may differ."""
+    and peak finding: the nucleus times. The numpy port must find the same
+    peak frames, though the envelope's last bits may differ."""
     from scipy import signal
 
     cfg = cfg or SyllableConfig()
     x = np.asarray(samples, dtype=np.float64)
     if x.size < FRAME_LEN:
-        return []
+        return np.empty(0)
     sos = signal.butter(4, [cfg.band_low_hz, cfg.band_high_hz], btype="bandpass",
                         fs=SAMPLE_RATE, output="sos")
     band = signal.sosfiltfilt(sos, x)
@@ -66,17 +66,17 @@ def detect_syllables_oracle(samples, is_speech, cfg=None):
 
     peak_idx, _ = signal.find_peaks(env)
     if len(peak_idx) == 0:
-        return []
+        return np.empty(0)
     top = float(env.max())
     if top <= 0.0:
-        return []
+        return np.empty(0)
     prom = signal.peak_prominences(env, peak_idx)[0]
     speech = np.asarray(is_speech, dtype=bool)[:n]
     ok = speech[peak_idx] & (env[peak_idx] >= cfg.height_frac * top) \
         & (prom >= cfg.prominence_frac * top)
     candidates = peak_idx[ok]
     if len(candidates) == 0:
-        return []
+        return np.empty(0)
 
     min_gap = int(round(cfg.min_gap_s / HOP_S))
     order = sorted(range(len(candidates)), key=lambda i: (-env[candidates[i]], candidates[i]))
@@ -86,5 +86,4 @@ def detect_syllables_oracle(samples, is_speech, cfg=None):
         if all(abs(c - k) >= min_gap for k in kept):
             kept.append(int(c))
     kept.sort()
-    times = frame_times(n)
-    return [SyllablePeak(time=float(times[i]), strength=float(env[i])) for i in kept]
+    return frame_times(n)[kept]

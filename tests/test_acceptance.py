@@ -165,8 +165,9 @@ def test_criterion_4_dsp_oracles():
         if len(pauses) != len(sched):
             failures.append(f"pauses seed {seed}: {len(pauses)} vs {len(sched)}")
             continue
-        for got, (start, dur) in zip(pauses, sched):
-            if abs(got.start - start) > 0.03 or abs(got.end - (start + dur)) > 0.03:
+        for (got_start, got_duration), (start, dur) in zip(pauses, sched):
+            if (abs(got_start - start) > 0.03
+                    or abs(got_start + got_duration - (start + dur)) > 0.03):
                 failures.append(f"pauses seed {seed}: boundary off at {start:.2f}")
 
     # syllable counts within one bump on 5 s modulated tones

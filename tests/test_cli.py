@@ -681,6 +681,21 @@ def test_bad_lexicon_line_exits_2(tmp_path, capsys):
     assert "syllables.lex:2: expected 'word count'" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_lexicon_count_below_one_exits_2(small_corpus, tmp_path, capsys, count):
+    # every word of the first sentence overridden: its expected count sums to
+    # count times its length, which no syllable rate can be measured against
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_corpus, corpus)
+    first = (corpus / "story.txt").read_text().splitlines()[0].split()
+    (corpus / "syllables.lex").write_text(
+        "# overrides\n" + "".join(f"{word} {count}\n" for word in first))
+    rc = run("--set", f"corpus_root={corpus}", "--set", f"out_dir={tmp_path / 'out'}",
+             "--jobs", "1", "featurize")
+    assert rc == 2
+    _one_line_schema_error(capsys, f"syllables.lex:2: syllable count '{count}' is below 1")
+
+
 def test_non_utf8_story_exits_2(tmp_path, capsys):
     corpus = tmp_path / "wcorpus"
     write_words_corpus(corpus)
@@ -843,3 +858,61 @@ def test_bad_cluster_model_exits_2(small_corpus, tmp_path, capsys, content, need
              "--jobs", "1", "asr-align")
     assert rc == 2
     _one_line_schema_error(capsys, "cluster_model.json: ", needle)
+
+
+@pytest.fixture(scope="module")
+def no_feature_rows(small_corpus, tmp_path_factory):
+    """The header-only features.csv that featurize writes when every
+    recording fails."""
+    corpus = tmp_path_factory.mktemp("corpus_no_intervals")
+    shutil.copytree(small_corpus, corpus, dirs_exist_ok=True)
+    for path in corpus.glob("*.intervals.csv"):
+        path.unlink()
+    out = tmp_path_factory.mktemp("out_no_rows")
+    rc = run("--set", f"corpus_root={corpus}", "--set", f"out_dir={out}",
+             "--jobs", "1", "featurize")
+    assert rc == 1
+    assert read_rows(out / "features.csv") == []
+    return out / "features.csv"
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_empty_feature_table_exits_2(small_corpus, no_feature_rows, tmp_path, capsys,
+                                     command):
+    shutil.copy(no_feature_rows, tmp_path / "features.csv")
+    rc = run("--set", f"corpus_root={small_corpus}", "--set", f"out_dir={tmp_path}",
+             "--jobs", "1", command)
+    assert rc == 2
+    _one_line_schema_error(capsys, "features.csv: no feature rows")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv"]
+
+
+def test_predict_on_empty_feature_table_writes_header_only(
+        small_corpus, no_feature_rows, one_stage_model, tmp_path):
+    shutil.copy(no_feature_rows, tmp_path / "features.csv")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(one_stage_model))
+    rc = run("--set", f"corpus_root={small_corpus}", "--set", f"out_dir={tmp_path}",
+             "--jobs", "1", "predict", "--model", str(model))
+    assert rc == 0
+    assert (tmp_path / "predictions.csv").read_text() == "id,skill\n"
+
+
+@pytest.mark.parametrize("rid", ["smith, j", 'say "hi"', "two\rlines", "two\nlines"])
+def test_recording_id_no_csv_cell_can_hold_fails_alone(small_corpus, tmp_path, rid):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_corpus, corpus)
+    for suffix in (".wav", ".intervals.csv", ".words.csv", ".hyp.csv"):
+        shutil.copy(corpus / f"c_a_000{suffix}", corpus / f"{rid}{suffix}")
+    out = tmp_path / "out"
+    settings = ("--set", f"corpus_root={corpus}", "--set", f"out_dir={out}", "--jobs", "1")
+    assert run(*settings, "featurize") == 1
+    assert (out / "errors.log").read_text() == (
+        f"{rid!r}: SchemaMismatch: recording id holds a comma, a double quote, CR or LF, "
+        "which a CSV cell of an output table cannot hold\n")
+    rows = read_rows(out / "features.csv")
+    assert len(rows) == 9 and all(len(r.split(",")) == 19 for r in rows)
+    assert run(*settings, "--set", "folds=3", "evaluate") == 0
+    assert run(*settings, "cluster") == 1
+    clusters = (out / "clusters.csv").read_text().splitlines()
+    assert len(clusters) == 10 and all(len(r.split(",")) == 3 for r in clusters)

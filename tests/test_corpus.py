@@ -59,7 +59,6 @@ def test_load_wav_one_second(tmp_path):
     rec = load_wav(path)
     assert len(rec.samples) == 16000
     assert rec.duration == 1.0
-    assert rec.sample_rate == 16000
 
 
 def test_load_wav_all_zero(tmp_path):
@@ -132,8 +131,7 @@ def test_parse_intervals_two_rows(tmp_path):
     intervals, clipped = parse_intervals(path, 7.5)
     assert len(intervals) == 2
     assert not clipped
-    assert intervals[0].start == 0.0 and intervals[0].end == 3.2
-    assert intervals[1].sentence_index == 1
+    assert intervals[0, 0] == 0.0 and intervals[0, 1] == 3.2
 
 
 def test_parse_intervals_overlap(tmp_path):
@@ -176,7 +174,7 @@ def test_parse_intervals_clips_last_end(tmp_path):
     path.write_text("0.0,2.0\n2.0,5.5\n")
     intervals, clipped = parse_intervals(path, 5.0)
     assert clipped
-    assert intervals[-1].end == 5.0
+    assert intervals[-1, 1] == 5.0
 
 
 def test_parse_intervals_bad_span(tmp_path):
@@ -301,6 +299,8 @@ def test_load_lexicon(tmp_path):
     ("tree 1\nbadline\n", "lex:2: expected 'word count', got 'badline'"),
     ("tree 1 2\n", "lex:1: expected 'word count'"),
     ("# note\ntree one\n", "lex:2: syllable count 'one' is not an integer"),
+    ("tree 0\n", "lex:1: syllable count '0' is below 1"),
+    ("tree 1\npeople -2\n", "lex:2: syllable count '-2' is below 1"),
 ])
 def test_load_lexicon_malformed_line(tmp_path, text, message):
     path = tmp_path / "syllables.lex"
@@ -352,8 +352,8 @@ def test_scan_corpus_words_only_fallback(tmp_path):
 
 def _interval_of_oracle(time, intervals):
     """The per-timestamp scan that interval_index replaced."""
-    for k, iv in enumerate(intervals):
-        if iv.start <= time < iv.end:
+    for k, (start, end) in enumerate(intervals):
+        if start <= time < end:
             return k
     return len(intervals) - 1
 
@@ -367,13 +367,14 @@ def _interval_of_oracle(time, intervals):
     past=st.lists(st.floats(min_value=0.0, max_value=50.0), max_size=5),
 )
 def test_interval_index_matches_scan(widths, picks, inside, past):
-    ivs, start = [], 0.0
-    for k, w in enumerate(widths):
-        ivs.append(corpus.VideoInterval(start, start + w, k))
+    rows, start = [], 0.0
+    for w in widths:
+        rows.append((start, start + w))
         start += w
-    end = ivs[-1].end
+    ivs = np.array(rows)
+    end = ivs[-1, 1]
     # boundaries, their float neighbours, points inside, and times past the end
-    bounds = [0.0] + [iv.end for iv in ivs]
+    bounds = [0.0] + ivs[:, 1].tolist()
     times = [np.nextafter(bounds[i % len(bounds)], np.inf * side) if side else
              bounds[i % len(bounds)] for i, side in picks]
     times += [u * end for u in inside] + [end + p for p in past]
@@ -382,5 +383,5 @@ def test_interval_index_matches_scan(widths, picks, inside, past):
 
 
 def test_interval_index_empty_times():
-    ivs = [corpus.VideoInterval(0.0, 1.0, 0)]
+    ivs = np.array([(0.0, 1.0)])
     assert corpus.interval_index([], ivs).tolist() == []

@@ -7,7 +7,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from readskill.corpus import VideoInterval
 from readskill.dsp import FRAME_LEN, HOP_S, FrameTrack, moving_average
 from readskill.dynamics import (
     IntensityDynamics,
@@ -37,8 +36,8 @@ def make_track(centroids, intensity=None, speech=None) -> FrameTrack:
     )
 
 
-def spans(*pairs: tuple[float, float]) -> list[VideoInterval]:
-    return [VideoInterval(a, b, k) for k, (a, b) in enumerate(pairs)]
+def spans(*pairs: tuple[float, float]) -> np.ndarray:
+    return np.array(pairs)
 
 
 def frame_interval(n: int, k_intervals: int, duration: float) -> list[int]:

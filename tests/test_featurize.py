@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from readskill import synth
-from readskill.corpus import AudioRecording, StoryText, VideoInterval
+from readskill.corpus import AudioRecording, StoryText
 from readskill.dsp import HOP_S
 from readskill.dynamics import (
     IntensityDynamics,
@@ -42,13 +42,12 @@ STORY = StoryText(
 )
 
 
-def spans(*pairs: tuple[float, float]) -> list[VideoInterval]:
-    return [VideoInterval(a, b, k) for k, (a, b) in enumerate(pairs)]
+def spans(*pairs: tuple[float, float]) -> np.ndarray:
+    return np.array(pairs)
 
 
 def recording(samples: np.ndarray) -> AudioRecording:
-    return AudioRecording(samples=samples, sample_rate=SAMPLE_RATE,
-                          duration=len(samples) / SAMPLE_RATE)
+    return AudioRecording(samples=samples, duration=len(samples) / SAMPLE_RATE)
 
 
 def test_feature_names_contract():

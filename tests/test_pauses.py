@@ -6,13 +6,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from readskill.corpus import VideoInterval
 from readskill.dsp import FRAME_LEN, HOP_S, SAMPLE_RATE, build_track
 from readskill.errors import IntervalCountMismatch
 from readskill.pauses import (
-    Pause,
+    PauseFeatures,
     SyllableConfig,
-    SyllablePeak,
     detect_syllables,
     dump_events,
     extract_pauses,
@@ -21,8 +19,8 @@ from readskill.pauses import (
 )
 
 
-def spans(*pairs: tuple[float, float]) -> list[VideoInterval]:
-    return [VideoInterval(a, b, k) for k, (a, b) in enumerate(pairs)]
+def spans(*pairs: tuple[float, float]) -> np.ndarray:
+    return np.array(pairs)
 
 
 def mask(bits: list[int]) -> np.ndarray:
@@ -45,28 +43,27 @@ def test_pause_threshold_is_strict():
 
 def test_pause_timing_fields():
     bits = [1] * 10 + [0] * 30 + [1] * 10
-    (p,) = extract_pauses(mask(bits))
-    assert p.start == pytest.approx(10 * HOP_S)
-    assert p.duration == pytest.approx(30 * HOP_S)
-    assert p.end == pytest.approx(40 * HOP_S)
-    assert p.midpoint == pytest.approx(25 * HOP_S)
+    ((start, duration),) = extract_pauses(mask(bits))
+    assert start == pytest.approx(10 * HOP_S)
+    assert duration == pytest.approx(30 * HOP_S)
+    assert start + duration / 2.0 == pytest.approx(25 * HOP_S)
 
 
 def test_leading_and_trailing_silence_counted():
     bits = [0] * 30 + [1] * 10 + [0] * 30
     got = extract_pauses(mask(bits))
     assert len(got) == 2
-    assert got[0].start == pytest.approx(0.0)
-    assert got[1].start == pytest.approx(40 * HOP_S)
+    assert got[0, 0] == pytest.approx(0.0)
+    assert got[1, 0] == pytest.approx(40 * HOP_S)
 
 
 def test_alternating_frames_no_pause():
     bits = [i % 2 for i in range(100)]
-    assert extract_pauses(mask(bits)) == []
+    assert extract_pauses(mask(bits)).shape == (0, 2)
 
 
 def test_pause_features_two_known_pauses():
-    pauses = [Pause(start=1.0, duration=0.3), Pause(start=4.0, duration=0.5)]
+    pauses = np.array([(1.0, 0.3), (4.0, 0.5)])
     ivs = spans((0.0, 2.0), (2.0, 4.0), (4.0, 6.0), (6.0, 8.0))
     feats = pause_features(pauses, ivs, total_duration=8.0)
     assert feats.pause_mean == pytest.approx(0.4)
@@ -80,7 +77,7 @@ def test_pause_features_two_known_pauses():
 
 
 def test_pause_features_single_pause_std_zero():
-    feats = pause_features([Pause(start=0.5, duration=0.25)],
+    feats = pause_features(np.array([(0.5, 0.25)]),
                            spans((0.0, 2.0)), total_duration=2.0)
     assert feats.pause_mean == pytest.approx(0.25)
     assert feats.pause_std == 0.0
@@ -88,15 +85,13 @@ def test_pause_features_single_pause_std_zero():
 
 
 def test_pause_features_empty():
-    feats = pause_features([], spans((0.0, 2.0)), total_duration=2.0)
-    assert feats.pause_mean == 0.0
-    assert feats.pause_freq == 0.0
-    assert feats.pauses_per_interval == 0.0
+    feats = pause_features(np.empty((0, 2)), spans((0.0, 2.0)), total_duration=2.0)
+    assert feats == PauseFeatures(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_pause_midpoint_past_last_interval_end():
     # midpoint 7.9 is past every interval end: attributed to the last one
-    feats = pause_features([Pause(start=7.8, duration=0.2)],
+    feats = pause_features(np.array([(7.8, 0.2)]),
                            spans((0.0, 4.0), (4.0, 7.85)), total_duration=8.0)
     assert feats.pauses_per_interval == pytest.approx(0.5)
 
@@ -122,14 +117,14 @@ def test_detect_syllables_scale_invariant_count():
     a = detect_syllables(x, ones)
     b = detect_syllables(x * 0.05, ones)
     assert len(a) == len(b)
-    assert [p.time for p in a] == [p.time for p in b]
+    assert a.tolist() == b.tolist()
 
 
 def test_detect_syllables_silence():
     x = np.zeros(SAMPLE_RATE)
     track = build_track(x)
     peaks = detect_syllables(x, np.zeros(track.n_frames, dtype=bool))
-    assert peaks == []
+    assert peaks.dtype == np.float64 and peaks.shape == (0,)
 
 
 def test_band_pass_is_designed_once_per_band(monkeypatch):
@@ -147,14 +142,16 @@ def test_band_pass_is_designed_once_per_band(monkeypatch):
 
     monkeypatch.setattr(pauses, "_butter_band_sos", counting)
     first = detect_syllables(x, ones)
-    assert detect_syllables(x * 0.5, ones) and detect_syllables(x, ones) == first
+    assert len(detect_syllables(x * 0.5, ones))
+    assert np.array_equal(detect_syllables(x, ones), first)
     assert len(designs) == 1
     detect_syllables(x, ones, SyllableConfig(band_low_hz=200.0))
     assert len(designs) == 2
 
 
 def test_detect_syllables_too_short_input():
-    assert detect_syllables(np.zeros(100), np.zeros(0, dtype=bool)) == []
+    peaks = detect_syllables(np.zeros(100), np.zeros(0, dtype=bool))
+    assert peaks.dtype == np.float64 and peaks.shape == (0,)
 
 
 def test_detect_syllables_min_gap():
@@ -162,15 +159,14 @@ def test_detect_syllables_min_gap():
     x = am_tone(4.0, 5.0)
     track = build_track(x)
     peaks = detect_syllables(x, np.ones(track.n_frames, dtype=bool))
-    times = sorted(p.time for p in peaks)
+    times = sorted(peaks)
     for a, b in zip(times, times[1:]):
         assert b - a >= 10 * HOP_S - 1e-9
 
 
 def test_syllable_rate_features_exact():
     # 8 peaks over intervals expecting (4, 6) and 2 s of speech
-    peaks = [SyllablePeak(t, 1.0)
-             for t in (0.25, 0.5, 0.75, 1.0, 2.25, 2.5, 2.75, 3.0)]
+    peaks = np.array([0.25, 0.5, 0.75, 1.0, 2.25, 2.5, 2.75, 3.0])
     feats = syllable_rate_features(peaks, spans((0.0, 2.0), (2.0, 4.0)),
                                    expected_counts=[4, 6], speech_duration=2.0)
     # per-interval relative counts: 4/4 = 1.0 and 4/6
@@ -184,8 +180,7 @@ def test_syllable_rate_features_exact():
 
 
 def test_syllable_rate_features_uniform_cv_zero():
-    peaks = [SyllablePeak(t, 1.0)
-             for t in (0.25, 0.75, 1.25, 1.75, 2.25, 2.75, 3.25, 3.75)]
+    peaks = np.array([0.25, 0.75, 1.25, 1.75, 2.25, 2.75, 3.25, 3.75])
     feats = syllable_rate_features(peaks, spans((0.0, 2.0), (2.0, 4.2)),
                                    expected_counts=[4, 4], speech_duration=4.0)
     assert feats.rel_syll_std == 0.0
@@ -194,7 +189,7 @@ def test_syllable_rate_features_uniform_cv_zero():
 
 
 def test_syllable_rate_features_no_peaks():
-    feats = syllable_rate_features([], spans((0.0, 2.0)), expected_counts=[4],
+    feats = syllable_rate_features(np.empty(0), spans((0.0, 2.0)), expected_counts=[4],
                                    speech_duration=1.5)
     assert feats.rel_syll_mean == 0.0
     assert feats.rel_syll_std == 0.0
@@ -203,20 +198,20 @@ def test_syllable_rate_features_no_peaks():
 
 
 def test_syllable_rate_features_short_speech_zero_rate():
-    feats = syllable_rate_features([SyllablePeak(0.05, 1.0)], spans((0.0, 2.0)),
+    feats = syllable_rate_features(np.array([0.05]), spans((0.0, 2.0)),
                                    expected_counts=[4], speech_duration=0.05)
     assert feats.articulation_rate == 0.0
 
 
 def test_syllable_rate_features_count_mismatch():
     with pytest.raises(IntervalCountMismatch):
-        syllable_rate_features([], spans((0.0, 2.0), (2.0, 4.0)),
+        syllable_rate_features(np.empty(0), spans((0.0, 2.0), (2.0, 4.0)),
                                expected_counts=[4], speech_duration=1.0)
 
 
 def test_syllable_rate_features_bad_expected():
     with pytest.raises(ValueError):
-        syllable_rate_features([], spans((0.0, 2.0)), expected_counts=[0],
+        syllable_rate_features(np.empty(0), spans((0.0, 2.0)), expected_counts=[0],
                                speech_duration=1.0)
 
 
@@ -225,8 +220,8 @@ def test_peak_times_on_frame_grid():
     track = build_track(x)
     peaks = detect_syllables(x, np.ones(track.n_frames, dtype=bool))
     half_window_s = (FRAME_LEN / SAMPLE_RATE) / 2.0
-    for p in peaks:
-        steps = (p.time - half_window_s) / HOP_S
+    for time in peaks:
+        steps = (time - half_window_s) / HOP_S
         assert steps == pytest.approx(round(steps), abs=1e-9)
 
 
@@ -235,15 +230,26 @@ def test_am_peaks_near_envelope_maxima():
     x = am_tone(4.0, 5.0)
     track = build_track(x)
     peaks = detect_syllables(x, np.ones(track.n_frames, dtype=bool))
-    for p in peaks:
-        nearest = round((p.time - 0.125) * 4.0) / 4.0 + 0.125
-        assert abs(p.time - nearest) <= 0.05
+    for time in peaks:
+        nearest = round((time - 0.125) * 4.0) / 4.0 + 0.125
+        assert abs(time - nearest) <= 0.05
 
 
 def test_dump_events_format(tmp_path):
     path = tmp_path / "events.csv"
-    dump_events([Pause(1.0, 0.5)], [SyllablePeak(0.25, 2.0)], path)
+    dump_events(np.array([(1.0, 0.5)]), np.array([0.25]), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "kind,time,duration"
     assert lines[1] == "syllable,0.25,"
     assert lines[2] == "pause,1.0,0.5"
+
+
+def test_extract_pauses_all_speech_is_empty():
+    got = extract_pauses(np.ones(50, dtype=bool))
+    assert got.dtype == np.float64 and got.shape == (0, 2)
+
+
+def test_dump_events_without_events_writes_header_only(tmp_path):
+    path = tmp_path / "events.csv"
+    dump_events(extract_pauses(np.ones(50, dtype=bool)), np.empty(0), path)
+    assert path.read_text() == "kind,time,duration\n"

@@ -33,10 +33,9 @@ def test_generate_intervals_quarter_recording():
     profile = synth.make_profile(SkillClass.C_A, seed=0)
     _, intervals, _ = synth.generate(profile, duration=8.0)
     assert len(intervals) == 4
-    for k, iv in enumerate(intervals):
-        assert iv.start == pytest.approx(2.0 * k)
-        assert iv.end == pytest.approx(2.0 * (k + 1))
-        assert iv.sentence_index == k
+    for k, (start, end) in enumerate(intervals):
+        assert start == pytest.approx(2.0 * k)
+        assert end == pytest.approx(2.0 * (k + 1))
 
 
 def test_default_pause_schedule_m_a_covers_three_tenths():
@@ -95,9 +94,9 @@ def test_m_a_pauses_detected_exactly():
     sched = [tuple(map(float, kv.split(":")))
              for kv in rec.metadata["pause_schedule"].split(";")]
     assert len(pauses) == len(sched) == 3
-    for got, (start, dur) in zip(pauses, sched):
-        assert got.duration == pytest.approx(dur, abs=0.03)
-        assert got.start == pytest.approx(start, abs=0.03)
+    for (got_start, got_duration), (start, dur) in zip(pauses, sched):
+        assert got_duration == pytest.approx(dur, abs=0.03)
+        assert got_start == pytest.approx(start, abs=0.03)
 
 
 def test_i_a_profile_contrasts_with_c_a():

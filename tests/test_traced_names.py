@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from readskill import asr_align, classify, dsp
+from readskill import asr_align, classify, dsp, pauses, synth
 from readskill.featurize import FEATURE_NAMES
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -136,3 +136,17 @@ def test_gini_scans_batch_nodes_through_the_module(monkeypatch):
     assert [classify._node_to_dict(t) for t in model.trees] == \
         [classify._node_to_dict(t) for t in plain.trees]
     assert model.importances.tobytes() == plain.importances.tobytes()
+
+
+def test_peaks_counter_counts_the_dumped_nuclei(tmp_path):
+    # pauses.peaks adds len(detect_syllables(...)) per call: one per nucleus,
+    # so one per syllable row that --dump-events writes
+    profile = synth.make_profile(synth.SkillClass.C_A, seed=2)
+    recording, _, _ = synth.generate(profile, duration=5.0)
+    track = dsp.build_track(recording.samples)
+    peaks = pauses.detect_syllables(recording.samples, track.is_speech)
+    path = tmp_path / "events.csv"
+    pauses.dump_events(pauses.extract_pauses(track.is_speech), peaks, path)
+    rows = path.read_text().splitlines()[1:]
+    assert len(peaks) > 0
+    assert len(peaks) == sum(row.startswith("syllable,") for row in rows)
