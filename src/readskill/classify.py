@@ -29,13 +29,14 @@ from .errors import (
     TooFewPerClass,
 )
 from .featurize import (
+    FEATURE_INDEX,
     FEATURE_NAMES,
     INTENSITY_DYNAMICS_FEATURES,
     PAUSE_FEATURES,
     RATE_FEATURES,
     SPECTRAL_DYNAMICS_FEATURES,
 )
-from .lexical import SkillClass
+from .lexical import SKILL_NAMES, SkillClass
 
 N_TREES = 50
 CV_FOLDS = 7
@@ -60,12 +61,8 @@ class _Node:
 class RandomForestModel:
     trees: list[_Node]
     n_classes: int
-    feature_names: tuple[str, ...]
+    n_features: int
     importances: np.ndarray  # mean impurity decrease per feature, unnormalized
-
-    @property
-    def n_features(self) -> int:
-        return len(self.feature_names)
 
 
 def _gini_gain_scan(ranks: np.ndarray, y: np.ndarray, rows: np.ndarray,
@@ -199,8 +196,8 @@ def _leaf_rows(root: _Node, X: np.ndarray):
 
 
 def train_forest(X: np.ndarray, y: np.ndarray, n_trees: int = N_TREES,
-                 seed_path: tuple[int, ...] = (0,), n_classes: int | None = None,
-                 feature_names: tuple[str, ...] | None = None) -> RandomForestModel:
+                 seed_path: tuple[int, ...] = (0,),
+                 n_classes: int | None = None) -> RandomForestModel:
     """Fit a forest of purity-grown trees on integer class codes."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -213,10 +210,6 @@ def train_forest(X: np.ndarray, y: np.ndarray, n_trees: int = N_TREES,
     n, d = X.shape
     if n_classes is None:
         n_classes = int(y.max()) + 1
-    if feature_names is None:
-        feature_names = tuple(f"f{i}" for i in range(d))
-    if len(feature_names) != d:
-        raise DimensionMismatch("feature_names length does not match X columns")
 
     rngs = [np.random.default_rng([*seed_path, t]) for t in range(n_trees)]
     boots = [rng.integers(0, n, size=n) for rng in rngs]
@@ -230,7 +223,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, n_trees: int = N_TREES,
     return RandomForestModel(
         trees=trees,
         n_classes=n_classes,
-        feature_names=tuple(feature_names),
+        n_features=d,
         importances=importance_sum / n_trees,
     )
 
@@ -264,6 +257,25 @@ class Stage:
     def n_codes(self) -> int:
         """Class codes of the stage's forest: rest and target, or one per class."""
         return 2 if self.target is not None else len(self.classes)
+
+    # Resolved once per stage; every caller shares the arrays, so they are
+    # read-only.
+    @functools.cached_property
+    def columns(self) -> np.ndarray:
+        """Positions of the stage's features in a FEATURE_NAMES row."""
+        return _read_only([FEATURE_INDEX[name] for name in self.features])
+
+    @functools.cached_property
+    def codes(self) -> np.ndarray:
+        """A final stage's classes as sorted class codes; its forest's code i
+        stands for codes[i]."""
+        return _read_only(sorted(int(c) for c in self.classes))
+
+
+def _read_only(values) -> np.ndarray:
+    array = np.array(values)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -305,21 +317,11 @@ PLANS = _plan_table()
 class StageModels:
     plan: StagePlan
     models: list[RandomForestModel]
-    feature_names: tuple[str, ...]
-
-
-def _columns(feature_names: tuple[str, ...], wanted: tuple[str, ...]) -> np.ndarray:
-    index = {name: i for i, name in enumerate(feature_names)}
-    missing = [w for w in wanted if w not in index]
-    if missing:
-        raise DimensionMismatch(f"feature table lacks columns {missing}")
-    return np.array([index[w] for w in wanted])
 
 
 def train_plan(plan: StagePlan, X: np.ndarray, y: np.ndarray,
-               feature_names: tuple[str, ...] = FEATURE_NAMES,
                seed_path: tuple[int, ...] = (0,), n_trees: int = N_TREES) -> StageModels:
-    """Fit every stage of a plan on class codes 0..2.
+    """Fit every stage of a plan on FEATURE_NAMES rows and class codes 0..2.
 
     Stage s trains with seed path (*seed_path, s). A target stage trains on
     all rows and codes target=1, rest=0. Any other stage trains only on the
@@ -330,20 +332,17 @@ def train_plan(plan: StagePlan, X: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=np.int64)
     models = []
     for s, stage in enumerate(plan.stages):
-        cols = _columns(feature_names, stage.features)
         if stage.target is not None:
-            Xs = X[:, cols]
+            Xs = X[:, stage.columns]
             ys = (y == int(stage.target)).astype(np.int64)
         else:
-            classes = sorted(int(c) for c in stage.classes)
-            keep = np.isin(y, classes)
-            Xs = X[keep][:, cols]
-            ys = np.searchsorted(classes, y[keep])
+            keep = np.isin(y, stage.codes)
+            Xs = X[keep][:, stage.columns]
+            ys = np.searchsorted(stage.codes, y[keep])
         models.append(train_forest(Xs, ys, n_trees=n_trees,
                                    seed_path=(*seed_path, s),
-                                   n_classes=stage.n_codes,
-                                   feature_names=stage.features))
-    return StageModels(plan=plan, models=models, feature_names=tuple(feature_names))
+                                   n_classes=stage.n_codes))
+    return StageModels(plan=plan, models=models)
 
 
 def predict_stage(stage_models: StageModels, X: np.ndarray) -> np.ndarray:
@@ -353,20 +352,19 @@ def predict_stage(stage_models: StageModels, X: np.ndarray) -> np.ndarray:
     claims the rows it codes 1, and a final stage decides all it sees.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != len(stage_models.feature_names):
+    if X.ndim != 2 or X.shape[1] != len(FEATURE_NAMES):
         raise DimensionMismatch(
-            f"expected {len(stage_models.feature_names)} columns, got shape {X.shape}"
+            f"expected {len(FEATURE_NAMES)} columns, got shape {X.shape}"
         )
     out = np.empty(len(X), dtype=np.int64)
     rest = np.arange(len(X))
     for stage, model in zip(stage_models.plan.stages, stage_models.models):
-        cols = _columns(stage_models.feature_names, stage.features)
-        codes = predict_batch(model, X[rest][:, cols])
+        codes = predict_batch(model, X[rest][:, stage.columns])
         if stage.target is not None:
             out[rest[codes == 1]] = int(stage.target)
             rest = rest[codes != 1]
         else:
-            out[rest] = np.array(sorted(int(c) for c in stage.classes))[codes]
+            out[rest] = stage.codes[codes]
     return out
 
 
@@ -388,7 +386,6 @@ class CVReport:
     pooled_confusion: np.ndarray
     accuracy: float
     importances: dict[str, float]
-    class_names: tuple[str, ...] = tuple(c.name for c in SkillClass)
 
 
 def _fold_assignment(y: np.ndarray, folds: int, seed: int,
@@ -424,17 +421,16 @@ def _cv_fold(plan: StagePlan, X: np.ndarray, y: np.ndarray, fold_of: np.ndarray,
     importance vector per stage over the full feature set)."""
     test = fold_of == f
     train = ~test
-    models = train_plan(plan, X[train], y[train], FEATURE_NAMES,
-                        seed_path=(seed, f), n_trees=n_trees)
+    models = train_plan(plan, X[train], y[train], seed_path=(seed, f), n_trees=n_trees)
     pred = predict_stage(models, X[test])
     n_classes = len(SkillClass)
     conf = np.zeros((n_classes, n_classes), dtype=np.int64)
     for a, p in zip(y[test], pred):
         conf[a, p] += 1
     vectors = []
-    for model in models.models:
+    for stage, model in zip(plan.stages, models.models):
         vec = np.zeros(len(FEATURE_NAMES))
-        vec[_columns(FEATURE_NAMES, model.feature_names)] = model.importances
+        vec[stage.columns] = model.importances
         vectors.append(vec)
     return conf, vectors
 
@@ -489,14 +485,14 @@ def write_report(report: CVReport, json_path, csv_path) -> None:
         "plan": report.plan_id,
         "seed": report.seed,
         "folds": report.folds,
-        "class_order": list(report.class_names),
+        "class_order": list(SKILL_NAMES),
         "fold_confusions": [c.tolist() for c in report.fold_confusions],
         "pooled_confusion": report.pooled_confusion.tolist(),
         "accuracy": report.accuracy,
         "importances": report.importances,
     }
     Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    write_confusion(report.pooled_confusion, report.class_names, csv_path)
+    write_confusion(report.pooled_confusion, SKILL_NAMES, csv_path)
 
 
 def write_confusion(matrix, class_names, path) -> None:
@@ -539,15 +535,15 @@ def save_model(stage_models: StageModels, path) -> None:
     payload = {
         "format": MODEL_VERSION,
         "plan": stage_models.plan.plan_id,
-        "feature_names": list(stage_models.feature_names),
+        "feature_names": list(FEATURE_NAMES),
         "stages": [
             {
-                "features": list(model.feature_names),
+                "features": list(stage.features),
                 "n_classes": model.n_classes,
                 "importances": [float(v) for v in model.importances],
                 "trees": [_node_to_dict(t) for t in model.trees],
             }
-            for model in stage_models.models
+            for stage, model in zip(stage_models.plan.stages, stage_models.models)
         ],
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
@@ -583,11 +579,12 @@ def load_model(path) -> StageModels:
                 trees=[_node_from_dict(t, len(features), n_classes)
                        for t in stage_payload["trees"]],
                 n_classes=n_classes,
-                feature_names=features,
+                n_features=len(features),
                 importances=np.array(stage_payload["importances"], dtype=np.float64),
             ))
-        return StageModels(plan=plan, models=models,
-                           feature_names=tuple(payload["feature_names"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        if tuple(payload["feature_names"]) != FEATURE_NAMES:
+            raise SchemaMismatch(f"{path}: feature_names differ from features.csv")
+        return StageModels(plan=plan, models=models)
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise SchemaMismatch(
             f"{path}: malformed model ({type(exc).__name__}: {exc})") from None

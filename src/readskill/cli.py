@@ -204,8 +204,6 @@ def cmd_predict(cfg: RunConfig, args) -> int:
     model_path = args.model or str(
         Path(cfg.out_dir) / f"model_{cfg.plan_ids()[0]}.json")
     models = classify.load_model(model_path)
-    if models.feature_names != featurize.FEATURE_NAMES:
-        raise SchemaMismatch(f"{model_path}: feature_names differ from features.csv")
     rows, X = _feature_matrix(cfg)
     pred = classify.predict_stage(models, X)
     out = Path(cfg.out_dir) / "predictions.csv"

@@ -35,6 +35,8 @@ class RunConfig:
     cluster_k_max: int = 6
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError(f"tau must lie in [0, 1], got {self.tau}")
         if self.folds < 2:
@@ -60,6 +62,8 @@ class RunConfig:
             raise ConfigError(
                 f"cluster K range [{self.cluster_k_min}, {self.cluster_k_max}] is invalid"
             )
+        if not self.plan_ids():
+            raise ConfigError(f"plan names no plan id; choose from {sorted(PLANS)}")
         for name in self.plan_ids():
             if name not in PLANS:
                 raise ConfigError(

@@ -303,7 +303,7 @@ def json_object(path: str | Path) -> dict:
     """The JSON object a file holds; anything else raises SchemaMismatch."""
     try:
         payload = json.loads(Path(path).read_bytes())
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
         raise SchemaMismatch(f"{path}: not a JSON file ({exc})") from None
     if not isinstance(payload, dict):
         raise SchemaMismatch(f"{path}: not a JSON object")

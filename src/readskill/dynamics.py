@@ -6,8 +6,6 @@ contour moves at slow (macro) and fast (micro) time scales.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .corpus import interval_index
@@ -18,20 +16,13 @@ BAND_TOP_HZ = 8000.0
 MACRO_WIN_FRAMES = 31    # about 300 ms at 10 ms hop
 MICRO_WIN_FRAMES = 4     # 40 ms of first differences
 
-
-@dataclass(frozen=True)
-class SpectralDynamics:
-    freq_distribution_ratio: float
-    norm_mode_count: float
-    norm_mode_variation: float
-
-
-@dataclass(frozen=True)
-class IntensityDynamics:
-    macro_mean: float
-    macro_std: float
-    micro_mean: float
-    micro_std: float
+SPECTRAL_DYNAMICS_FEATURES = (
+    "freq_distribution_ratio", "norm_mode_count", "norm_mode_variation",
+)
+INTENSITY_DYNAMICS_FEATURES = (
+    "intensity_macro_mean", "intensity_macro_std",
+    "intensity_micro_mean", "intensity_micro_std",
+)
 
 
 def _top_two(counts: np.ndarray) -> tuple[int, int]:
@@ -45,8 +36,9 @@ def _top_two(counts: np.ndarray) -> tuple[int, int]:
     return c1, c2
 
 
-def spectral_dynamics(track: FrameTrack, intervals: np.ndarray) -> SpectralDynamics:
-    """Histogram speech-frame centroids into fixed 400 Hz bands.
+def spectral_dynamics(track: FrameTrack, intervals: np.ndarray) -> tuple[float, ...]:
+    """Histogram speech-frame centroids into fixed 400 Hz bands, for the
+    SPECTRAL_DYNAMICS_FEATURES values.
 
     freq_distribution_ratio: mean over intervals of c1/c2 (a lone occupied
     band contributes c1 itself).
@@ -57,7 +49,7 @@ def spectral_dynamics(track: FrameTrack, intervals: np.ndarray) -> SpectralDynam
     n_bands = int(round(BAND_TOP_HZ / BAND_WIDTH_HZ))
     speech = track.is_speech.astype(bool)
     if not speech.any():
-        return SpectralDynamics(0.0, 0.0, 0.0)
+        return (0.0,) * len(SPECTRAL_DYNAMICS_FEATURES)
 
     bands = np.clip((track.centroid_hz / BAND_WIDTH_HZ).astype(int), 0, n_bands - 1)
     idx = interval_index(track.times, intervals)
@@ -75,15 +67,16 @@ def spectral_dynamics(track: FrameTrack, intervals: np.ndarray) -> SpectralDynam
         norms.append(c1 / count)
 
     global_hist = np.bincount(bands[speech], minlength=n_bands)
-    return SpectralDynamics(
-        freq_distribution_ratio=float(np.mean(ratios)),
-        norm_mode_count=int(global_hist.max()) / int(speech.sum()),
-        norm_mode_variation=float(np.std(norms)),
+    return (
+        float(np.mean(ratios)),
+        int(global_hist.max()) / int(speech.sum()),
+        float(np.std(norms)),
     )
 
 
-def intensity_dynamics(track: FrameTrack, intervals: np.ndarray) -> IntensityDynamics:
-    """Loudness dynamics of the speech-only intensity contour.
+def intensity_dynamics(track: FrameTrack, intervals: np.ndarray) -> tuple[float, ...]:
+    """Loudness dynamics of the speech-only intensity contour: the
+    INTENSITY_DYNAMICS_FEATURES values.
 
     Each interval's speech frames are mean-normalized in dB. The macro
     value per interval is the population std of the 31-point moving
@@ -95,7 +88,7 @@ def intensity_dynamics(track: FrameTrack, intervals: np.ndarray) -> IntensityDyn
     """
     speech = track.is_speech.astype(bool)
     if not speech.any():
-        return IntensityDynamics(0.0, 0.0, 0.0, 0.0)
+        return (0.0,) * len(INTENSITY_DYNAMICS_FEATURES)
 
     idx = interval_index(track.times, intervals)
     macros = []
@@ -115,9 +108,9 @@ def intensity_dynamics(track: FrameTrack, intervals: np.ndarray) -> IntensityDyn
 
     macros_arr = np.array(macros) if macros else np.zeros(1)
     micro_arr = np.array(micro_windows) if micro_windows else np.zeros(1)
-    return IntensityDynamics(
-        macro_mean=float(macros_arr.mean()),
-        macro_std=float(macros_arr.std()),
-        micro_mean=float(micro_arr.mean()),
-        micro_std=float(micro_arr.std()),
+    return (
+        float(macros_arr.mean()),
+        float(macros_arr.std()),
+        float(micro_arr.mean()),
+        float(micro_arr.std()),
     )

@@ -6,16 +6,23 @@ features by name through FEATURE_INDEX, never by hardcoded position.
 """
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import AudioRecording, StoryText, csv_rows, finite_float
 from .dsp import HOP_S, FrameTrack, VadConfig, build_track
-from .dynamics import intensity_dynamics, spectral_dynamics
+from .dynamics import (
+    INTENSITY_DYNAMICS_FEATURES,
+    SPECTRAL_DYNAMICS_FEATURES,
+    intensity_dynamics,
+    spectral_dynamics,
+)
 from .errors import IntervalCountMismatch, SchemaMismatch, TooShort
 from .pauses import (
     MIN_PAUSE_S,
+    PAUSE_FEATURES,
+    RATE_FEATURES,
     SyllableConfig,
     detect_syllables,
     extract_pauses,
@@ -25,33 +32,17 @@ from .pauses import (
 
 FORMAT_VERSION = "features-v1"
 
-PAUSE_FEATURES = (
-    "pause_mean", "pause_std", "pause_min", "pause_max",
-    "pause_freq", "pauses_per_interval",
-)
-RATE_FEATURES = (
-    "rel_syll_mean", "rel_syll_std", "rel_syll_cv", "articulation_rate",
-)
-SPECTRAL_DYNAMICS_FEATURES = (
-    "freq_distribution_ratio", "norm_mode_count", "norm_mode_variation",
-)
-INTENSITY_DYNAMICS_FEATURES = (
-    "intensity_macro_mean", "intensity_macro_std",
-    "intensity_micro_mean", "intensity_micro_std",
-)
-
-FEATURE_NAMES: tuple[str, ...] = (
-    PAUSE_FEATURES + RATE_FEATURES
-    + SPECTRAL_DYNAMICS_FEATURES + INTENSITY_DYNAMICS_FEATURES
-)
-FEATURE_INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
-
+# Each group's names are stated next to the function that computes it, in
+# the order of the values it returns; extract_features joins them in this order.
 FEATURE_GROUPS = {
     "pause": PAUSE_FEATURES,
     "rate": RATE_FEATURES,
     "spectral_dynamics": SPECTRAL_DYNAMICS_FEATURES,
     "intensity_dynamics": INTENSITY_DYNAMICS_FEATURES,
 }
+FEATURE_NAMES: tuple[str, ...] = tuple(
+    name for group in FEATURE_GROUPS.values() for name in group)
+FEATURE_INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 
 
 @dataclass
@@ -116,7 +107,7 @@ def extract_features(recording: AudioRecording, intervals: np.ndarray,
         spectral_dynamics(track, intervals),
         intensity_dynamics(track, intervals),
     )
-    values = np.array([v for group in groups for v in astuple(group)])
+    values = np.array([v for group in groups for v in group])
     warnings = () if speech_frames else ("no_speech",)
     vec = FeatureVector(recording_id=recording_id, values=values, label=label,
                         warnings=warnings)

@@ -24,24 +24,6 @@ MIN_PAUSE_S = 0.2
 MIN_SPEECH_S = 0.1  # less speech than this gives an articulation rate of 0
 
 
-@dataclass(frozen=True)
-class PauseFeatures:
-    pause_mean: float
-    pause_std: float
-    pause_min: float
-    pause_max: float
-    pause_freq: float
-    pauses_per_interval: float
-
-
-@dataclass(frozen=True)
-class SyllableRateFeatures:
-    rel_syll_mean: float
-    rel_syll_std: float
-    rel_syll_cv: float
-    articulation_rate: float
-
-
 @dataclass
 class SyllableConfig:
     band_low_hz: float = 300.0
@@ -65,24 +47,30 @@ def extract_pauses(is_speech: np.ndarray, min_pause_s: float = MIN_PAUSE_S) -> n
     return np.array(pauses).reshape(-1, 2)
 
 
+PAUSE_FEATURES = (
+    "pause_mean", "pause_std", "pause_min", "pause_max",
+    "pause_freq", "pauses_per_interval",
+)
+
+
 def pause_features(pauses: np.ndarray, intervals: np.ndarray,
-                   total_duration: float) -> PauseFeatures:
-    """Aggregate the durations of (start, duration) pause rows; a recording
-    without pauses maps to all zeros. pauses_per_interval assigns each
-    pause to the interval holding its midpoint and averages the
-    per-interval counts."""
+                   total_duration: float) -> tuple[float, ...]:
+    """Aggregate the durations of (start, duration) pause rows into the
+    PAUSE_FEATURES values; a recording without pauses maps to all zeros.
+    pauses_per_interval assigns each pause to the interval holding its
+    midpoint and averages the per-interval counts."""
     if not len(pauses):
-        return PauseFeatures(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return (0.0,) * len(PAUSE_FEATURES)
     starts, durations = pauses.T
     per_interval = np.bincount(interval_index(starts + durations / 2.0, intervals),
                                minlength=len(intervals))
-    return PauseFeatures(
-        pause_mean=float(durations.mean()),
-        pause_std=float(durations.std()),
-        pause_min=float(durations.min()),
-        pause_max=float(durations.max()),
-        pause_freq=len(pauses) / total_duration,
-        pauses_per_interval=float(per_interval.mean()),
+    return (
+        float(durations.mean()),
+        float(durations.std()),
+        float(durations.min()),
+        float(durations.max()),
+        len(pauses) / total_duration,
+        float(per_interval.mean()),
     )
 
 
@@ -333,11 +321,16 @@ def detect_syllables(samples: np.ndarray, is_speech: np.ndarray,
     return frame_times(n)[kept]
 
 
+RATE_FEATURES = (
+    "rel_syll_mean", "rel_syll_std", "rel_syll_cv", "articulation_rate",
+)
+
+
 def syllable_rate_features(peaks: np.ndarray, intervals: np.ndarray,
                            expected_counts: list[int],
-                           speech_duration: float) -> SyllableRateFeatures:
+                           speech_duration: float) -> tuple[float, ...]:
     """Relate the detected nucleus times to the expected per-sentence
-    syllable counts.
+    syllable counts: the RATE_FEATURES values.
 
     rel = detected / expected per interval; cv is std/mean (0 when the mean
     is 0). The articulation rate divides the total peak count by the speech
@@ -355,12 +348,7 @@ def syllable_rate_features(peaks: np.ndarray, intervals: np.ndarray,
     std = float(rel.std())
     cv = std / mean if mean > 0.0 else 0.0
     ar = len(peaks) / speech_duration if speech_duration >= MIN_SPEECH_S else 0.0
-    return SyllableRateFeatures(
-        rel_syll_mean=mean,
-        rel_syll_std=std,
-        rel_syll_cv=cv,
-        articulation_rate=float(ar),
-    )
+    return mean, std, cv, float(ar)
 
 
 def dump_events(pauses: np.ndarray, peaks: np.ndarray, path) -> None:

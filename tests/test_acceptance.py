@@ -193,22 +193,13 @@ def test_criterion_4_dsp_oracles():
     profile = synth.make_profile(SkillClass.C_A, seed=2)
     rec, intervals, _ = synth.generate(profile, duration=10.0)
     track = build_track(rec.samples)
-    base_sd = spectral_dynamics(track, intervals)
-    base_id = intensity_dynamics(track, intervals)
+    base = spectral_dynamics(track, intervals) + intensity_dynamics(track, intervals)
     for delta in (6.0206, -12.5):
         shifted = replace(track, energy=track.energy * 10.0 ** (delta / 10.0),
                           intensity_db=track.intensity_db + delta)
-        off_sd = spectral_dynamics(shifted, intervals)
-        off_id = intensity_dynamics(shifted, intervals)
-        drift = max(
-            abs(off_sd.freq_distribution_ratio - base_sd.freq_distribution_ratio),
-            abs(off_sd.norm_mode_count - base_sd.norm_mode_count),
-            abs(off_sd.norm_mode_variation - base_sd.norm_mode_variation),
-            abs(off_id.macro_mean - base_id.macro_mean),
-            abs(off_id.macro_std - base_id.macro_std),
-            abs(off_id.micro_mean - base_id.micro_mean),
-            abs(off_id.micro_std - base_id.micro_std),
-        )
+        off = spectral_dynamics(shifted, intervals) + intensity_dynamics(shifted, intervals)
+        # all 7 values: 3 spectral, then 4 intensity
+        drift = max(abs(a - b) for a, b in zip(off, base))
         if drift > 1e-9:
             failures.append(f"offset {delta:+.2f} dB drifted {drift:.2e}")
 

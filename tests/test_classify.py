@@ -15,7 +15,6 @@ from readskill.classify import (
     PLANS,
     RandomForestModel,
     StageModels,
-    _columns,
     _fold_assignment,
     _gini_gain_scan,
     _Node,
@@ -37,7 +36,7 @@ from readskill.errors import (
     SingleClassTraining,
     TooFewPerClass,
 )
-from readskill.featurize import FEATURE_NAMES
+from readskill.featurize import FEATURE_INDEX, FEATURE_NAMES
 from readskill.lexical import SkillClass
 
 
@@ -86,9 +85,6 @@ def test_forest_shape_errors():
         train_forest(rng.standard_normal(10), np.arange(10) % 2)
     with pytest.raises(DimensionMismatch):
         train_forest(rng.standard_normal((10, 3)), np.arange(8) % 2)
-    with pytest.raises(DimensionMismatch):
-        train_forest(rng.standard_normal((10, 3)), np.arange(10) % 2,
-                     feature_names=("a", "b"))
 
 
 def test_forest_nonfinite_rejected():
@@ -156,7 +152,7 @@ def test_importances_sum_to_one_and_rank_signal():
     model = train_forest(X, y, n_trees=20, seed_path=(11,))
     assert (model.importances >= 0.0).all() and model.importances.sum() > 0.0
     imp = model.importances / model.importances.sum()
-    assert model.feature_names[int(imp.argmax())] == "f2"
+    assert int(imp.argmax()) == 2
     assert imp[2] > 0.5
 
 
@@ -198,6 +194,7 @@ def test_all_plan_features_resolve():
         for stage in plan.stages:
             for name in stage.features:
                 assert name in FEATURE_NAMES
+            assert [FEATURE_NAMES[i] for i in stage.columns] == list(stage.features)
 
 
 @pytest.mark.parametrize("plan_id", sorted(PLANS))
@@ -212,12 +209,6 @@ def test_predict_stage_wrong_width():
     models = train_plan(PLANS["one_stage"], X, y, n_trees=5)
     with pytest.raises(DimensionMismatch):
         predict_stage(models, X[:, :5])
-
-
-def test_train_plan_missing_column():
-    X, y = gaussian_classes(seed=17, d=3)
-    with pytest.raises(DimensionMismatch):
-        train_plan(PLANS["one_stage"], X, y, feature_names=("a", "b", "c"))
 
 
 def test_fold_assignment_stratified_balance():
@@ -340,6 +331,23 @@ def test_load_model_wrong_format(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "bogus-v1"}')
     with pytest.raises(SchemaMismatch):
+        load_model(path)
+
+
+def test_load_model_too_deep_tree(tmp_path, monkeypatch):
+    # a tree nested deeper than the interpreter's recursion limit is a bad
+    # file, not a crash; JSON parsing itself may stop first on such a file
+    X, y = gaussian_classes(seed=25)
+    path = tmp_path / "model.json"
+    save_model(train_plan(PLANS["one_stage"], X, y, n_trees=1), path)
+    payload = json.loads(path.read_text())
+    leaf = {"counts": [1.0, 0.0, 0.0]}
+    node = leaf
+    for _ in range(5000):
+        node = {"feature": 0, "threshold": 0.5, "left": node, "right": leaf}
+    payload["stages"][0]["trees"] = [node]
+    monkeypatch.setattr("readskill.classify.json_object", lambda _: payload)
+    with pytest.raises(SchemaMismatch, match="malformed model .RecursionError"):
         load_model(path)
 
 
@@ -529,7 +537,7 @@ def _oracle_tree_predict(root, X):
     return out
 
 
-def _oracle_forest(X, y, n_trees, seed_path, n_classes, feature_names):
+def _oracle_forest(X, y, n_trees, seed_path, n_classes):
     """Oracle forest: the same trees, with leaf counts from the old walk."""
     n, d = X.shape
     m_features = math.ceil(math.sqrt(d))
@@ -543,8 +551,7 @@ def _oracle_forest(X, y, n_trees, seed_path, n_classes, feature_names):
         _oracle_route_counts(root, X, y, n_classes)
         importance_sum += imp
         trees.append(root)
-    return RandomForestModel(trees=trees, n_classes=n_classes,
-                             feature_names=tuple(feature_names),
+    return RandomForestModel(trees=trees, n_classes=n_classes, n_features=d,
                              importances=importance_sum / n_trees)
 
 
@@ -555,11 +562,16 @@ def _oracle_predict_batch(model, X):
     return votes.argmax(axis=1)
 
 
+def _oracle_columns(features):
+    """Oracle: a stage's columns, looked up name by name."""
+    return np.array([FEATURE_INDEX[name] for name in features])
+
+
 def _oracle_train_plan(plan, X, y, seed_path, n_trees):
     """Oracle: the three-branch stage training the one stage rule replaced."""
     models = []
     for s, stage in enumerate(plan.stages):
-        cols = _columns(FEATURE_NAMES, stage.features)
+        cols = _oracle_columns(stage.features)
         if stage.target is not None:
             Xs = X[:, cols]
             ys = (y == int(stage.target)).astype(np.int64)
@@ -576,9 +588,8 @@ def _oracle_train_plan(plan, X, y, seed_path, n_trees):
             n_classes = len(stage.classes)
         if len(np.unique(ys)) < 2:  # train_forest's check, which the oracle forest skips
             raise SingleClassTraining("training labels hold fewer than two classes")
-        models.append(_oracle_forest(Xs, ys, n_trees, (*seed_path, s), n_classes,
-                                     stage.features))
-    return StageModels(plan=plan, models=models, feature_names=FEATURE_NAMES)
+        models.append(_oracle_forest(Xs, ys, n_trees, (*seed_path, s), n_classes))
+    return StageModels(plan=plan, models=models)
 
 
 def _oracle_predict_stage(stage_models, X):
@@ -586,12 +597,12 @@ def _oracle_predict_stage(stage_models, X):
     plan = stage_models.plan
     if len(plan.stages) == 1:
         stage = plan.stages[0]
-        cols = _columns(FEATURE_NAMES, stage.features)
+        cols = _oracle_columns(stage.features)
         codes = _oracle_predict_batch(stage_models.models[0], X[:, cols])
         return np.array([int(stage.classes[c]) for c in codes], dtype=np.int64)
     s1, s2 = plan.stages
-    cols1 = _columns(FEATURE_NAMES, s1.features)
-    cols2 = _columns(FEATURE_NAMES, s2.features)
+    cols1 = _oracle_columns(s1.features)
+    cols2 = _oracle_columns(s2.features)
     hit = _oracle_predict_batch(stage_models.models[0], X[:, cols1]) == 1
     out = np.empty(len(X), dtype=np.int64)
     out[hit] = int(s1.target)
@@ -641,7 +652,7 @@ def test_plans_match_branching_oracle(tmp_path_factory, plan_id, table):
     cases = [rows, rows[:0]]
     if len(plan.stages) > 1:
         # probes that stage 0 claims in full, and probes it claims none of
-        cols = _columns(FEATURE_NAMES, plan.stages[0].features)
+        cols = _oracle_columns(plan.stages[0].features)
         hit = _oracle_predict_batch(want.models[0], rows[:, cols]) == 1
         cases += [rows[hit], rows[~hit]]
     for probe in cases:
@@ -670,12 +681,11 @@ def forest_tables(draw):
 @example((np.ones((6, 3)), np.array([0, 1, 0, 1, 0, 1]), 2, 3), 0)  # no column splits
 def test_forest_matches_recursive_oracle(tmp_path_factory, table, seed):
     X, y, n_classes, n_trees = table
-    names = tuple(f"f{i}" for i in range(X.shape[1]))
     got = train_forest(X, y, n_trees=n_trees, seed_path=(seed,), n_classes=n_classes)
-    want = _oracle_forest(X, y, n_trees, (seed,), n_classes, names)
+    want = _oracle_forest(X, y, n_trees, (seed,), n_classes)
     assert got.importances.tobytes() == want.importances.tobytes()
     root = tmp_path_factory.mktemp("forests")
     for name, model in (("got", got), ("want", want)):
-        save_model(StageModels(plan=PLANS["one_stage"], models=[model],
-                               feature_names=names), root / f"{name}.json")
+        save_model(StageModels(plan=PLANS["one_stage"], models=[model]),
+                   root / f"{name}.json")
     assert (root / "got.json").read_bytes() == (root / "want.json").read_bytes()

@@ -612,6 +612,33 @@ def test_edge_feature_settings_are_valid(setting):
     assert run("--set", setting, "config") == 0
 
 
+@pytest.mark.parametrize("command", ["cluster", "evaluate", "train"])
+def test_negative_seed_exits_2(small_corpus, featurized, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(featurized / "features.csv", out)
+    rc = run("--set", f"corpus_root={small_corpus}", "--set", f"out_dir={out}",
+             "--set", "seed=-1", "--set", "folds=3", "--jobs", "1", command)
+    assert rc == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+    assert [p.name for p in out.iterdir()] == ["features.csv"]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train", "predict"])
+@pytest.mark.parametrize("plan", ["", ","])
+def test_empty_plan_list_exits_2(small_corpus, featurized, tmp_path, capsys, command,
+                                 plan):
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(featurized / "features.csv", out)
+    rc = run("--set", f"corpus_root={small_corpus}", "--set", f"out_dir={out}",
+             "--set", f"plan={plan}", "--jobs", "1", command)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: plan names no plan id")
+    assert [p.name for p in out.iterdir()] == ["features.csv"]
+
+
 def test_missing_config_file(tmp_path, capsys):
     rc = run("--config", str(tmp_path / "absent.cfg"), "config")
     assert rc == 2
@@ -792,9 +819,10 @@ def _first_leaf(payload):
      "stage 0 has 2 classes, plan one_stage needs 3"),
     (_edit_model(lambda m: _first_leaf(m)["counts"].pop()),
      "malformed model (ValueError: leaf counts of shape (2,), expected (3,))"),
+    (lambda _: "[" * 200_000, "not a JSON file"),
 ], ids=["not_json", "unknown_plan", "no_stages", "empty_stages",
         "feature_out_of_range", "features_reordered", "feature_names_reordered",
-        "class_count", "leaf_counts_short"])
+        "class_count", "leaf_counts_short", "too_deep"])
 def test_bad_model_file_exits_2(small_corpus, featurized, tmp_path, capsys,
                                 one_stage_model, content, needle):
     model = tmp_path / "model.json"
@@ -809,7 +837,8 @@ def test_bad_model_file_exits_2(small_corpus, featurized, tmp_path, capsys,
     ("cvreport, but not JSON\n", "not a JSON file"),
     ('{"format": "%s"}' % classify.MODEL_VERSION, "not a cvreport-v1 report"),
     ('{"format": "cvreport-v1"}', "malformed report (KeyError: 'plan')"),
-], ids=["not_json", "other_format", "no_plan"])
+    ("[" * 200_000, "not a JSON file"),
+], ids=["not_json", "other_format", "no_plan", "too_deep"])
 def test_bad_cvreport_exits_2(tmp_path, capsys, content, needle):
     (tmp_path / "cvreport_x.json").write_text(content)
     rc = run("--set", f"out_dir={tmp_path}", "--jobs", "1", "report")
@@ -849,9 +878,10 @@ def _cluster_model(**fields) -> str:
     (_cluster_model(variant="A"), "variant 'A', expected 'B'"),
     (_cluster_model(centroids=[row + [0.0] for row in CLUSTER_CENTROIDS]),
      "centroids of shape (3, 5), expected (3, 4)"),
+    ("[" * 200_000, "not a JSON file"),
 ], ids=["not_json", "unknown_class", "no_centroids", "missing_cluster",
         "repeated_class", "cluster_out_of_range", "nan_centroid", "variant_a",
-        "wrong_shape"])
+        "wrong_shape", "too_deep"])
 def test_bad_cluster_model_exits_2(small_corpus, tmp_path, capsys, content, needle):
     (tmp_path / "cluster_model.json").write_text(content)
     rc = run("--set", f"corpus_root={small_corpus}", "--set", f"out_dir={tmp_path}",

@@ -175,6 +175,9 @@ def test_validate_plan_names():
     assert cfg.plan_ids() == ["one_stage", "two_stage_P", "two_stage_Q"]
     with pytest.raises(ConfigError):
         load_config(overrides=["plan=three_stage"])
+    for empty in ("", ",", " , "):
+        with pytest.raises(ConfigError, match="plan names no plan id"):
+            load_config(overrides=[f"plan={empty}"])
 
 
 def test_plan_ids_strips_blanks():

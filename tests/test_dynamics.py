@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from readskill.dsp import FRAME_LEN, HOP_S, FrameTrack, moving_average
-from readskill.dynamics import (
-    IntensityDynamics,
-    SpectralDynamics,
-    intensity_dynamics,
-    spectral_dynamics,
-)
+from readskill.dynamics import intensity_dynamics, spectral_dynamics
 
 CENTER_S = 0.0125
 
@@ -82,18 +77,19 @@ def spectral_oracle(centroids, speech, interval_of):
 
 def test_single_band_degenerate():
     track = make_track(np.full(50, 1234.0))
-    out = spectral_dynamics(track, spans((0.0, 50 * HOP_S + 0.1)))
-    assert out.freq_distribution_ratio == 50.0
-    assert out.norm_mode_count == 1.0
-    assert out.norm_mode_variation == 0.0
+    ratio, mode_count, mode_variation = spectral_dynamics(
+        track, spans((0.0, 50 * HOP_S + 0.1)))
+    assert ratio == 50.0
+    assert mode_count == 1.0
+    assert mode_variation == 0.0
 
 
 def test_even_two_band_split_ratio_one():
     # alternate between band 2 (900 Hz) and band 5 (2100 Hz)
     cents = [900.0 if i % 2 == 0 else 2100.0 for i in range(40)]
     track = make_track(cents)
-    out = spectral_dynamics(track, spans((0.0, 40 * HOP_S + 0.1)))
-    assert out.freq_distribution_ratio == pytest.approx(1.0)
+    ratio, _, _ = spectral_dynamics(track, spans((0.0, 40 * HOP_S + 0.1)))
+    assert ratio == pytest.approx(1.0)
 
 
 def test_spectral_matches_counting_oracle():
@@ -108,22 +104,22 @@ def test_spectral_matches_counting_oracle():
     interval_of = frame_interval(n, 3, duration)
     got = spectral_dynamics(track, ivs)
     want = spectral_oracle(cents, speech, interval_of)
-    assert got.freq_distribution_ratio == pytest.approx(want[0], abs=1e-9)
-    assert got.norm_mode_count == pytest.approx(want[1], abs=1e-9)
-    assert got.norm_mode_variation == pytest.approx(want[2], abs=1e-9)
+    assert got[0] == pytest.approx(want[0], abs=1e-9)
+    assert got[1] == pytest.approx(want[1], abs=1e-9)
+    assert got[2] == pytest.approx(want[2], abs=1e-9)
 
 
 def test_band_edges_clip_to_top_band():
     track = make_track([8000.0, 7999.0, 8000.0, 8000.0])
-    out = spectral_dynamics(track, spans((0.0, 1.0)))
+    _, mode_count, _ = spectral_dynamics(track, spans((0.0, 1.0)))
     # 8000 Hz would index band 20; it must clip into band 19 with 7999
-    assert out.norm_mode_count == 1.0
+    assert mode_count == 1.0
 
 
 def test_spectral_no_speech():
     track = make_track(np.full(30, 500.0), speech=np.zeros(30, dtype=bool))
     out = spectral_dynamics(track, spans((0.0, 1.0)))
-    assert out == SpectralDynamics(0.0, 0.0, 0.0)
+    assert out == (0.0, 0.0, 0.0)
 
 
 def test_spectral_skips_empty_intervals():
@@ -134,16 +130,16 @@ def test_spectral_skips_empty_intervals():
     speech[40:70] = False
     track = make_track(np.full(n, 1000.0), speech=speech)
     ivs = spans((0.0, 0.4), (0.4, 0.7), (0.7, duration))
-    out = spectral_dynamics(track, ivs)
-    assert np.isfinite(out.freq_distribution_ratio)
-    assert np.isfinite(out.norm_mode_variation)
+    ratio, _, mode_variation = spectral_dynamics(track, ivs)
+    assert np.isfinite(ratio)
+    assert np.isfinite(mode_variation)
 
 
 def test_intensity_constant_contour_zero():
     track = make_track(np.full(80, 1000.0), intensity=np.full(80, -15.0))
-    out = intensity_dynamics(track, spans((0.0, 80 * HOP_S + 0.1)))
-    assert out.macro_mean == 0.0
-    assert out.micro_mean == 0.0
+    macro_mean, _, micro_mean, _ = intensity_dynamics(track, spans((0.0, 80 * HOP_S + 0.1)))
+    assert macro_mean == 0.0
+    assert micro_mean == 0.0
 
 
 def test_intensity_offset_invariant():
@@ -152,10 +148,8 @@ def test_intensity_offset_invariant():
     ivs = spans((0.0, 0.6), (0.6, 120 * HOP_S + 0.05))
     a = intensity_dynamics(make_track(np.full(120, 1000.0), intensity=base), ivs)
     b = intensity_dynamics(make_track(np.full(120, 1000.0), intensity=base + 12.5), ivs)
-    assert a.macro_mean == pytest.approx(b.macro_mean, abs=1e-9)
-    assert a.macro_std == pytest.approx(b.macro_std, abs=1e-9)
-    assert a.micro_mean == pytest.approx(b.micro_mean, abs=1e-9)
-    assert a.micro_std == pytest.approx(b.micro_std, abs=1e-9)
+    for got, want in zip(a, b):  # macro mean and std, micro mean and std
+        assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_intensity_alternating_micro_exact():
@@ -164,10 +158,11 @@ def test_intensity_alternating_micro_exact():
     n = 200
     contour = np.where(np.arange(n) % 2 == 0, -17.0, -23.0)
     track = make_track(np.full(n, 1000.0), intensity=contour)
-    out = intensity_dynamics(track, spans((0.0, n * HOP_S + 0.1)))
-    assert out.micro_mean == pytest.approx(6.0)
-    assert out.micro_std == pytest.approx(0.0, abs=1e-9)
-    assert out.macro_mean < 0.2
+    macro_mean, _, micro_mean, micro_std = intensity_dynamics(
+        track, spans((0.0, n * HOP_S + 0.1)))
+    assert micro_mean == pytest.approx(6.0)
+    assert micro_std == pytest.approx(0.0, abs=1e-9)
+    assert macro_mean < 0.2
 
 
 def test_intensity_slow_sinusoid_macro():
@@ -176,7 +171,8 @@ def test_intensity_slow_sinusoid_macro():
     n = 400
     contour = -20.0 + 6.0 * np.sin(2.0 * np.pi * np.arange(n) / n)
     track = make_track(np.full(n, 1000.0), intensity=contour)
-    out = intensity_dynamics(track, spans((0.0, n * HOP_S + 0.1)))
+    macro_mean, macro_std, micro_mean, micro_std = intensity_dynamics(
+        track, spans((0.0, n * HOP_S + 0.1)))
 
     centered = contour - contour.mean()
     smooth = moving_average(centered, 31)
@@ -185,13 +181,13 @@ def test_intensity_slow_sinusoid_macro():
     windows = [diffs[i: i + 4].mean() for i in range(0, len(diffs) - len(diffs) % 4, 4)]
     micro_want = float(np.mean(windows))
     micro_std_want = float(np.std(windows))
-    assert out.macro_mean == pytest.approx(macro_want, abs=1e-6)
-    assert out.macro_std == 0.0
-    assert out.micro_mean == pytest.approx(micro_want, abs=1e-6)
-    assert out.micro_std == pytest.approx(micro_std_want, abs=1e-6)
+    assert macro_mean == pytest.approx(macro_want, abs=1e-6)
+    assert macro_std == 0.0
+    assert micro_mean == pytest.approx(micro_want, abs=1e-6)
+    assert micro_std == pytest.approx(micro_std_want, abs=1e-6)
     # amplitude-6 sinusoid smoothed over 31 of 400 frames keeps most of
     # its swing: population std near 6/sqrt(2)
-    assert 3.5 <= out.macro_mean <= 4.4
+    assert 3.5 <= macro_mean <= 4.4
 
 
 def test_intensity_random_matches_loop_oracle():
@@ -203,7 +199,7 @@ def test_intensity_random_matches_loop_oracle():
     speech[:3] = True
     track = make_track(np.full(n, 1000.0), intensity=contour, speech=speech)
     ivs = spans((0.0, duration / 2), (duration / 2, duration))
-    out = intensity_dynamics(track, ivs)
+    macro_mean, macro_std, micro_mean, micro_std = intensity_dynamics(track, ivs)
 
     interval_of = frame_interval(n, 2, duration)
     macros, windows = [], []
@@ -217,16 +213,16 @@ def test_intensity_random_matches_loop_oracle():
         diffs = np.abs(np.diff(seg))
         for i in range(0, len(diffs) - len(diffs) % 4, 4):
             windows.append(float(diffs[i: i + 4].mean()))
-    assert out.macro_mean == pytest.approx(np.mean(macros), abs=1e-9)
-    assert out.macro_std == pytest.approx(np.std(macros), abs=1e-9)
-    assert out.micro_mean == pytest.approx(np.mean(windows), abs=1e-9)
-    assert out.micro_std == pytest.approx(np.std(windows), abs=1e-9)
+    assert macro_mean == pytest.approx(np.mean(macros), abs=1e-9)
+    assert macro_std == pytest.approx(np.std(macros), abs=1e-9)
+    assert micro_mean == pytest.approx(np.mean(windows), abs=1e-9)
+    assert micro_std == pytest.approx(np.std(windows), abs=1e-9)
 
 
 def test_intensity_no_speech():
     track = make_track(np.full(30, 500.0), speech=np.zeros(30, dtype=bool))
     out = intensity_dynamics(track, spans((0.0, 1.0)))
-    assert out == IntensityDynamics(0.0, 0.0, 0.0, 0.0)
+    assert out == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_intensity_single_frame_interval():
@@ -234,6 +230,6 @@ def test_intensity_single_frame_interval():
     speech = np.zeros(50, dtype=bool)
     speech[10] = True
     track = make_track(np.full(50, 500.0), speech=speech)
-    out = intensity_dynamics(track, spans((0.0, 1.0)))
-    assert out.macro_mean == 0.0
-    assert out.micro_mean == 0.0
+    macro_mean, _, micro_mean, _ = intensity_dynamics(track, spans((0.0, 1.0)))
+    assert macro_mean == 0.0
+    assert micro_mean == 0.0

@@ -2,20 +2,13 @@
 wiring, and the versioned CSV round trip."""
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from readskill import synth
 from readskill.corpus import AudioRecording, StoryText
 from readskill.dsp import HOP_S
-from readskill.dynamics import (
-    IntensityDynamics,
-    SpectralDynamics,
-    intensity_dynamics,
-    spectral_dynamics,
-)
+from readskill.dynamics import intensity_dynamics, spectral_dynamics
 from readskill.errors import IntervalCountMismatch, SchemaMismatch
 from readskill.featurize import (
     FEATURE_GROUPS,
@@ -26,12 +19,7 @@ from readskill.featurize import (
     read_features,
     write_features,
 )
-from readskill.pauses import (
-    PauseFeatures,
-    SyllableRateFeatures,
-    pause_features,
-    syllable_rate_features,
-)
+from readskill.pauses import pause_features, syllable_rate_features
 
 SAMPLE_RATE = 16000
 
@@ -68,18 +56,6 @@ def test_feature_groups_partition_names():
     for group in ("pause", "rate", "spectral_dynamics", "intensity_dynamics"):
         seen.extend(FEATURE_GROUPS[group])
     assert tuple(seen) == FEATURE_NAMES
-
-
-@pytest.mark.parametrize("group, cls, prefix", [
-    ("pause", PauseFeatures, ""),
-    ("rate", SyllableRateFeatures, ""),
-    ("spectral_dynamics", SpectralDynamics, ""),
-    ("intensity_dynamics", IntensityDynamics, "intensity_"),
-])
-def test_group_fields_follow_feature_names(group, cls, prefix):
-    # extract_features concatenates the groups' fields in this order
-    names = tuple(prefix + f.name for f in dataclasses.fields(cls))
-    assert names == FEATURE_GROUPS[group]
 
 
 def test_feature_index_round_trip():
@@ -130,23 +106,23 @@ def test_values_wired_to_component_outputs():
     idy = intensity_dynamics(detail.track, ivs)
 
     v = vec.values
-    assert v[FEATURE_INDEX["pause_mean"]] == pf.pause_mean
-    assert v[FEATURE_INDEX["pause_std"]] == pf.pause_std
-    assert v[FEATURE_INDEX["pause_min"]] == pf.pause_min
-    assert v[FEATURE_INDEX["pause_max"]] == pf.pause_max
-    assert v[FEATURE_INDEX["pause_freq"]] == pf.pause_freq
-    assert v[FEATURE_INDEX["pauses_per_interval"]] == pf.pauses_per_interval
-    assert v[FEATURE_INDEX["rel_syll_mean"]] == sr.rel_syll_mean
-    assert v[FEATURE_INDEX["rel_syll_std"]] == sr.rel_syll_std
-    assert v[FEATURE_INDEX["rel_syll_cv"]] == sr.rel_syll_cv
-    assert v[FEATURE_INDEX["articulation_rate"]] == sr.articulation_rate
-    assert v[FEATURE_INDEX["freq_distribution_ratio"]] == sd.freq_distribution_ratio
-    assert v[FEATURE_INDEX["norm_mode_count"]] == sd.norm_mode_count
-    assert v[FEATURE_INDEX["norm_mode_variation"]] == sd.norm_mode_variation
-    assert v[FEATURE_INDEX["intensity_macro_mean"]] == idy.macro_mean
-    assert v[FEATURE_INDEX["intensity_macro_std"]] == idy.macro_std
-    assert v[FEATURE_INDEX["intensity_micro_mean"]] == idy.micro_mean
-    assert v[FEATURE_INDEX["intensity_micro_std"]] == idy.micro_std
+    assert v[FEATURE_INDEX["pause_mean"]] == pf[0]
+    assert v[FEATURE_INDEX["pause_std"]] == pf[1]
+    assert v[FEATURE_INDEX["pause_min"]] == pf[2]
+    assert v[FEATURE_INDEX["pause_max"]] == pf[3]
+    assert v[FEATURE_INDEX["pause_freq"]] == pf[4]
+    assert v[FEATURE_INDEX["pauses_per_interval"]] == pf[5]
+    assert v[FEATURE_INDEX["rel_syll_mean"]] == sr[0]
+    assert v[FEATURE_INDEX["rel_syll_std"]] == sr[1]
+    assert v[FEATURE_INDEX["rel_syll_cv"]] == sr[2]
+    assert v[FEATURE_INDEX["articulation_rate"]] == sr[3]
+    assert v[FEATURE_INDEX["freq_distribution_ratio"]] == sd[0]
+    assert v[FEATURE_INDEX["norm_mode_count"]] == sd[1]
+    assert v[FEATURE_INDEX["norm_mode_variation"]] == sd[2]
+    assert v[FEATURE_INDEX["intensity_macro_mean"]] == idy[0]
+    assert v[FEATURE_INDEX["intensity_macro_std"]] == idy[1]
+    assert v[FEATURE_INDEX["intensity_micro_mean"]] == idy[2]
+    assert v[FEATURE_INDEX["intensity_micro_std"]] == idy[3]
 
 
 def test_articulation_rate_tracks_bump_rate():

@@ -9,7 +9,6 @@ import pytest
 from readskill.dsp import FRAME_LEN, HOP_S, SAMPLE_RATE, build_track
 from readskill.errors import IntervalCountMismatch
 from readskill.pauses import (
-    PauseFeatures,
     SyllableConfig,
     detect_syllables,
     dump_events,
@@ -65,35 +64,35 @@ def test_alternating_frames_no_pause():
 def test_pause_features_two_known_pauses():
     pauses = np.array([(1.0, 0.3), (4.0, 0.5)])
     ivs = spans((0.0, 2.0), (2.0, 4.0), (4.0, 6.0), (6.0, 8.0))
-    feats = pause_features(pauses, ivs, total_duration=8.0)
-    assert feats.pause_mean == pytest.approx(0.4)
+    mean, std, lo, hi, freq, per_interval = pause_features(pauses, ivs, total_duration=8.0)
+    assert mean == pytest.approx(0.4)
     # population std of {0.3, 0.5}
-    assert feats.pause_std == pytest.approx(0.1)
-    assert feats.pause_min == pytest.approx(0.3)
-    assert feats.pause_max == pytest.approx(0.5)
-    assert feats.pause_freq == pytest.approx(2.0 / 8.0)
+    assert std == pytest.approx(0.1)
+    assert lo == pytest.approx(0.3)
+    assert hi == pytest.approx(0.5)
+    assert freq == pytest.approx(2.0 / 8.0)
     # midpoints 1.15 and 4.25 land in intervals 0 and 2: counts (1,0,1,0)
-    assert feats.pauses_per_interval == pytest.approx(0.5)
+    assert per_interval == pytest.approx(0.5)
 
 
 def test_pause_features_single_pause_std_zero():
-    feats = pause_features(np.array([(0.5, 0.25)]),
-                           spans((0.0, 2.0)), total_duration=2.0)
-    assert feats.pause_mean == pytest.approx(0.25)
-    assert feats.pause_std == 0.0
-    assert feats.pause_min == feats.pause_max == pytest.approx(0.25)
+    mean, std, lo, hi, _, _ = pause_features(np.array([(0.5, 0.25)]),
+                                             spans((0.0, 2.0)), total_duration=2.0)
+    assert mean == pytest.approx(0.25)
+    assert std == 0.0
+    assert lo == hi == pytest.approx(0.25)
 
 
 def test_pause_features_empty():
     feats = pause_features(np.empty((0, 2)), spans((0.0, 2.0)), total_duration=2.0)
-    assert feats == PauseFeatures(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert feats == (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_pause_midpoint_past_last_interval_end():
     # midpoint 7.9 is past every interval end: attributed to the last one
-    feats = pause_features(np.array([(7.8, 0.2)]),
-                           spans((0.0, 4.0), (4.0, 7.85)), total_duration=8.0)
-    assert feats.pauses_per_interval == pytest.approx(0.5)
+    *_, per_interval = pause_features(np.array([(7.8, 0.2)]),
+                                      spans((0.0, 4.0), (4.0, 7.85)), total_duration=8.0)
+    assert per_interval == pytest.approx(0.5)
 
 
 def test_detect_syllables_4hz_am():
@@ -167,40 +166,40 @@ def test_detect_syllables_min_gap():
 def test_syllable_rate_features_exact():
     # 8 peaks over intervals expecting (4, 6) and 2 s of speech
     peaks = np.array([0.25, 0.5, 0.75, 1.0, 2.25, 2.5, 2.75, 3.0])
-    feats = syllable_rate_features(peaks, spans((0.0, 2.0), (2.0, 4.0)),
-                                   expected_counts=[4, 6], speech_duration=2.0)
+    rel_mean, rel_std, rel_cv, rate = syllable_rate_features(
+        peaks, spans((0.0, 2.0), (2.0, 4.0)), expected_counts=[4, 6], speech_duration=2.0)
     # per-interval relative counts: 4/4 = 1.0 and 4/6
     rels = [1.0, 4.0 / 6.0]
     mean = sum(rels) / 2.0
     std = (sum((r - mean) ** 2 for r in rels) / 2.0) ** 0.5
-    assert feats.rel_syll_mean == pytest.approx(mean)
-    assert feats.rel_syll_std == pytest.approx(std)
-    assert feats.rel_syll_cv == pytest.approx(std / mean)
-    assert feats.articulation_rate == pytest.approx(8.0 / 2.0)
+    assert rel_mean == pytest.approx(mean)
+    assert rel_std == pytest.approx(std)
+    assert rel_cv == pytest.approx(std / mean)
+    assert rate == pytest.approx(8.0 / 2.0)
 
 
 def test_syllable_rate_features_uniform_cv_zero():
     peaks = np.array([0.25, 0.75, 1.25, 1.75, 2.25, 2.75, 3.25, 3.75])
-    feats = syllable_rate_features(peaks, spans((0.0, 2.0), (2.0, 4.2)),
-                                   expected_counts=[4, 4], speech_duration=4.0)
-    assert feats.rel_syll_std == 0.0
-    assert feats.rel_syll_cv == 0.0
-    assert feats.articulation_rate == pytest.approx(2.0)
+    _, rel_std, rel_cv, rate = syllable_rate_features(
+        peaks, spans((0.0, 2.0), (2.0, 4.2)), expected_counts=[4, 4], speech_duration=4.0)
+    assert rel_std == 0.0
+    assert rel_cv == 0.0
+    assert rate == pytest.approx(2.0)
 
 
 def test_syllable_rate_features_no_peaks():
-    feats = syllable_rate_features(np.empty(0), spans((0.0, 2.0)), expected_counts=[4],
-                                   speech_duration=1.5)
-    assert feats.rel_syll_mean == 0.0
-    assert feats.rel_syll_std == 0.0
-    assert feats.rel_syll_cv == 0.0
-    assert feats.articulation_rate == 0.0
+    rel_mean, rel_std, rel_cv, rate = syllable_rate_features(
+        np.empty(0), spans((0.0, 2.0)), expected_counts=[4], speech_duration=1.5)
+    assert rel_mean == 0.0
+    assert rel_std == 0.0
+    assert rel_cv == 0.0
+    assert rate == 0.0
 
 
 def test_syllable_rate_features_short_speech_zero_rate():
-    feats = syllable_rate_features(np.array([0.05]), spans((0.0, 2.0)),
-                                   expected_counts=[4], speech_duration=0.05)
-    assert feats.articulation_rate == 0.0
+    *_, rate = syllable_rate_features(np.array([0.05]), spans((0.0, 2.0)),
+                                      expected_counts=[4], speech_duration=0.05)
+    assert rate == 0.0
 
 
 def test_syllable_rate_features_count_mismatch():

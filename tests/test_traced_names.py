@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from readskill import asr_align, classify, dsp, pauses, synth
+from readskill import asr_align, classify, corpus, dsp, pauses, synth
 from readskill.featurize import FEATURE_NAMES
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -61,6 +61,11 @@ def test_counter_inputs_keep_their_shape():
     # asr_align:align's cells counter multiplies the lengths of its first two
     # positional arguments, and cli passes them positionally
     assert list(inspect.signature(asr_align.align).parameters)[:2] == ["canonical", "hypothesis"]
+    # corpus:load_wav's bytes_read counter sizes the file at args[0], and
+    # classify:save_model's model_bytes counter the file at args[1]
+    assert list(inspect.signature(corpus.load_wav).parameters)[:1] == ["path"]
+    assert list(inspect.signature(classify.save_model).parameters)[:2] == [
+        "stage_models", "path"]
 
 
 def test_harmonicity_is_computed_through_the_module(monkeypatch):
