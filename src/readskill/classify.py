@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import json_object
+from .corpus import json_object, write_rows
 from .errors import (
     DimensionMismatch,
     EmptyMatrix,
@@ -368,6 +368,14 @@ def predict_stage(stage_models: StageModels, X: np.ndarray) -> np.ndarray:
     return out
 
 
+def confusion(actual, predicted) -> np.ndarray:
+    """Counts of (actual, predicted) class code pairs as a 3x3 matrix:
+    rows actual, columns predicted."""
+    n = len(SkillClass)
+    pairs = n * np.asarray(actual, dtype=np.int64) + np.asarray(predicted, dtype=np.int64)
+    return np.bincount(pairs, minlength=n * n).reshape(n, n)
+
+
 def accuracy(confusion: np.ndarray) -> float:
     """Trace over total of a square confusion matrix."""
     c = np.asarray(confusion, dtype=np.float64)
@@ -422,11 +430,7 @@ def _cv_fold(plan: StagePlan, X: np.ndarray, y: np.ndarray, fold_of: np.ndarray,
     test = fold_of == f
     train = ~test
     models = train_plan(plan, X[train], y[train], seed_path=(seed, f), n_trees=n_trees)
-    pred = predict_stage(models, X[test])
-    n_classes = len(SkillClass)
-    conf = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for a, p in zip(y[test], pred):
-        conf[a, p] += 1
+    conf = confusion(y[test], predict_stage(models, X[test]))
     vectors = []
     for stage, model in zip(plan.stages, models.models):
         vec = np.zeros(len(FEATURE_NAMES))
@@ -497,10 +501,9 @@ def write_report(report: CVReport, json_path, csv_path) -> None:
 
 def write_confusion(matrix, class_names, path) -> None:
     """Emit a confusion matrix as CSV: rows actual, columns predicted."""
-    with open(path, "w") as fh:
-        fh.write("actual\\predicted," + ",".join(class_names) + "\n")
-        for name, row in zip(class_names, matrix):
-            fh.write(name + "," + ",".join(str(int(v)) for v in row) + "\n")
+    write_rows([("actual\\predicted", *class_names),
+                *((name, *row) for name, row in zip(class_names, np.asarray(matrix).tolist()))],
+               path)
 
 
 def _node_to_dict(node: _Node):

@@ -20,7 +20,7 @@ import numpy as np
 from . import asr_align, classify, featurize, lexical
 from .config import RunConfig, load_config
 from .corpus import (CorpusIndex, json_object, load_wav, parse_intervals,
-                     parse_transcription, scan_corpus)
+                     parse_transcription, scan_corpus, write_rows)
 from .dsp import dump_frames
 from .errors import NoModel, ReadskillError, SchemaMismatch, UnknownLabel
 from .lexical import SKILL_NAMES, SkillClass
@@ -71,17 +71,16 @@ def _isolated(work, rid):
 
 def _featurize_one(index: CorpusIndex, fcfg, out_dir: Path, dump_fr: bool,
                    dump_ev: bool, rid: str):
-    """Feature vector of one recording; writes its dumps when asked."""
+    """(rid, class or None, feature values) of one recording; writes its
+    dumps when asked."""
     recording = load_wav(index.wav_path(rid))
     intervals, _ = parse_intervals(index.intervals_path(rid), recording.duration)
-    vec, detail = featurize.extract_features(
-        recording, intervals, index.story, label=index.labels.get(rid),
-        recording_id=rid, cfg=fcfg)
+    values, detail = featurize.extract_features(recording, intervals, index.story, fcfg)
     if dump_fr:
         dump_frames(detail.track, out_dir / f"frames_{rid}.csv")
     if dump_ev:
         dump_events(detail.pauses, detail.peaks, out_dir / f"events_{rid}.csv")
-    return vec
+    return rid, index.labels.get(rid), values
 
 
 def cmd_featurize(cfg: RunConfig, args) -> int:
@@ -126,21 +125,20 @@ def cmd_cluster(cfg: RunConfig, args) -> int:
     sweep_b = lexical.sweep_k(points_b, k_range, seed=cfg.seed,
                               restarts=cfg.kmeans_restarts)
 
-    with open(out_dir / "silhouette.csv", "w") as fh:
-        fh.write("variant,k,silhouette\n")
-        for variant, sweep in (("A", sweep_a), ("B", sweep_b)):
-            for k, score in sweep:
-                fh.write(f"{variant},{k},{float(score)!r}\n")
+    write_rows([("variant", "k", "silhouette"),
+                *((variant, k, float(score))
+                  for variant, sweep in (("A", sweep_a), ("B", sweep_b)) for k, score in sweep)],
+               out_dir / "silhouette.csv")
 
     model = lexical.kmeans(points_b, 3, seed=cfg.seed, restarts=cfg.kmeans_restarts)
     model.silhouette = lexical.silhouette(points_b, model.assignments)
     labels = lexical.label_clusters(model.centroids)
     lexical.save_cluster_model(model, labels, out_dir / "cluster_model.json")
 
-    with open(out_dir / "clusters.csv", "w") as fh:
-        fh.write("id,cluster,skill\n")
-        for rid, cluster in zip(ids, model.assignments):
-            fh.write(f"{rid},{int(cluster)},{labels[int(cluster)].name}\n")
+    write_rows([("id", "cluster", "skill"),
+                *((rid, cluster, labels[cluster].name)
+                  for rid, cluster in zip(ids, model.assignments.tolist()))],
+               out_dir / "clusters.csv")
 
     line_chart(
         [("variant A", [float(k) for k, _ in sweep_a], [s for _, s in sweep_a],
@@ -166,26 +164,17 @@ def cmd_cluster(cfg: RunConfig, args) -> int:
     return 1 if errors else 0
 
 
-def _feature_matrix(cfg: RunConfig):
-    """The rows of features.csv and their (n, 17) matrix, 2-D even when
-    the table holds no rows."""
-    rows = featurize.read_features(Path(cfg.out_dir) / "features.csv")
-    X = np.array([r.values for r in rows]).reshape(-1, len(featurize.FEATURE_NAMES))
-    return rows, X
-
-
 def _labeled_matrix(cfg: RunConfig):
-    rows, X = _feature_matrix(cfg)
-    if not rows:
-        raise SchemaMismatch(f"{Path(cfg.out_dir) / 'features.csv'}: no feature rows")
-    y = []
-    for r in rows:
-        if r.label not in SKILL_NAMES:
-            raise UnknownLabel(
-                f"{r.recording_id}: class {r.label!r} is not one of {SKILL_NAMES}"
-            )
-        y.append(int(SkillClass[r.label]))
-    return rows, X, np.array(y, dtype=np.int64)
+    """The ids, matrix and class codes of features.csv, which must hold
+    rows, each with a known class."""
+    path = Path(cfg.out_dir) / "features.csv"
+    ids, classes, X = featurize.read_features(path)
+    if not ids:
+        raise SchemaMismatch(f"{path}: no feature rows")
+    for rid, label in zip(ids, classes):
+        if label not in SKILL_NAMES:
+            raise UnknownLabel(f"{rid}: class {label!r} is not one of {SKILL_NAMES}")
+    return ids, X, np.array([SkillClass[label] for label in classes], dtype=np.int64)
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
@@ -204,27 +193,21 @@ def cmd_predict(cfg: RunConfig, args) -> int:
     model_path = args.model or str(
         Path(cfg.out_dir) / f"model_{cfg.plan_ids()[0]}.json")
     models = classify.load_model(model_path)
-    rows, X = _feature_matrix(cfg)
+    ids, _, X = featurize.read_features(Path(cfg.out_dir) / "features.csv")
     pred = classify.predict_stage(models, X)
     out = Path(cfg.out_dir) / "predictions.csv"
-    with open(out, "w") as fh:
-        fh.write("id,skill\n")
-        for r, p in zip(rows, pred):
-            fh.write(f"{r.recording_id},{SkillClass(int(p)).name}\n")
+    write_rows([("id", "skill"), *((rid, SkillClass(p).name)
+                                   for rid, p in zip(ids, pred.tolist()))], out)
     print(f"predict: wrote {out}")
     return 0
 
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
-    rows, X, y = _labeled_matrix(cfg)
+    ids, X, y = _labeled_matrix(cfg)
     groups = None
     if cfg.group_by:
         index = scan_corpus(cfg.corpus_root)
-        groups = [
-            index.metadata.get(r.recording_id, {}).get(cfg.group_by)
-            or r.recording_id
-            for r in rows
-        ]
+        groups = [index.metadata.get(rid, {}).get(cfg.group_by) or rid for rid in ids]
     out_dir = Path(cfg.out_dir)
     plan_ids = cfg.plan_ids()
     with _pool_map(args.jobs) as map_fn:
@@ -258,14 +241,12 @@ def cmd_asr_align(cfg: RunConfig, args) -> int:
     centroids, labels = lexical.load_cluster_model(out_dir / "cluster_model.json")
     work = functools.partial(_asr_align_one, index, centroids, labels, cfg.tau)
     results, errors = _per_recording(work, index.ids, args.jobs)
-    confusion = np.zeros((3, 3), dtype=np.int64)
-    with open(out_dir / "asr_classes.csv", "w") as fh:
-        fh.write("id,pct_C,pct_M,pct_I,skill\n")
-        for rid, (pct_c, pct_m, pct_i), skill in results:
-            fh.write(f"{rid},{pct_c!r},{pct_m!r},{pct_i!r},{skill.name}\n")
-            truth = index.labels.get(rid)
-            if truth in SKILL_NAMES:
-                confusion[int(SkillClass[truth]), int(skill)] += 1
+    write_rows([("id", "pct_C", "pct_M", "pct_I", "skill"),
+                *((rid, *pct, skill.name) for rid, pct, skill in results)],
+               out_dir / "asr_classes.csv")
+    known = [(SkillClass[index.labels[rid]], skill) for rid, _, skill in results
+             if index.labels.get(rid) in SKILL_NAMES]
+    confusion = classify.confusion([a for a, _ in known], [p for _, p in known])
     classify.write_confusion(confusion, SKILL_NAMES, out_dir / "asr_confusion.csv")
     _write_errors(out_dir, errors)
     print(f"asr-align: {len(results)} ok, {len(errors)} failed")

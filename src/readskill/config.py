@@ -17,6 +17,12 @@ from .featurize import FeatureConfig
 from .lexical import KMEANS_RESTARTS
 
 
+# Flat keys whose value must not be negative.
+_NON_NEGATIVE = ("seed", "min_pause_s", "vad_median_frames", "vad_hangover_frames",
+                 "vad_min_run_frames", "syll_smooth_s", "syll_height_frac",
+                 "syll_prominence_frac", "syll_min_gap_s")
+
+
 @dataclass
 class RunConfig:
     """All run-level settings. Field defaults are the toolkit defaults."""
@@ -35,8 +41,10 @@ class RunConfig:
     cluster_k_max: int = 6
 
     def validate(self) -> None:
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for key in _NON_NEGATIVE:
+            value = getattr(*_owner(self, key))
+            if value < 0:
+                raise ConfigError(f"{key} must be non-negative, got {value}")
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError(f"tau must lie in [0, 1], got {self.tau}")
         if self.folds < 2:

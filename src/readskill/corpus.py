@@ -166,6 +166,23 @@ def csv_rows(path: str | Path):
             raise SchemaMismatch(f"{path}: not a readable CSV file ({exc})") from None
 
 
+def _cell(value) -> str:
+    """One CSV cell: None is empty, a number its shortest round-trip text,
+    and text holding a comma, a double quote, CR or LF is quoted."""
+    text = value if isinstance(value, str) else "" if value is None else str(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def write_rows(rows, path: str | Path) -> None:
+    """Write rows as the CSV table csv_rows reads back: LF line ends and
+    RFC 4180 quoting. csv.writer with an LF terminator leaves a lone CR
+    unquoted, which the reader then splits as a line end."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+
+
 def finite_float(path, k: int, what: str, cell: str) -> float:
     """The finite number a CSV cell holds; anything else raises
     SchemaMismatch naming the file, the row and the column."""

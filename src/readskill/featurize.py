@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import AudioRecording, StoryText, csv_rows, finite_float
+from .corpus import AudioRecording, StoryText, csv_rows, finite_float, write_rows
 from .dsp import HOP_S, FrameTrack, VadConfig, build_track
 from .dynamics import (
     INTENSITY_DYNAMICS_FEATURES,
@@ -55,14 +55,6 @@ class FeatureConfig:
 
 
 @dataclass
-class FeatureVector:
-    recording_id: str
-    values: np.ndarray
-    label: str | None = None
-    warnings: tuple[str, ...] = ()
-
-
-@dataclass
 class ExtractionDetail:
     """Intermediate products kept around for dumps and tests: the frame
     track, the (k, 2) array of (start, duration) pauses and the syllable
@@ -74,17 +66,16 @@ class ExtractionDetail:
 
 
 def extract_features(recording: AudioRecording, intervals: np.ndarray,
-                     story: StoryText, label: str | None = None,
-                     recording_id: str = "", cfg: FeatureConfig | None = None,
-                     ) -> tuple[FeatureVector, ExtractionDetail]:
-    """Compute the 17 acoustic features for one recording, with the
-    intermediate products they were measured from.
+                     story: StoryText, cfg: FeatureConfig | None = None,
+                     ) -> tuple[np.ndarray, ExtractionDetail]:
+    """Compute the 17 acoustic feature values of one recording, in
+    FEATURE_NAMES order, with the intermediate products they were measured
+    from.
 
     A recording with no detected speech gets the all-silence policy: the
     pause group reflects one recording-length pause and every other group
-    is zero, with a "no_speech" warning attached. One too short to hold
-    that pause (min_pause_s or less) raises TooShort, as nothing in it was
-    measured.
+    is zero. One too short to hold that pause (min_pause_s or less) raises
+    TooShort, as nothing in it was measured.
     """
     cfg = cfg or FeatureConfig()
     if len(intervals) != len(story.sentences):
@@ -108,24 +99,20 @@ def extract_features(recording: AudioRecording, intervals: np.ndarray,
         intensity_dynamics(track, intervals),
     )
     values = np.array([v for group in groups for v in group])
-    warnings = () if speech_frames else ("no_speech",)
-    vec = FeatureVector(recording_id=recording_id, values=values, label=label,
-                        warnings=warnings)
-    return vec, ExtractionDetail(track=track, pauses=pauses, peaks=peaks)
+    return values, ExtractionDetail(track=track, pauses=pauses, peaks=peaks)
 
 
-def write_features(rows: list[FeatureVector], path) -> None:
-    """Write a versioned feature table; floats round-trip exactly."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {FORMAT_VERSION}\n")
-        fh.write("id,class," + ",".join(FEATURE_NAMES) + "\n")
-        for row in rows:
-            vals = ",".join(repr(float(v)) for v in row.values)
-            fh.write(f"{row.recording_id},{row.label or ''},{vals}\n")
+def write_features(rows, path) -> None:
+    """Write a versioned feature table of (id, class or None, values) rows;
+    floats round-trip exactly."""
+    write_rows([[f"# {FORMAT_VERSION}"], ["id", "class", *FEATURE_NAMES],
+                *([rid, label, *values.tolist()] for rid, label, values in rows)], path)
 
 
-def read_features(path) -> list[FeatureVector]:
-    """Read a feature table written by write_features."""
+def read_features(path) -> tuple[list[str], list[str | None], np.ndarray]:
+    """Read a feature table written by write_features: the ids, the
+    classes (None where empty) and the (n, 17) matrix of values, 2-D even
+    when the table holds no rows."""
     records = csv_rows(path)
     _, marker = next(records, (0, []))
     if marker != [f"# {FORMAT_VERSION}"]:
@@ -133,14 +120,12 @@ def read_features(path) -> list[FeatureVector]:
     expected = ["id", "class", *FEATURE_NAMES]
     if next(records, (0, None))[1] != expected:
         raise SchemaMismatch(f"{path}: header does not match {FORMAT_VERSION}")
-    rows = []
+    ids, classes, values = [], [], []
     for k, rec in records:
         if len(rec) != len(expected):
             raise SchemaMismatch(f"{path}: row {k} for {rec[0]!r} has {len(rec)} columns")
-        rows.append(FeatureVector(
-            recording_id=rec[0],
-            values=np.array([finite_float(path, k, name, cell)
-                             for name, cell in zip(FEATURE_NAMES, rec[2:])]),
-            label=rec[1] or None,
-        ))
-    return rows
+        ids.append(rec[0])
+        classes.append(rec[1] or None)
+        values.append([finite_float(path, k, name, cell)
+                       for name, cell in zip(FEATURE_NAMES, rec[2:])])
+    return ids, classes, np.array(values).reshape(-1, len(FEATURE_NAMES))

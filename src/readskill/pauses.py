@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import interval_index
+from .corpus import interval_index, write_rows
 from .dsp import (
     FRAME_LEN,
     HOP_S,
@@ -357,7 +357,4 @@ def dump_events(pauses: np.ndarray, peaks: np.ndarray, path) -> None:
     events = [("pause", start, duration) for start, duration in pauses.tolist()]
     events += [("syllable", time, None) for time in peaks.tolist()]
     events.sort(key=lambda e: (e[1], e[0]))
-    with open(path, "w") as fh:
-        fh.write("kind,time,duration\n")
-        for kind, time, dur in events:
-            fh.write(f"{kind},{float(time)!r},{'' if dur is None else repr(float(dur))}\n")
+    write_rows([("kind", "time", "duration"), *events], path)

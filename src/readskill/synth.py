@@ -21,6 +21,7 @@ from .corpus import (
     StoryText,
     TranscribedWord,
     Transcription,
+    write_rows,
     write_transcription,
     write_wav,
 )
@@ -330,19 +331,15 @@ def write_corpus(out_dir, per_class: int = 3, duration: float = 10.0,
             profile = make_profile(skill, seed=rec_seed, **overrides)
             recording, intervals, transcription = generate(profile, duration)
             write_wav(recording.samples, root / f"{rid}.wav")
-            with open(root / f"{rid}.intervals.csv", "w") as fh:
-                for start, end in intervals.tolist():
-                    fh.write(f"{start!r},{end!r}\n")
+            write_rows(intervals.tolist(), root / f"{rid}.intervals.csv")
             write_transcription(transcription, root / f"{rid}.words.csv")
             if with_hyp:
-                with open(root / f"{rid}.hyp.csv", "w") as fh:
-                    for word, conf in synth_hypothesis(transcription, rec_seed):
-                        fh.write(f"{word},{conf!r}\n")
+                write_rows(synth_hypothesis(transcription, rec_seed), root / f"{rid}.hyp.csv")
             ids.append(rid)
-            labels_rows.append(f"{rid},{skill.name}")
-            meta_rows.append(f"{rid},child{int(skill)}{k // 2},synth,2026-01-01T00:00:00")
-    root.joinpath("labels.csv").write_text("\n".join(labels_rows) + "\n")
-    root.joinpath("metadata.csv").write_text("\n".join(meta_rows) + "\n")
+            labels_rows.append((rid, skill.name))
+            meta_rows.append((rid, f"child{int(skill)}{k // 2}", "synth", "2026-01-01T00:00:00"))
+    write_rows(labels_rows, root / "labels.csv")
+    write_rows(meta_rows, root / "metadata.csv")
     return ids
 
 

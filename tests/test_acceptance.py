@@ -37,10 +37,8 @@ def _feature_matrix(root):
     for rid in index.ids:
         rec = load_wav(index.wav_path(rid))
         ivs, _ = parse_intervals(index.intervals_path(rid), rec.duration)
-        vec, _ = featurize.extract_features(rec, ivs, index.story,
-                                            label=index.labels[rid],
-                                            recording_id=rid, cfg=cfg)
-        rows.append(vec.values)
+        values, _ = featurize.extract_features(rec, ivs, index.story, cfg)
+        rows.append(values)
         labels.append(int(SkillClass[index.labels[rid]]))
     return np.array(rows), np.array(labels)
 
@@ -307,8 +305,7 @@ def test_criterion_9_extraction_speed():
     story = synth.default_story()
     cfg = RunConfig().feature
     t0 = time.perf_counter()
-    featurize.extract_features(rec, intervals, story, label="M_A",
-                               recording_id="perf", cfg=cfg)
+    featurize.extract_features(rec, intervals, story, cfg)
     elapsed = time.perf_counter() - t0
     budget = 2.0 * (rec.duration / 60.0)
     ok = elapsed <= budget

@@ -19,6 +19,7 @@ from readskill.classify import (
     _gini_gain_scan,
     _Node,
     accuracy,
+    confusion,
     cross_validate,
     load_model,
     predict_batch,
@@ -58,6 +59,19 @@ def test_accuracy_diagonal():
 
 def test_accuracy_known_fraction():
     assert accuracy(np.array([[2, 1], [0, 3]])) == pytest.approx(5.0 / 6.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 50])
+def test_confusion_counts_pairs(n):
+    rng = np.random.default_rng(n)
+    actual, predicted = rng.integers(0, 3, size=(2, n))
+    loop = np.zeros((3, 3), dtype=np.int64)
+    for a, p in zip(actual, predicted):
+        loop[a, p] += 1
+    got = confusion(actual, predicted)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, loop)
+    assert np.array_equal(confusion([], []), np.zeros((3, 3)))
 
 
 def test_accuracy_empty_matrix():

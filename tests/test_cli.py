@@ -946,3 +946,29 @@ def test_recording_id_no_csv_cell_can_hold_fails_alone(small_corpus, tmp_path, r
     assert run(*settings, "cluster") == 1
     clusters = (out / "clusters.csv").read_text().splitlines()
     assert len(clusters) == 10 and all(len(r.split(",")) == 3 for r in clusters)
+
+
+@pytest.mark.parametrize("label", ["C,A", '"C_A', "C\rA", "C\nA"])
+def test_class_holding_csv_syntax_stays_one_cell(small_corpus, one_stage_model, tmp_path,
+                                                 capsys, label):
+    # unquoted, such a class split its features.csv row, and predict, which
+    # needs no class, rejected the whole table
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_corpus, corpus)
+    lines = (corpus / "labels.csv").read_text().splitlines()
+    assert lines[0] == "c_a_000,C_A"
+    lines[0] = 'c_a_000,"' + label.replace('"', '""') + '"'
+    (corpus / "labels.csv").write_text("\n".join(lines) + "\n")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(one_stage_model))
+    out = tmp_path / "out"
+    settings = ("--set", f"corpus_root={corpus}", "--set", f"out_dir={out}", "--jobs", "1")
+    assert run(*settings, "featurize") == 0
+    assert run(*settings, "predict", "--model", str(model)) == 0
+    predictions = (out / "predictions.csv").read_text().splitlines()
+    assert len(predictions) == 10 and predictions[1].startswith("c_a_000,")
+    capsys.readouterr()
+    assert run(*settings, "--set", "folds=3", "evaluate") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: UnknownLabel: c_a_000: class {label!r} is not one of " \
+                  f"{lexical.SKILL_NAMES}\n"

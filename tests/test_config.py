@@ -258,3 +258,15 @@ def test_config_dump_text_is_pinned(capsys, overrides, changed):
         f"{key} = {changed[key]}\n" if key in changed else line + "\n"
         for line in DEFAULT_DUMP.splitlines() for key in [line.split(" = ")[0]])
     assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("key", ["min_pause_s", "vad_median_frames", "vad_hangover_frames",
+                                 "vad_min_run_frames", "syll_smooth_s", "syll_min_gap_s",
+                                 "syll_height_frac", "syll_prominence_frac"])
+def test_negative_feature_setting_exits_2(capsys, key):
+    # each was clamped or read as 0 without a word
+    with pytest.raises(ConfigError, match=f"{key} must be non-negative, got -1"):
+        load_config(overrides=[f"{key}=-1"])
+    assert main(["--set", f"{key}=-1", "config"]) == 2
+    assert f"{key} must be non-negative" in capsys.readouterr().err
+    assert load_config(overrides=[f"{key}=0"])

@@ -13,6 +13,7 @@ from readskill import corpus
 from readskill.asr_align import parse_hypothesis
 from readskill.corpus import (
     StoryText,
+    csv_rows,
     expected_syllables,
     load_lexicon,
     load_story,
@@ -21,6 +22,7 @@ from readskill.corpus import (
     parse_intervals,
     parse_transcription,
     scan_corpus,
+    write_rows,
     write_transcription,
     write_wav,
 )
@@ -263,6 +265,36 @@ def test_write_transcription_round_trip(tmp_path):
     write_transcription(orig, path)
     again = parse_transcription(path)
     assert again.words == orig.words
+
+
+_CELLS = st.text(alphabet=st.characters(blacklist_categories=("Cs",)) | st.sampled_from(',"\r\n '),
+                 max_size=8) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_CELLS, min_size=1, max_size=5), max_size=6))
+def test_write_rows_round_trip(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("rows") / "t.csv"
+    write_rows(rows, path)
+    # csv_rows skips a row whose one cell is blank text
+    kept = [row for row in rows
+            if len(row) > 1 or not isinstance(row[0], str) or row[0].strip()]
+    back = [cells for _, cells in csv_rows(path)]
+    assert len(back) == len(kept)
+    for row, cells in zip(kept, back):
+        assert len(cells) == len(row)
+        for value, cell in zip(row, cells):
+            if isinstance(value, str):
+                assert cell == value
+            else:
+                assert float(cell).hex() == value.hex()
+
+
+def test_write_rows_quotes_only_what_needs_it(tmp_path):
+    path = tmp_path / "t.csv"
+    write_rows([("a b", None, 1, 0.1, -0.0), ("c,d", 'say "hi"', "x\ry", "x\ny")], path)
+    assert path.read_bytes() == (b'a b,,1,0.1,-0.0\n'
+                                 b'"c,d","say ""hi""","x\ry","x\ny"\n')
 
 
 def test_normalize_word():

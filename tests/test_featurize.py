@@ -14,7 +14,6 @@ from readskill.featurize import (
     FEATURE_GROUPS,
     FEATURE_INDEX,
     FEATURE_NAMES,
-    FeatureVector,
     extract_features,
     read_features,
     write_features,
@@ -66,10 +65,7 @@ def test_feature_index_round_trip():
 def test_all_silence_policy():
     duration = 2.0
     rec = recording(np.zeros(int(duration * SAMPLE_RATE)))
-    vec, _ = extract_features(rec, spans((0.0, 1.0), (1.0, duration)), STORY,
-                              recording_id="quiet")
-    assert "no_speech" in vec.warnings
-    v = vec.values
+    v, _ = extract_features(rec, spans((0.0, 1.0), (1.0, duration)), STORY)
     # one recording-length pause (whole hops, so a hair under 2.0 s)
     assert v[FEATURE_INDEX["pause_mean"]] == pytest.approx(duration, abs=0.05)
     assert v[FEATURE_INDEX["pause_min"]] == v[FEATURE_INDEX["pause_max"]]
@@ -96,7 +92,7 @@ def test_values_wired_to_component_outputs():
     profile = synth.make_profile(synth.SkillClass.M_A, seed=5)
     rec, ivs, _ = synth.generate(profile, duration=8.0)
     story = synth.default_story()
-    vec, detail = extract_features(rec, ivs, story, recording_id="m")
+    v, detail = extract_features(rec, ivs, story)
 
     pf = pause_features(detail.pauses, ivs, rec.duration)
     speech_duration = float(detail.track.is_speech.sum()) * HOP_S
@@ -105,7 +101,6 @@ def test_values_wired_to_component_outputs():
     sd = spectral_dynamics(detail.track, ivs)
     idy = intensity_dynamics(detail.track, ivs)
 
-    v = vec.values
     assert v[FEATURE_INDEX["pause_mean"]] == pf[0]
     assert v[FEATURE_INDEX["pause_std"]] == pf[1]
     assert v[FEATURE_INDEX["pause_min"]] == pf[2]
@@ -131,12 +126,12 @@ def test_articulation_rate_tracks_bump_rate():
     profile = synth.make_profile(synth.SkillClass.C_A, seed=1,
                                  pause_schedule=())
     rec, ivs, _ = synth.generate(profile, duration=8.0)
-    vec, detail = extract_features(rec, ivs, synth.default_story())
+    values, detail = extract_features(rec, ivs, synth.default_story())
     # every rendered bump is found exactly once
     assert len(detail.peaks) == round(profile.syllable_rate_hz * 8.0)
     # speech time can only shrink below the full duration (AM troughs dip
     # under the VAD threshold), so the rate lands at or above nominal
-    ar = vec.values[FEATURE_INDEX["articulation_rate"]]
+    ar = values[FEATURE_INDEX["articulation_rate"]]
     assert profile.syllable_rate_hz <= ar <= profile.syllable_rate_hz * 1.3
 
 
@@ -146,25 +141,21 @@ def test_extract_deterministic():
     story = synth.default_story()
     a, _ = extract_features(rec, ivs, story)
     b, _ = extract_features(rec, ivs, story)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_write_read_round_trip_exact(tmp_path):
     rng = np.random.default_rng(12)
-    rows = [
-        FeatureVector(recording_id=f"r{k:03d}",
-                      values=rng.uniform(-1000.0, 1000.0, size=17),
-                      label=("C_A", "M_A", "I_A", None)[k % 4])
-        for k in range(100)
-    ]
+    rows = [(f"r{k:03d}", ("C_A", "M_A", "I_A", None)[k % 4],
+             rng.uniform(-1000.0, 1000.0, size=17))
+            for k in range(100)]
     path = tmp_path / "features.csv"
     write_features(rows, path)
-    back = read_features(path)
-    assert len(back) == 100
-    for orig, got in zip(rows, back):
-        assert got.recording_id == orig.recording_id
-        assert got.label == orig.label
-        assert np.array_equal(got.values, orig.values)
+    ids, classes, X = read_features(path)
+    assert len(ids) == len(classes) == 100
+    assert ids == [rid for rid, _, _ in rows]
+    assert classes == [label for _, label, _ in rows]
+    assert np.array_equal(X, np.array([values for _, _, values in rows]))
 
 
 def test_read_rejects_wrong_version(tmp_path):
@@ -183,7 +174,7 @@ def test_read_rejects_wrong_header(tmp_path):
 
 def test_read_rejects_short_row(tmp_path):
     path = tmp_path / "features.csv"
-    write_features([FeatureVector("a", np.zeros(17), "C_A")], path)
+    write_features([("a", "C_A", np.zeros(17))], path)
     with open(path, "a") as fh:
         fh.write("b,C_A,1.0,2.0\n")
     with pytest.raises(SchemaMismatch):
@@ -193,14 +184,15 @@ def test_read_rejects_short_row(tmp_path):
 def test_read_header_only_is_empty(tmp_path):
     path = tmp_path / "features.csv"
     write_features([], path)
-    assert read_features(path) == []
+    ids, classes, X = read_features(path)
+    assert ids == [] and classes == []
+    assert X.shape == (0, 17)
 
 
 @pytest.mark.parametrize("cell", ["abc", "nan", "inf", ""])
 def test_read_rejects_non_finite_cell(tmp_path, cell):
     path = tmp_path / "features.csv"
-    write_features([FeatureVector("a", np.zeros(17), "C_A"),
-                    FeatureVector("b", np.ones(17), "M_A")], path)
+    write_features([("a", "C_A", np.zeros(17)), ("b", "M_A", np.ones(17))], path)
     lines = path.read_text().splitlines()
     cells = lines[3].split(",")
     cells[2 + FEATURE_INDEX["pause_freq"]] = cell

@@ -105,7 +105,7 @@ def test_i_a_profile_contrasts_with_c_a():
     for skill in (SkillClass.C_A, SkillClass.I_A):
         profile = synth.make_profile(skill, seed=0)
         rec, ivs, _ = synth.generate(profile, duration=10.0)
-        feats[skill] = extract_features(rec, ivs, story)[0].values
+        feats[skill] = extract_features(rec, ivs, story)[0]
     c, i = feats[SkillClass.C_A], feats[SkillClass.I_A]
     # flat 4 dB modulation vs deep 15 dB: less loudness movement
     assert i[FEATURE_INDEX["intensity_macro_mean"]] < c[FEATURE_INDEX["intensity_macro_mean"]]
