@@ -495,7 +495,8 @@ def write_report(report: CVReport, json_path, csv_path) -> None:
         "accuracy": report.accuracy,
         "importances": report.importances,
     }
-    Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                               encoding="utf-8")
     write_confusion(report.pooled_confusion, SKILL_NAMES, csv_path)
 
 
@@ -549,7 +550,7 @@ def save_model(stage_models: StageModels, path) -> None:
             for stage, model in zip(stage_models.plan.stages, stage_models.models)
         ],
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_model(path) -> StageModels:

@@ -21,8 +21,8 @@ from . import asr_align, classify, featurize, lexical
 from .config import RunConfig, load_config
 from .corpus import (CorpusIndex, json_object, load_wav, parse_intervals,
                      parse_transcription, scan_corpus, write_rows)
-from .dsp import dump_frames
-from .errors import NoModel, ReadskillError, SchemaMismatch, UnknownLabel
+from .dsp import SAMPLE_RATE, dump_frames
+from .errors import NoModel, ReadskillError, SchemaMismatch, TooFewPoints, UnknownLabel
 from .lexical import SKILL_NAMES, SkillClass
 from .pauses import dump_events
 from .svgplot import CLASS_COLORS, EXTRA_COLORS, line_chart, scatter_chart
@@ -31,7 +31,7 @@ from .svgplot import CLASS_COLORS, EXTRA_COLORS, line_chart, scatter_chart
 def _write_errors(out_dir: Path, errors: list[tuple[str, str]]) -> None:
     lines = [f"{rid}: {message}" for rid, message in sorted(errors)]
     out_dir.joinpath("errors.log").write_text(
-        "\n".join(lines) + "\n" if lines else "")
+        "\n".join(lines) + "\n" if lines else "", encoding="utf-8")
 
 
 @contextlib.contextmanager
@@ -73,9 +73,9 @@ def _featurize_one(index: CorpusIndex, fcfg, out_dir: Path, dump_fr: bool,
                    dump_ev: bool, rid: str):
     """(rid, class or None, feature values) of one recording; writes its
     dumps when asked."""
-    recording = load_wav(index.wav_path(rid))
-    intervals, _ = parse_intervals(index.intervals_path(rid), recording.duration)
-    values, detail = featurize.extract_features(recording, intervals, index.story, fcfg)
+    samples = load_wav(index.wav_path(rid))
+    intervals, _ = parse_intervals(index.intervals_path(rid), len(samples) / SAMPLE_RATE)
+    values, detail = featurize.extract_features(samples, intervals, index.story, fcfg)
     if dump_fr:
         dump_frames(detail.track, out_dir / f"frames_{rid}.csv")
     if dump_ev:
@@ -115,9 +115,13 @@ def cmd_cluster(cfg: RunConfig, args) -> int:
     work = functools.partial(_miscue_row, index)
     results, errors = _per_recording(work, ids, args.jobs)
     _write_errors(out_dir, errors)
+    need = max(cfg.cluster_k_max, 3)
+    if len(results) < need:
+        raise TooFewPoints(f"cluster needs at least {need} transcriptions, the larger of "
+                           f"cluster_k_max = {cfg.cluster_k_max} and the model's K = 3; "
+                           f"got {len(results)}")
     ids = [rid for rid, _ in results]
-    points_a = np.array([a for _, a in results]).reshape(
-        -1, len(lexical.VARIANT_A_DIMS))  # 2-D if empty
+    points_a = np.array([a for _, a in results])
     points_b = points_a @ lexical.MERGE_A_TO_B.T
     k_range = range(cfg.cluster_k_min, cfg.cluster_k_max + 1)
     sweep_a = lexical.sweep_k(points_a, k_range, seed=cfg.seed,
@@ -272,7 +276,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
     if not lines:
         lines.append("no evaluation reports found")
     text = "\n".join(lines) + "\n"
-    out_dir.joinpath("report.txt").write_text(text)
+    out_dir.joinpath("report.txt").write_text(text, encoding="utf-8")
     print(text, end="")
     return 0
 

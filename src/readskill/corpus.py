@@ -19,7 +19,7 @@ import csv
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,15 +56,6 @@ METADATA_FIELDS = ("child_id", "story_id", "timestamp")
 VOWELS = frozenset("aeiouy")
 
 
-@dataclass(eq=False)
-class AudioRecording:
-    """Mono 16 kHz recording with samples normalized to [-1, 1]."""
-
-    samples: np.ndarray
-    duration: float
-    metadata: dict[str, str] = field(default_factory=dict)
-
-
 def interval_index(times, intervals: np.ndarray) -> np.ndarray:
     """Index of the (start, end) row of ``intervals`` containing each time;
     a time that no interval contains, such as one at or past the last end,
@@ -98,8 +89,9 @@ class StoryText:
         return tuple(w for s in self.sentences for w in s)
 
 
-def load_wav(path: str | Path) -> AudioRecording:
-    """Read a RIFF/WAVE file, enforcing mono 16-bit PCM at 16 kHz.
+def load_wav(path: str | Path) -> np.ndarray:
+    """Read a RIFF/WAVE file, enforcing mono 16-bit PCM at 16 kHz, into a
+    read-only float array of its samples.
 
     Samples are scaled by 1/32768 so the result lies in [-1, 1).
     """
@@ -137,10 +129,7 @@ def load_wav(path: str | Path) -> AudioRecording:
     pcm = np.frombuffer(data[:len(data) - (len(data) % 2)], dtype="<i2")
     samples = pcm.astype(np.float64) / PCM_SCALE
     samples.flags.writeable = False
-    return AudioRecording(
-        samples=samples,
-        duration=len(samples) / SAMPLE_RATE,
-    )
+    return samples
 
 
 def write_wav(samples: np.ndarray, path: str | Path) -> None:
@@ -157,7 +146,7 @@ def write_wav(samples: np.ndarray, path: str | Path) -> None:
 def csv_rows(path: str | Path):
     """Yield (row, cells) for every non-blank row of a CSV file; rows are
     numbered from 0 as they stand in the file, blank ones included."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
             for k, rec in enumerate(csv.reader(fh)):
                 if rec and (len(rec) > 1 or rec[0].strip()):
@@ -179,7 +168,7 @@ def write_rows(rows, path: str | Path) -> None:
     """Write rows as the CSV table csv_rows reads back: LF line ends and
     RFC 4180 quoting. csv.writer with an LF terminator leaves a lone CR
     unquoted, which the reader then splits as a line end."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
@@ -263,7 +252,7 @@ def parse_transcription(path: str | Path, story: StoryText | None = None) -> Tra
 
 
 def write_transcription(transcription: Transcription, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         out = csv.writer(fh)
         for w in transcription.words:
             if w.substitution is not None:

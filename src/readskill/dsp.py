@@ -275,5 +275,5 @@ def dump_frames(track: FrameTrack, path) -> None:
             track.centroid_hz.tolist(), track.harmonicity.tolist(),
             np.asarray(track.is_speech, dtype=np.int64).tolist())
     rows = [f"{t!r},{e!r},{i!r},{c!r},{h!r},{s}\n" for t, e, i, c, h, s in zip(*cols)]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("time,energy,intensity_db,centroid_hz,harmonicity,is_speech\n" + "".join(rows))

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import AudioRecording, StoryText, csv_rows, finite_float, write_rows
-from .dsp import HOP_S, FrameTrack, VadConfig, build_track
+from .corpus import StoryText, csv_rows, finite_float, write_rows
+from .dsp import HOP_S, SAMPLE_RATE, FrameTrack, VadConfig, build_track
 from .dynamics import (
     INTENSITY_DYNAMICS_FEATURES,
     SPECTRAL_DYNAMICS_FEATURES,
@@ -65,12 +65,12 @@ class ExtractionDetail:
     peaks: np.ndarray
 
 
-def extract_features(recording: AudioRecording, intervals: np.ndarray,
+def extract_features(samples: np.ndarray, intervals: np.ndarray,
                      story: StoryText, cfg: FeatureConfig | None = None,
                      ) -> tuple[np.ndarray, ExtractionDetail]:
-    """Compute the 17 acoustic feature values of one recording, in
-    FEATURE_NAMES order, with the intermediate products they were measured
-    from.
+    """Compute the 17 acoustic feature values of one recording's 16 kHz
+    samples, in FEATURE_NAMES order, with the intermediate products they
+    were measured from.
 
     A recording with no detected speech gets the all-silence policy: the
     pause group reflects one recording-length pause and every other group
@@ -83,16 +83,17 @@ def extract_features(recording: AudioRecording, intervals: np.ndarray,
             f"{len(intervals)} intervals vs {len(story.sentences)} story sentences"
         )
 
-    track = build_track(recording.samples, cfg.vad)
+    duration = len(samples) / SAMPLE_RATE
+    track = build_track(samples, cfg.vad)
     pauses = extract_pauses(track.is_speech, cfg.min_pause_s)
     speech_frames = int(track.is_speech.sum())
     if not speech_frames and not len(pauses):
-        raise TooShort(f"no speech in {recording.duration} s, too short for a "
+        raise TooShort(f"no speech in {duration} s, too short for a "
                        f"{cfg.min_pause_s} s pause")
-    peaks = (detect_syllables(recording.samples, track.is_speech, cfg.syllable)
+    peaks = (detect_syllables(samples, track.is_speech, cfg.syllable)
              if speech_frames else np.empty(0))
     groups = (
-        pause_features(pauses, intervals, recording.duration),
+        pause_features(pauses, intervals, duration),
         syllable_rate_features(peaks, intervals, list(story.sentence_syllables),
                                speech_frames * HOP_S),
         spectral_dynamics(track, intervals),

@@ -239,7 +239,8 @@ def save_cluster_model(model: ClusterModel, labels: dict[int, SkillClass], path)
         "centroids": [[float(v) for v in row] for row in model.centroids],
         "labels": {str(c): labels[c].name for c in sorted(labels)},
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
 
 
 def load_cluster_model(path) -> tuple[np.ndarray, dict[int, SkillClass]]:

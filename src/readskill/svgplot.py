@@ -118,7 +118,7 @@ def line_chart(series: list[tuple[str, list[float], list[float], str]],
     parts.append("</svg>")
     svg = "\n".join(parts) + "\n"
     if path is not None:
-        Path(path).write_text(svg)
+        Path(path).write_text(svg, encoding="utf-8")
     return svg
 
 
@@ -138,5 +138,5 @@ def scatter_chart(groups: list[tuple[str, list[float], list[float], str]],
     parts.append("</svg>")
     svg = "\n".join(parts) + "\n"
     if path is not None:
-        Path(path).write_text(svg)
+        Path(path).write_text(svg, encoding="utf-8")
     return svg

@@ -17,7 +17,6 @@ import numpy as np
 from .corpus import (
     SUBSTITUTION_LABELS,
     WORD_LABELS,
-    AudioRecording,
     StoryText,
     TranscribedWord,
     Transcription,
@@ -167,12 +166,12 @@ def _allocate_bumps(segment_lengths: list[int], total: int) -> list[int]:
 
 
 def generate(profile: ProfileSpec, duration: float
-             ) -> tuple[AudioRecording, np.ndarray, Transcription]:
-    """Render one recording plus its (k, 2) array of (start, end) sentence
-    intervals and its transcription.
-
-    The recording's metadata carries the realized schedule: aligned pause
-    spans, bump count, carrier f0 and the profile numbers.
+             ) -> tuple[np.ndarray, np.ndarray, Transcription, np.ndarray]:
+    """Render one recording's 16 kHz samples plus its (k, 2) array of
+    (start, end) sentence intervals, its transcription and the (k, 2)
+    array of (start, duration) pauses it rendered, in seconds: the
+    schedule snapped to the frame grid, as pauses.extract_pauses lays out
+    the pauses it detects.
     """
     if duration < MIN_DURATION_S:
         raise TooShort(f"duration {duration} s is under {MIN_DURATION_S} s")
@@ -182,12 +181,12 @@ def generate(profile: ProfileSpec, duration: float
     schedule = profile.pause_schedule
     if schedule is None:
         schedule = default_pause_schedule(profile.skill, duration, profile.seed)
-    pauses = _align_schedule(schedule, n)
+    silences = _align_schedule(schedule, n)
 
     # speech spans between rendered (padded) silences
     spans = []
     cursor = 0
-    for s0, s1 in pauses:
+    for s0, s1 in silences:
         spans.append((cursor, s0 - PAUSE_RENDER_PAD))
         cursor = s1 + PAUSE_RENDER_PAD
     spans.append((cursor, n))
@@ -229,26 +228,9 @@ def generate(profile: ProfileSpec, duration: float
     intervals = np.column_stack((boundaries[:-1], boundaries[1:]))
     transcription = _synth_transcription(profile)
 
-    metadata = {
-        "skill": profile.skill.name,
-        "seed": str(profile.seed),
-        "f0_hz": repr(f0),
-        "syllable_rate_hz": repr(float(profile.syllable_rate_hz)),
-        "n_bumps": str(sum(bump_counts)),
-        "pause_schedule": ";".join(
-            f"{s0 / SAMPLE_RATE:.4f}:{(s1 - s0) / SAMPLE_RATE:.4f}" for s0, s1 in pauses
-        ),
-        "am_depth_db": repr(float(profile.am_depth_db)),
-        "wander_bands": str(profile.wander_bands),
-        "noise_dbfs": repr(float(profile.noise_dbfs)),
-        "level_dbfs": repr(float(profile.level_dbfs)),
-    }
-    recording = AudioRecording(
-        samples=samples,
-        duration=n / SAMPLE_RATE,
-        metadata=metadata,
-    )
-    return recording, intervals, transcription
+    pauses = np.array([(s0 / SAMPLE_RATE, (s1 - s0) / SAMPLE_RATE)
+                       for s0, s1 in silences]).reshape(-1, 2)
+    return samples, intervals, transcription, pauses
 
 
 def default_story() -> StoryText:
@@ -315,7 +297,7 @@ def write_corpus(out_dir, per_class: int = 3, duration: float = 10.0,
     root.mkdir(parents=True, exist_ok=True)
     story = default_story()
     root.joinpath("story.txt").write_text(
-        "\n".join(" ".join(s) for s in story.sentences) + "\n")
+        "\n".join(" ".join(s) for s in story.sentences) + "\n", encoding="utf-8")
 
     ids = []
     labels_rows = []
@@ -324,13 +306,12 @@ def write_corpus(out_dir, per_class: int = 3, duration: float = 10.0,
         for k in range(per_class):
             rid = f"{skill.name.lower()}_{k:03d}"
             rec_seed = seed * 1_000_003 + int(skill) * 1_009 + k
-            overrides = dict(noise_dbfs=noise_dbfs)
-            if pause_style == "randomized":
-                overrides["pause_schedule"] = randomized_pause_schedule(
-                    duration, seed, k)
-            profile = make_profile(skill, seed=rec_seed, **overrides)
-            recording, intervals, transcription = generate(profile, duration)
-            write_wav(recording.samples, root / f"{rid}.wav")
+            schedule = (randomized_pause_schedule(duration, seed, k)
+                        if pause_style == "randomized" else None)
+            profile = make_profile(skill, seed=rec_seed, noise_dbfs=noise_dbfs,
+                                   pause_schedule=schedule)
+            samples, intervals, transcription, _ = generate(profile, duration)
+            write_wav(samples, root / f"{rid}.wav")
             write_rows(intervals.tolist(), root / f"{rid}.intervals.csv")
             write_transcription(transcription, root / f"{rid}.words.csv")
             if with_hyp:

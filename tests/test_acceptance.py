@@ -35,9 +35,9 @@ def _feature_matrix(root):
     cfg = RunConfig().feature
     rows, labels = [], []
     for rid in index.ids:
-        rec = load_wav(index.wav_path(rid))
-        ivs, _ = parse_intervals(index.intervals_path(rid), rec.duration)
-        values, _ = featurize.extract_features(rec, ivs, index.story, cfg)
+        samples = load_wav(index.wav_path(rid))
+        ivs, _ = parse_intervals(index.intervals_path(rid), len(samples) / SAMPLE_RATE)
+        values, _ = featurize.extract_features(samples, ivs, index.story, cfg)
         rows.append(values)
         labels.append(int(SkillClass[index.labels[rid]]))
     return np.array(rows), np.array(labels)
@@ -155,10 +155,8 @@ def test_criterion_4_dsp_oracles():
     # pause boundaries on scheduled-pause recordings, noise floor disabled
     for seed, duration in [(0, 8.0), (3, 10.0), (11, 12.0)]:
         profile = synth.make_profile(SkillClass.M_A, seed=seed, noise_dbfs=-200.0)
-        rec, _, _ = synth.generate(profile, duration=duration)
-        sched = [tuple(map(float, kv.split(":")))
-                 for kv in rec.metadata["pause_schedule"].split(";")]
-        track = build_track(rec.samples)
+        samples, _, _, sched = synth.generate(profile, duration=duration)
+        track = build_track(samples)
         pauses = extract_pauses(track.is_speech)
         if len(pauses) != len(sched):
             failures.append(f"pauses seed {seed}: {len(pauses)} vs {len(sched)}")
@@ -189,8 +187,8 @@ def test_criterion_4_dsp_oracles():
 
     # uniform dB offset leaves both dynamics groups untouched
     profile = synth.make_profile(SkillClass.C_A, seed=2)
-    rec, intervals, _ = synth.generate(profile, duration=10.0)
-    track = build_track(rec.samples)
+    samples, intervals, _, _ = synth.generate(profile, duration=10.0)
+    track = build_track(samples)
     base = spectral_dynamics(track, intervals) + intensity_dynamics(track, intervals)
     for delta in (6.0206, -12.5):
         shifted = replace(track, energy=track.energy * 10.0 ** (delta / 10.0),
@@ -301,12 +299,12 @@ def test_criterion_8_pause_importance_ranks_last(tmp_path):
 
 def test_criterion_9_extraction_speed():
     profile = synth.make_profile(SkillClass.M_A, seed=5)
-    rec, intervals, _ = synth.generate(profile, duration=60.0)
+    samples, intervals, _, _ = synth.generate(profile, duration=60.0)
     story = synth.default_story()
     cfg = RunConfig().feature
     t0 = time.perf_counter()
-    featurize.extract_features(rec, intervals, story, cfg)
+    featurize.extract_features(samples, intervals, story, cfg)
     elapsed = time.perf_counter() - t0
-    budget = 2.0 * (rec.duration / 60.0)
+    budget = 2.0 * (len(samples) / SAMPLE_RATE / 60.0)
     ok = elapsed <= budget
     _report(9, ok, f"60 s recording featurized in {elapsed:.2f} s (budget {budget:.1f} s)")

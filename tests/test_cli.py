@@ -114,7 +114,7 @@ def _vad_inputs(small_corpus):
     cfg = dsp.VadConfig()
     inputs = {}
     for wav in sorted(small_corpus.glob("*.wav")):
-        raw = dsp.raw_frames(load_wav(wav).samples)
+        raw = dsp.raw_frames(load_wav(wav))
         intensity_db = 10.0 * np.log10(dsp.frame_energy(raw) + dsp.ENERGY_FLOOR)
         floor = float(np.percentile(intensity_db, cfg.floor_percentile))
         threshold = max(floor + cfg.margin_db, cfg.abs_threshold_db)
@@ -348,10 +348,17 @@ def test_cluster_too_few_recordings(tmp_path, capsys):
     (corpus / "story.txt").write_text("go go\n")
     (corpus / "a.words.csv").write_text("go,C\ngo,C\n")
     (corpus / "b.words.csv").write_text("go,M\ngo,M\n")
-    rc = run("--set", f"corpus_root={corpus}", "--set",
-             f"out_dir={tmp_path / 'out'}", "--jobs", "1", "cluster")
-    assert rc == 2
-    assert "error" in capsys.readouterr().err
+    # the sweep needs cluster_k_max points and the model K = 3
+    for k_max, need in ((6, 6), (2, 3)):
+        out = tmp_path / f"out_{k_max}"
+        rc = run("--set", f"corpus_root={corpus}", "--set", f"out_dir={out}",
+                 "--set", f"cluster_k_max={k_max}", "--jobs", "1", "cluster")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: TooFewPoints: cluster needs at least {need} transcriptions, "
+                       f"the larger of cluster_k_max = {k_max} and the model's K = 3; "
+                       "got 2\n")
+        assert sorted(p.name for p in out.iterdir()) == ["errors.log"]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -743,6 +750,47 @@ def test_non_utf8_config_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "run.cfg:2: not UTF-8 text" in err
+
+
+def _cli_in_c_locale(utf8_mode: bool, *argv: str) -> subprocess.CompletedProcess:
+    """Run the CLI under the C locale, whose preferred encoding is ASCII
+    unless Python's UTF-8 mode is on."""
+    src = str(Path(readskill.__file__).parents[1])  # the copy under test
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "1" if utf8_mode else "0",
+           "PYTHONPATH": os.pathsep.join(
+               p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "readskill.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("case", ["labels", "hypothesis"])
+def test_non_ascii_text_reads_the_same_in_any_locale(small_corpus, tmp_path, case):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_corpus, corpus)
+    if case == "labels":
+        with (corpus / "labels.csv").open("a", encoding="utf-8") as fh:
+            fh.write("zoé_001,C_A\n")
+        commands = (("featurize",),)
+    else:
+        hyp = corpus / "c_a_000.hyp.csv"
+        rows = hyp.read_text(encoding="utf-8").splitlines()
+        rows[0] = "naïve," + rows[0].split(",")[1]
+        hyp.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        commands = (("cluster",), ("asr-align",))
+    outs, stdouts = [], []
+    for utf8_mode in (True, False):
+        out = tmp_path / f"out_utf8_mode_{int(utf8_mode)}"
+        for command in commands:
+            done = _cli_in_c_locale(utf8_mode, "--set", f"corpus_root={corpus}",
+                                    "--set", f"out_dir={out}", "--jobs", "1", *command)
+            assert done.returncode == 0, (utf8_mode, command, done.stderr)
+            stdouts.append(done.stdout)
+        outs.append(out)
+    assert stdouts[:len(commands)] == stdouts[len(commands):]
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert sorted(p.name for p in outs[1].iterdir()) == names
+    for name in names:
+        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes(), name
 
 
 def _one_line_schema_error(capsys, *needles) -> None:

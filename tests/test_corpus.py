@@ -58,21 +58,21 @@ def _wav_bytes(body: bytes, audio_format=1, channels=1, rate=16000, bits=16) -> 
 def test_load_wav_one_second(tmp_path):
     path = tmp_path / "a.wav"
     write_wav(np.zeros(16000), path)
-    rec = load_wav(path)
-    assert len(rec.samples) == 16000
-    assert rec.duration == 1.0
+    samples = load_wav(path)
+    assert samples.shape == (16000,) and samples.dtype == np.float64
+    assert not samples.flags.writeable
 
 
 def test_load_wav_all_zero(tmp_path):
     path = tmp_path / "a.wav"
     write_wav(np.zeros(800), path)
-    assert np.all(load_wav(path).samples == 0.0)
+    assert np.all(load_wav(path) == 0.0)
 
 
 def test_load_wav_scaling(tmp_path):
     path = tmp_path / "a.wav"
     write_wav(np.array([0.5, -0.5, 0.0]), path)
-    got = load_wav(path).samples
+    got = load_wav(path)
     assert got[0] == 16384 / 32768
     assert got[1] == -16384 / 32768
     assert got[2] == 0.0
@@ -124,7 +124,7 @@ def test_wav_round_trip_exact(tmp_path_factory, pcm):
     path = tmp_path_factory.mktemp("wav") / "rt.wav"
     samples = np.array(pcm, dtype=np.float64) / 32768.0
     write_wav(samples, path)
-    assert np.array_equal(load_wav(path).samples, samples)
+    assert np.array_equal(load_wav(path), samples)
 
 
 def test_parse_intervals_two_rows(tmp_path):

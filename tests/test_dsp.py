@@ -266,7 +266,7 @@ def _exactness_signals():
     signals = {}
     for skill in SkillClass:
         profile = synth.make_profile(skill, seed=3)
-        signals[skill.name] = synth.generate(profile, duration=6.0)[0].samples
+        signals[skill.name] = synth.generate(profile, duration=6.0)[0]
     signals["noise"] = np.random.default_rng(4).standard_normal(48000) * 0.01
     return signals
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from readskill import synth
-from readskill.corpus import AudioRecording, StoryText
+from readskill.corpus import StoryText
 from readskill.dsp import HOP_S
 from readskill.dynamics import intensity_dynamics, spectral_dynamics
 from readskill.errors import IntervalCountMismatch, SchemaMismatch
@@ -31,10 +31,6 @@ STORY = StoryText(
 
 def spans(*pairs: tuple[float, float]) -> np.ndarray:
     return np.array(pairs)
-
-
-def recording(samples: np.ndarray) -> AudioRecording:
-    return AudioRecording(samples=samples, duration=len(samples) / SAMPLE_RATE)
 
 
 def test_feature_names_contract():
@@ -64,8 +60,7 @@ def test_feature_index_round_trip():
 
 def test_all_silence_policy():
     duration = 2.0
-    rec = recording(np.zeros(int(duration * SAMPLE_RATE)))
-    v, _ = extract_features(rec, spans((0.0, 1.0), (1.0, duration)), STORY)
+    v, _ = extract_features(np.zeros(int(duration * SAMPLE_RATE)), spans((0.0, 1.0), (1.0, duration)), STORY)
     # one recording-length pause (whole hops, so a hair under 2.0 s)
     assert v[FEATURE_INDEX["pause_mean"]] == pytest.approx(duration, abs=0.05)
     assert v[FEATURE_INDEX["pause_min"]] == v[FEATURE_INDEX["pause_max"]]
@@ -82,19 +77,18 @@ def test_all_silence_policy():
 
 
 def test_interval_count_mismatch():
-    rec = recording(np.zeros(SAMPLE_RATE))
     with pytest.raises(IntervalCountMismatch):
-        extract_features(rec, spans((0.0, 1.0)), STORY)
+        extract_features(np.zeros(SAMPLE_RATE), spans((0.0, 1.0)), STORY)
 
 
 def test_values_wired_to_component_outputs():
     # recompute every block from the returned detail and compare positions
     profile = synth.make_profile(synth.SkillClass.M_A, seed=5)
-    rec, ivs, _ = synth.generate(profile, duration=8.0)
+    samples, ivs, _, _ = synth.generate(profile, duration=8.0)
     story = synth.default_story()
-    v, detail = extract_features(rec, ivs, story)
+    v, detail = extract_features(samples, ivs, story)
 
-    pf = pause_features(detail.pauses, ivs, rec.duration)
+    pf = pause_features(detail.pauses, ivs, 8.0)
     speech_duration = float(detail.track.is_speech.sum()) * HOP_S
     sr = syllable_rate_features(detail.peaks, ivs,
                                 list(story.sentence_syllables), speech_duration)
@@ -125,8 +119,8 @@ def test_articulation_rate_tracks_bump_rate():
     # so the measured nuclei-per-speech-second should land nearby
     profile = synth.make_profile(synth.SkillClass.C_A, seed=1,
                                  pause_schedule=())
-    rec, ivs, _ = synth.generate(profile, duration=8.0)
-    values, detail = extract_features(rec, ivs, synth.default_story())
+    samples, ivs, _, _ = synth.generate(profile, duration=8.0)
+    values, detail = extract_features(samples, ivs, synth.default_story())
     # every rendered bump is found exactly once
     assert len(detail.peaks) == round(profile.syllable_rate_hz * 8.0)
     # speech time can only shrink below the full duration (AM troughs dip
@@ -137,10 +131,10 @@ def test_articulation_rate_tracks_bump_rate():
 
 def test_extract_deterministic():
     profile = synth.make_profile(synth.SkillClass.I_A, seed=9)
-    rec, ivs, _ = synth.generate(profile, duration=8.0)
+    samples, ivs, _, _ = synth.generate(profile, duration=8.0)
     story = synth.default_story()
-    a, _ = extract_features(rec, ivs, story)
-    b, _ = extract_features(rec, ivs, story)
+    a, _ = extract_features(samples, ivs, story)
+    b, _ = extract_features(samples, ivs, story)
     assert np.array_equal(a, b)
 
 

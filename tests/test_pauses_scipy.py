@@ -120,14 +120,13 @@ def test_band_output_at_extreme_bands_is_near_a_long_double_reference(band):
 def test_detect_syllables_finds_the_scipy_peak_frames(skill, pause_style):
     found = 0
     for k, duration in enumerate((5.0, 12.0)):
-        overrides = {}
-        if pause_style == "randomized":
-            overrides["pause_schedule"] = synth.randomized_pause_schedule(duration, 3, k)
-        profile = synth.make_profile(skill, seed=100 * int(skill) + k, **overrides)
-        recording, _, _ = synth.generate(profile, duration)
-        is_speech = build_track(recording.samples).is_speech
-        got = pauses.detect_syllables(recording.samples, is_speech)
-        expected = detect_syllables_oracle(recording.samples, is_speech)
+        schedule = (synth.randomized_pause_schedule(duration, 3, k)
+                    if pause_style == "randomized" else None)
+        profile = synth.make_profile(skill, seed=100 * int(skill) + k, pause_schedule=schedule)
+        samples, _, _, _ = synth.generate(profile, duration)
+        is_speech = build_track(samples).is_speech
+        got = pauses.detect_syllables(samples, is_speech)
+        expected = detect_syllables_oracle(samples, is_speech)
         assert got.tolist() == expected.tolist()
         found += len(got)
     assert found > 0

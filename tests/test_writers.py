@@ -1,7 +1,10 @@
 """Every table the toolkit writes goes through ``corpus.write_rows``, so
 the cell format (line ends, number text, quoting) is stated in one module:
 no module under ``src/readskill`` but ``corpus.py`` calls ``open`` or
-``.open`` with a writing mode, or makes a ``csv.writer``.
+``.open`` with a writing mode, or makes a ``csv.writer``. And every text
+file it reads or writes is UTF-8 whatever the locale: each ``open`` or
+``.open`` in text mode, and each ``read_text`` or ``write_text``, passes
+``encoding=``.
 
 The one exception is ``dsp.dump_frames``. Its f-string rows write a
 5,998-row frame dump (one 60 s recording) in 18-19 ms against 29-31 ms
@@ -36,25 +39,59 @@ def _writes(call: ast.Call) -> bool:
             and isinstance(func.value, ast.Name) and func.value.id == "csv")
 
 
-def writers(tree: ast.Module, module: str) -> set[str]:
+def _lacks_encoding(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call) or any(kw.arg == "encoding" for kw in node.keywords):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        return "b" not in _mode(node, 1)
+    if isinstance(func, ast.Attribute) and func.attr == "open":
+        return "b" not in _mode(node, 0)
+    return isinstance(func, ast.Attribute) and func.attr in ("read_text", "write_text")
+
+
+def _functions_where(tree: ast.Module, module: str, flagged) -> set[str]:
     """"module.py:function" of each top-level function (or "<module>")
-    whose body opens a file for writing or makes a csv.writer."""
+    whose body holds a node that ``flagged`` accepts."""
     found = set()
     for stmt in tree.body:
         where = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else "<module>"
-        for sub in ast.walk(stmt):
-            if isinstance(sub, ast.ImportFrom) and sub.module == "csv" \
-                    or isinstance(sub, ast.Call) and _writes(sub):
-                found.add(f"{module}.py:{where}")
+        if any(flagged(sub) for sub in ast.walk(stmt)):
+            found.add(f"{module}.py:{where}")
     return found
+
+
+def writers(tree: ast.Module, module: str) -> set[str]:
+    """The functions that open a file for writing or make a csv.writer."""
+    return _functions_where(tree, module, lambda sub: (
+        isinstance(sub, ast.ImportFrom) and sub.module == "csv"
+        or isinstance(sub, ast.Call) and _writes(sub)))
+
+
+def unencoded(tree: ast.Module, module: str) -> set[str]:
+    """The functions that open, read or write a text file without
+    naming its encoding."""
+    return _functions_where(tree, module, _lacks_encoding)
+
+
+def _package_trees():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"))
 
 
 def test_only_corpus_writes_tables():
     found = set()
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path, tree in _package_trees():
         if path.name != "corpus.py":
-            found |= writers(ast.parse(path.read_text()), path.stem)
+            found |= writers(tree, path.stem)
     assert found == ALLOWED
+
+
+def test_every_text_file_names_its_encoding():
+    found = set()
+    for path, tree in _package_trees():
+        found |= unencoded(tree, path.stem)
+    assert found == set()
 
 
 def test_the_check_sees_each_way_to_write():
@@ -67,3 +104,17 @@ def test_the_check_sees_each_way_to_write():
            "from csv import writer\n")
     assert writers(ast.parse(src), "m") == {"m.py:a", "m.py:b", "m.py:c", "m.py:d",
                                            "m.py:<module>"}
+
+
+def test_the_check_sees_each_way_to_skip_the_encoding():
+    src = ("def a(p):\n    open(p)\n"
+           "def b(p):\n    open(p, 'w', newline='')\n"
+           "def c(p):\n    p.open(mode='a')\n"
+           "def d(p):\n    return p.read_text()\n"
+           "def e(p):\n    p.write_text('x')\n"
+           "def f(p):\n    open(p, 'rb')\n    p.open('wb')\n    return p.read_bytes()\n"
+           "def g(p):\n    open(p, encoding='utf-8')\n    p.open('w', encoding='utf-8')\n"
+           "    p.write_text(p.read_text(encoding='utf-8'), encoding='utf-8')\n"
+           "open('x')\n")
+    assert unencoded(ast.parse(src), "m") == {"m.py:a", "m.py:b", "m.py:c", "m.py:d",
+                                             "m.py:e", "m.py:<module>"}
