@@ -8,6 +8,7 @@ than sines so the harmonicity-based speech detector sees realistic input.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -63,7 +64,8 @@ class ProfileSpec:
     level_dbfs: float
     label_probs: tuple[float, ...]  # over corpus.WORD_LABELS: C, M, D, S1, Sm, I
     seed: int
-    pause_schedule: tuple[tuple[float, float], ...] | None = None  # (start, duration)
+    # time-ordered (start, duration) pairs, with speech between them
+    pause_schedule: tuple[tuple[float, float], ...] | None = None
 
 
 _CLASS_DEFAULTS = {
@@ -172,6 +174,11 @@ def generate(profile: ProfileSpec, duration: float
     array of (start, duration) pauses it rendered, in seconds: the
     schedule snapped to the frame grid, as pauses.extract_pauses lays out
     the pauses it detects.
+
+    Only the speech samples get a carrier; each rendered silence (a pause
+    widened by PAUSE_RENDER_PAD on both sides) is exactly the noise, or
+    +0.0 without noise. Raises ValueError when the snapped pauses are out
+    of order, overlap, or leave no speech between two rendered silences.
     """
     if duration < MIN_DURATION_S:
         raise TooShort(f"duration {duration} s is under {MIN_DURATION_S} s")
@@ -187,6 +194,11 @@ def generate(profile: ProfileSpec, duration: float
     spans = []
     cursor = 0
     for s0, s1 in silences:
+        if s0 - PAUSE_RENDER_PAD <= cursor:
+            raise ValueError(
+                f"pause_schedule {schedule!r} leaves no speech before the silence "
+                f"at {s0 / SAMPLE_RATE:g} s; pauses must be in time order with "
+                f"speech between them")
         spans.append((cursor, s0 - PAUSE_RENDER_PAD))
         cursor = s1 + PAUSE_RENDER_PAD
     spans.append((cursor, n))
@@ -195,30 +207,31 @@ def generate(profile: ProfileSpec, duration: float
     bump_counts = _allocate_bumps([b - a for a, b in spans], n_bumps)
 
     # syllable-rate amplitude modulation in dB, troughs at span edges
-    env_db = np.full(n, -np.inf)
+    env_db = []
     for (a, b), k in zip(spans, bump_counts):
         t = np.arange(b - a) / (b - a)
-        env_db[a:b] = profile.level_dbfs - profile.am_depth_db * (
-            0.5 + 0.5 * np.cos(2.0 * np.pi * k * t))
-    amplitude = np.zeros(n)
-    voiced = np.isfinite(env_db)
-    amplitude[voiced] = 10.0 ** (env_db[voiced] / 20.0)
+        env_db.append(profile.level_dbfs - profile.am_depth_db * (
+            0.5 + 0.5 * np.cos(2.0 * np.pi * k * t)))
+    amplitude = 10.0 ** (np.concatenate(env_db) / 20.0)
 
-    # harmonic complex with a wandering spectral resonance
+    # harmonic complex with a wandering spectral resonance, rendered on
+    # the speech samples only: the silences are zero under the noise
     f0 = float(rng.uniform(220.0, 300.0))
-    t = np.arange(n) / SAMPLE_RATE
+    speech = np.concatenate([np.arange(a, b) for a, b in spans])
+    t = speech / SAMPLE_RATE
     span_hz = 400.0 * profile.wander_bands
     center = WANDER_BASE_HZ + span_hz / 2.0
     resonance = center + 0.4 * span_hz * np.sin(
         2.0 * np.pi * WANDER_RATE_HZ * t + rng.uniform(0.0, 2.0 * np.pi))
-    carrier = np.zeros(n)
-    power = np.zeros(n)
+    carrier = np.zeros(len(t))
+    power = np.zeros(len(t))
     for h in range(1, int(8000.0 / f0) + 1):
         gain = np.exp(-((h * f0 - resonance) ** 2) / (2.0 * RESONANCE_SIGMA_HZ ** 2))
         carrier += gain * np.cos(2.0 * np.pi * h * f0 * t + rng.uniform(0.0, 2.0 * np.pi))
         power += gain * gain
     rms = np.sqrt(power / 2.0)
-    samples = amplitude * carrier / np.maximum(rms, 1e-9)
+    samples = np.zeros(n)
+    samples[speech] = amplitude * carrier / np.maximum(rms, 1e-9)
 
     if profile.noise_dbfs > -150.0:
         samples = samples + 10.0 ** (profile.noise_dbfs / 20.0) * rng.standard_normal(n)
@@ -324,6 +337,19 @@ def write_corpus(out_dir, per_class: int = 3, duration: float = 10.0,
     return ids
 
 
+def _number(kind, low=None):
+    """argparse type: a finite `kind` value, at least `low` when given."""
+    def parse(text: str):
+        value = kind(text)
+        if not math.isfinite(value) or (low is not None and value < low):
+            bound = ("an integer" if kind is int else "a finite number") + (
+                "" if low is None else f" of at least {low:g}")
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid float value" message
+    return parse
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="synthcorpus",
@@ -334,10 +360,10 @@ def main(argv=None) -> int:
     gen.add_argument("--out", required=True, help="output corpus directory")
     gen.add_argument("--profile", default="all",
                      choices=["all"] + [c.name for c in SkillClass])
-    gen.add_argument("--per-class", type=int, default=3)
-    gen.add_argument("--duration", type=float, default=10.0)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--noise-dbfs", type=float, default=-70.0)
+    gen.add_argument("--per-class", type=_number(int, 1), default=3)
+    gen.add_argument("--duration", type=_number(float, MIN_DURATION_S), default=10.0)
+    gen.add_argument("--seed", type=_number(int, 0), default=0)
+    gen.add_argument("--noise-dbfs", type=_number(float), default=-70.0)
     gen.add_argument("--pause-style", default="class",
                      choices=["class", "randomized"])
     gen.add_argument("--no-hyp", action="store_true")

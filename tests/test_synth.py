@@ -2,14 +2,17 @@
 properties recovered by the analysis chain, and the corpus layout."""
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from readskill import synth
 from readskill.corpus import scan_corpus
-from readskill.dsp import build_track
+from readskill.dsp import SAMPLE_RATE, build_track
 from readskill.errors import TooShort
 from readskill.featurize import FEATURE_INDEX, extract_features
 from readskill.lexical import SkillClass
@@ -220,6 +223,85 @@ def test_write_corpus_randomized_shares_schedules():
     assert np.array_equal(sched[SkillClass.C_A], sched[SkillClass.I_A])
 
 
+@st.composite
+def pause_schedules(draw, min_pauses=0):
+    """(duration, schedule): time-ordered pauses inside the recording, at
+    least 0.08 s apart, so every pause survives the frame snap and speech
+    is left between any two padded silences."""
+    duration = draw(st.floats(min_value=5.0, max_value=8.0))
+    schedule = []
+    end = 0.2
+    for _ in range(draw(st.integers(min_value=min_pauses, max_value=3))):
+        start = end + draw(st.floats(min_value=0.08, max_value=1.5))
+        end = start + draw(st.floats(min_value=0.05, max_value=1.0))
+        if end > duration - 0.2:
+            break
+        schedule.append((start, end - start))
+    return duration, tuple(schedule)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pause_schedules(), st.sampled_from(list(SkillClass)))
+def test_rendered_silences_are_the_returned_pauses(drawn, skill):
+    # without noise, the runs of exact zeros are the returned pauses widened
+    # by the render pad, and nothing else in the recording is silent
+    duration, schedule = drawn
+    profile = synth.make_profile(skill, seed=5, noise_dbfs=-200.0, pause_schedule=schedule)
+    samples, _, _, pauses = synth.generate(profile, duration)
+    assert len(pauses) == len(schedule)
+    for (start, dur), (want_start, want_dur) in zip(pauses, schedule):
+        assert start == pytest.approx(want_start, abs=0.005 + 1e-9)
+        assert start + dur == pytest.approx(want_start + want_dur, abs=0.005 + 1e-9)
+    silent = samples == 0.0
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], silent.astype(np.int8), [0]))))
+    pad = synth.PAUSE_RENDER_PAD
+    widened = [[round(start * SAMPLE_RATE) - pad, round((start + dur) * SAMPLE_RATE) + pad]
+               for start, dur in pauses]
+    assert edges.reshape(-1, 2).tolist() == widened
+    assert not np.signbit(samples[silent]).any()  # +0.0, never -0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(pause_schedules(min_pauses=2), st.booleans())
+def test_generate_rejects_unordered_or_overlapping_pauses(drawn, overlap):
+    duration, schedule = drawn
+    assume(len(schedule) >= 2)
+    if overlap:
+        (s0, _), (s1, d1) = schedule[:2]
+        schedule = ((s0, s1 - s0 + d1 / 2),) + schedule[1:]
+    else:
+        schedule = schedule[::-1]
+    profile = synth.make_profile(SkillClass.C_A, seed=0, pause_schedule=schedule)
+    with pytest.raises(ValueError, match="pause_schedule"):
+        synth.generate(profile, duration)
+
+
+@pytest.mark.parametrize("schedule", [
+    ((2.0, 0.5), (1.0, 0.5)),    # out of order
+    ((1.0, 1.0), (1.5, 1.0)),    # overlapping
+    ((1.0, 1.0), (2.04, 1.0)),   # padded silences touch: no speech between
+], ids=["unordered", "overlapping", "no_speech_between"])
+def test_generate_rejects_schedule_it_cannot_render(schedule):
+    profile = synth.make_profile(SkillClass.M_A, seed=0, pause_schedule=schedule)
+    with pytest.raises(ValueError, match="pause_schedule"):
+        synth.generate(profile, 6.0)
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--duration", "4.9"), ("--duration", "nan"), ("--duration", "inf"),
+    ("--seed", "-3"), ("--noise-dbfs", "nan"), ("--noise-dbfs", "inf"),
+    ("--per-class", "0"), ("--per-class", "-1"),
+])
+def test_synthcorpus_cli_rejects_bad_numbers(tmp_path, capsys, flag, value):
+    out = tmp_path / "corpus"
+    with pytest.raises(SystemExit) as exc:
+        synth.main(["generate", "--out", str(out), flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith(f"synthcorpus generate: error: argument {flag}: must be")
+    assert not out.exists()
+
+
 def test_synthcorpus_cli(tmp_path):
     out = tmp_path / "corpus"
     rc = synth.main(["generate", "--out", str(out), "--per-class", "1",
@@ -229,3 +311,108 @@ def test_synthcorpus_cli(tmp_path):
     index = scan_corpus(out)
     assert len(index.ids) == 1
     assert index.labels[index.ids[0]] == "M_A"
+
+
+# sha256 of generate(...)[0].tobytes() for seed 41; randomized schedules
+# use the class code as their index. Recorded with numpy 2.4 on x86-64.
+RENDER_DIGESTS = {
+    ("C_A", "class", 5.0): "eaa27568ebdc865657961a41cc7d700c0ca1cfd2b4bdc1b6559189989769ef23",
+    ("C_A", "class", 7.3): "bcca96f24b7e24e4a80c969203714d6234eec05718b7c9709705013d8c55a100",
+    ("C_A", "randomized", 5.0): "bb9d2840d64f7f12939ddbca2aa91e5d768969221b2c818aec3506838c3155e8",
+    ("C_A", "randomized", 7.3): "7ef535b875aa1802ece497900d38c2ed07a25ca45f1c364c979a99312def0109",
+    ("M_A", "class", 5.0): "f54b4ae08ad572c296787d1715def2f9896703b1ab469849b92d58c5ee230fa8",
+    ("M_A", "class", 7.3): "86d3de1e67d21502c8da407e9947b2a7ef30852304deb079f89f6db06787c3ea",
+    ("M_A", "randomized", 5.0): "1e09877f7438f4af9f2745690b8f8b2f548238c56d9c52ca0d932bc9b19fcb46",
+    ("M_A", "randomized", 7.3): "027380020b70159e348092d0ca3fab346cd2e7707b43e0aafd8526841ffa9b32",
+    ("I_A", "class", 5.0): "a149fa3f11164406d5ff376d867dadb36f547171aa0988ca445a7703096bae37",
+    ("I_A", "class", 7.3): "75cc979dd962616c3896fbb7ed7d8ccb84a7ac4d9cca0f55f6b410f00074fd88",
+    ("I_A", "randomized", 5.0): "5d52c39cea6d4e09cbbc073d228241a9a79547456d399fd865fa3fc287c0e65c",
+    ("I_A", "randomized", 7.3): "067f19c6fab1fdcd18cf7e059c86bebcf27f096618c4d52129ec3cbdf4ccd378",
+}
+
+
+@pytest.mark.parametrize("skill,style,duration", sorted(RENDER_DIGESTS))
+def test_generate_golden_bytes(skill, style, duration):
+    schedule = (synth.randomized_pause_schedule(duration, 41, int(SkillClass[skill]))
+                if style == "randomized" else None)
+    profile = synth.make_profile(SkillClass[skill], seed=41, pause_schedule=schedule)
+    samples = synth.generate(profile, duration)[0]
+    digest = hashlib.sha256(samples.tobytes()).hexdigest()
+    assert digest == RENDER_DIGESTS[(skill, style, duration)]
+
+
+def _tree_digest(root) -> str:
+    """sha256 over the sorted (file name, sha256 of its bytes) pairs."""
+    h = hashlib.sha256()
+    for path in sorted(Path(root).iterdir()):
+        h.update(path.name.encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kwargs,digest", [
+    (dict(seed=6, pause_style="randomized"),
+     "1c81c3fcd63d51f5d123fbccacbb2e266146c8d991b8af1ed8ca66f674a6554f"),
+    (dict(seed=7, noise_dbfs=-200.0),
+     "ece59c6d55e91bde3ec9ee42503fd62de9d492fad3388663b432b3a3821fbbbe"),
+], ids=["randomized", "noise_free"])
+def test_write_corpus_golden_bytes(tmp_path, kwargs, digest):
+    synth.write_corpus(tmp_path, per_class=2, duration=5.0, **kwargs)
+    assert len(list(tmp_path.iterdir())) == 27
+    assert _tree_digest(tmp_path) == digest
+
+
+def _full_length_render(profile, duration):
+    """generate()'s samples as they were rendered before it skipped the
+    silences: every step over all n samples, silences masked to zero
+    amplitude. Same rng draws in the same order."""
+    n = int(round(duration * SAMPLE_RATE))
+    rng = np.random.default_rng([profile.seed, 17])
+    schedule = profile.pause_schedule
+    if schedule is None:
+        schedule = synth.default_pause_schedule(profile.skill, duration, profile.seed)
+    pad = synth.PAUSE_RENDER_PAD
+    edges = [0] + [e for s0, s1 in synth._align_schedule(schedule, n)
+                   for e in (s0 - pad, s1 + pad)] + [n]
+    spans = list(zip(edges[::2], edges[1::2]))
+    n_bumps = max(1, int(round(profile.syllable_rate_hz * duration)))
+    bump_counts = synth._allocate_bumps([b - a for a, b in spans], n_bumps)
+    env_db = np.full(n, -np.inf)
+    for (a, b), k in zip(spans, bump_counts):
+        t = np.arange(b - a) / (b - a)
+        env_db[a:b] = profile.level_dbfs - profile.am_depth_db * (
+            0.5 + 0.5 * np.cos(2.0 * np.pi * k * t))
+    amplitude = np.zeros(n)
+    voiced = np.isfinite(env_db)
+    amplitude[voiced] = 10.0 ** (env_db[voiced] / 20.0)
+    f0 = float(rng.uniform(220.0, 300.0))
+    t = np.arange(n) / SAMPLE_RATE
+    span_hz = 400.0 * profile.wander_bands
+    center = synth.WANDER_BASE_HZ + span_hz / 2.0
+    resonance = center + 0.4 * span_hz * np.sin(
+        2.0 * np.pi * synth.WANDER_RATE_HZ * t + rng.uniform(0.0, 2.0 * np.pi))
+    carrier = np.zeros(n)
+    power = np.zeros(n)
+    for h in range(1, int(8000.0 / f0) + 1):
+        gain = np.exp(-((h * f0 - resonance) ** 2) / (2.0 * synth.RESONANCE_SIGMA_HZ ** 2))
+        carrier += gain * np.cos(2.0 * np.pi * h * f0 * t + rng.uniform(0.0, 2.0 * np.pi))
+        power += gain * gain
+    samples = amplitude * carrier / np.maximum(np.sqrt(power / 2.0), 1e-9)
+    if profile.noise_dbfs > -150.0:
+        samples = samples + 10.0 ** (profile.noise_dbfs / 20.0) * rng.standard_normal(n)
+    return np.clip(samples, -0.999, 0.999)
+
+
+@settings(max_examples=15, deadline=None)
+@given(pause_schedules(), st.sampled_from(list(SkillClass)), st.booleans(),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_generate_matches_full_length_render(drawn, skill, noisy, seed):
+    # equal values everywhere; with noise on, equal bytes too (without noise
+    # the full-length render leaves some silent samples at -0.0)
+    duration, schedule = drawn
+    profile = synth.make_profile(skill, seed=seed, pause_schedule=schedule,
+                                 noise_dbfs=-70.0 if noisy else -200.0)
+    got = synth.generate(profile, duration)[0]
+    want = _full_length_render(profile, duration)
+    assert np.array_equal(got, want)
+    if noisy:
+        assert got.tobytes() == want.tobytes()
