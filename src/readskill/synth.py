@@ -31,6 +31,9 @@ from .lexical import SkillClass
 
 MIN_DURATION_S = 5.0
 
+# every profile's speech level; synthcorpus rejects noise louder than it
+SPEECH_LEVEL_DBFS = -20.0
+
 # Rendered silences extend this far past the scheduled span on each side.
 # The speech detector's median filter and two-frame hangover shrink a
 # silence run by exactly this much, so detected pauses match the schedule.
@@ -89,7 +92,7 @@ def make_profile(skill: SkillClass, seed: int = 0, **overrides) -> ProfileSpec:
     base = ProfileSpec(
         skill=skill,
         noise_dbfs=-70.0,
-        level_dbfs=-20.0,
+        level_dbfs=SPEECH_LEVEL_DBFS,
         seed=seed,
         **_CLASS_DEFAULTS[skill],
     )
@@ -167,6 +170,14 @@ def _allocate_bumps(segment_lengths: list[int], total: int) -> list[int]:
     return counts.tolist()
 
 
+def _absorbs(x: np.ndarray, bound: float) -> bool:
+    """True when x + d rounds back to x, bit for bit, for every element of x
+    and every float |d| <= bound: under round-to-nearest that holds once
+    |d| <= |x| * 2**-54 and x is nonzero (-0.0 + 0.0 is +0.0)."""
+    low = np.abs(x).min()
+    return 0.0 < low and bound * 2.0 ** 54 <= low
+
+
 def generate(profile: ProfileSpec, duration: float
              ) -> tuple[np.ndarray, np.ndarray, Transcription, np.ndarray]:
     """Render one recording's 16 kHz samples plus its (k, 2) array of
@@ -177,8 +188,13 @@ def generate(profile: ProfileSpec, duration: float
 
     Only the speech samples get a carrier; each rendered silence (a pause
     widened by PAUSE_RENDER_PAD on both sides) is exactly the noise, or
-    +0.0 without noise. Raises ValueError when the snapped pauses are out
-    of order, overlap, or leave no speech between two rendered silences.
+    +0.0 without noise. The harmonic carrier stops at the first harmonic
+    above the resonance whose gain bound is too small to change a bit of
+    any carrier or power sample; later harmonics have smaller bounds. The
+    phases of the skipped harmonics are still drawn, so the noise after
+    them is unchanged.
+    Raises ValueError when the snapped pauses are out of order, overlap, or
+    leave no speech between two rendered silences.
     """
     if duration < MIN_DURATION_S:
         raise TooShort(f"duration {duration} s is under {MIN_DURATION_S} s")
@@ -223,9 +239,18 @@ def generate(profile: ProfileSpec, duration: float
     center = WANDER_BASE_HZ + span_hz / 2.0
     resonance = center + 0.4 * span_hz * np.sin(
         2.0 * np.pi * WANDER_RATE_HZ * t + rng.uniform(0.0, 2.0 * np.pi))
+    top = center + abs(0.4 * span_hz)  # rounding is monotone: resonance <= top
     carrier = np.zeros(len(t))
     power = np.zeros(len(t))
-    for h in range(1, int(8000.0 / f0) + 1):
+    n_harmonics = int(8000.0 / f0)
+    for h in range(1, n_harmonics + 1):
+        if h * f0 > top:
+            # bounds this gain and every later one; the factor 2 covers the
+            # rounding of exp and of its argument
+            bound = 2.0 * math.exp(-((h * f0 - top) ** 2) / (2.0 * RESONANCE_SIGMA_HZ ** 2))
+            if _absorbs(carrier, bound) and _absorbs(power, bound * bound):
+                rng.uniform(0.0, 2.0 * np.pi, size=n_harmonics - h + 1)  # skipped phases
+                break
         gain = np.exp(-((h * f0 - resonance) ** 2) / (2.0 * RESONANCE_SIGMA_HZ ** 2))
         carrier += gain * np.cos(2.0 * np.pi * h * f0 * t + rng.uniform(0.0, 2.0 * np.pi))
         power += gain * gain
@@ -337,13 +362,16 @@ def write_corpus(out_dir, per_class: int = 3, duration: float = 10.0,
     return ids
 
 
-def _number(kind, low=None):
-    """argparse type: a finite `kind` value, at least `low` when given."""
+def _number(kind, low=None, high=None):
+    """argparse type: a finite `kind` value, at least `low` and at most
+    `high` when given."""
     def parse(text: str):
         value = kind(text)
-        if not math.isfinite(value) or (low is not None and value < low):
+        if (not math.isfinite(value) or (low is not None and value < low)
+                or (high is not None and value > high)):
             bound = ("an integer" if kind is int else "a finite number") + (
-                "" if low is None else f" of at least {low:g}")
+                "" if low is None else f" of at least {low:g}") + (
+                "" if high is None else f" of at most {high:g}")
             raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
         return value
     parse.__name__ = kind.__name__  # argparse's "invalid float value" message
@@ -363,7 +391,8 @@ def main(argv=None) -> int:
     gen.add_argument("--per-class", type=_number(int, 1), default=3)
     gen.add_argument("--duration", type=_number(float, MIN_DURATION_S), default=10.0)
     gen.add_argument("--seed", type=_number(int, 0), default=0)
-    gen.add_argument("--noise-dbfs", type=_number(float), default=-70.0)
+    gen.add_argument("--noise-dbfs", type=_number(float, high=SPEECH_LEVEL_DBFS),
+                     default=-70.0)
     gen.add_argument("--pause-style", default="class",
                      choices=["class", "randomized"])
     gen.add_argument("--no-hyp", action="store_true")

@@ -290,6 +290,7 @@ def test_generate_rejects_schedule_it_cannot_render(schedule):
 @pytest.mark.parametrize("flag,value", [
     ("--duration", "4.9"), ("--duration", "nan"), ("--duration", "inf"),
     ("--seed", "-3"), ("--noise-dbfs", "nan"), ("--noise-dbfs", "inf"),
+    ("--noise-dbfs", "60"), ("--noise-dbfs", "0"), ("--noise-dbfs", "-19.9"),
     ("--per-class", "0"), ("--per-class", "-1"),
 ])
 def test_synthcorpus_cli_rejects_bad_numbers(tmp_path, capsys, flag, value):
@@ -306,7 +307,7 @@ def test_synthcorpus_cli(tmp_path):
     out = tmp_path / "corpus"
     rc = synth.main(["generate", "--out", str(out), "--per-class", "1",
                      "--duration", "6.0", "--seed", "2", "--profile", "M_A",
-                     "--no-hyp"])
+                     "--no-hyp", "--noise-dbfs", "-20"])  # the loudest accepted
     assert rc == 0
     index = scan_corpus(out)
     assert len(index.ids) == 1
@@ -404,15 +405,37 @@ def _full_length_render(profile, duration):
 
 @settings(max_examples=15, deadline=None)
 @given(pause_schedules(), st.sampled_from(list(SkillClass)), st.booleans(),
-       st.integers(min_value=0, max_value=2**32 - 1))
-def test_generate_matches_full_length_render(drawn, skill, noisy, seed):
+       st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=0, max_value=12))
+def test_generate_matches_full_length_render(drawn, skill, noisy, seed, bands):
     # equal values everywhere; with noise on, equal bytes too (without noise
-    # the full-length render leaves some silent samples at -0.0)
+    # the full-length render leaves some silent samples at -0.0). The drawn
+    # wander bands move the resonance, so the carrier stops early, late or
+    # never, while the reference renders every harmonic
     duration, schedule = drawn
     profile = synth.make_profile(skill, seed=seed, pause_schedule=schedule,
-                                 noise_dbfs=-70.0 if noisy else -200.0)
+                                 noise_dbfs=-70.0 if noisy else -200.0,
+                                 wander_bands=bands)
     got = synth.generate(profile, duration)[0]
     want = _full_length_render(profile, duration)
     assert np.array_equal(got, want)
     if noisy:
         assert got.tobytes() == want.tobytes()
+
+
+def test_generate_skips_harmonics_that_cannot_change_a_bit(monkeypatch):
+    # an I_A resonance wanders one band above 800 Hz, far below 8 kHz, so
+    # the carrier stops before its last harmonic; np.cos runs once for the
+    # envelope of the single speech span and once per evaluated harmonic
+    profile = synth.make_profile(SkillClass.I_A, seed=3, pause_schedule=())
+    f0 = np.random.default_rng([3, 17]).uniform(220.0, 300.0)
+    cos = np.cos
+    calls = []
+
+    def counting_cos(*args, **kwargs):
+        calls.append(1)
+        return cos(*args, **kwargs)
+
+    monkeypatch.setattr(synth.np, "cos", counting_cos)
+    synth.generate(profile, 5.0)
+    assert len(calls) - 1 < int(8000.0 / f0)
