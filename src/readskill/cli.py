@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import functools
 import multiprocessing
 import os
@@ -34,6 +35,26 @@ def _write_errors(out_dir: Path, errors: list[tuple[str, str]]) -> None:
         "\n".join(lines) + "\n" if lines else "", encoding="utf-8")
 
 
+def _keep_freed_heap() -> tuple[int, ...]:
+    """Have glibc's malloc keep freed memory in the process. Under its
+    default policy each recording's freed numpy temporaries go back to the
+    kernel, and the next recording faults every page in again. Here blocks
+    under 32 MiB (glibc's 64-bit ceiling) come from the heap, which is
+    trimmed only once 64 MiB lie free at its top. Returns what each
+    ``mallopt`` call returned: 1 on glibc, 0 on musl, which ignores them,
+    and nothing where there is no ``mallopt`` (macOS, Windows). Outputs
+    never depend on it. Only the CLI calls it, so importing readskill
+    leaves its host's allocator alone."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return ()
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # M_MMAP_THRESHOLD and M_TRIM_THRESHOLD of glibc's <malloc.h>
+    return mallopt(-3, 32 << 20), mallopt(-1, 64 << 20)
+
+
 @contextlib.contextmanager
 def _pool_map(jobs: int):
     """An ordered map over ``jobs`` processes: the builtin ``map`` at
@@ -42,7 +63,7 @@ def _pool_map(jobs: int):
     if jobs == 1:
         yield map
         return
-    with multiprocessing.Pool(jobs) as pool:
+    with multiprocessing.Pool(jobs, initializer=_keep_freed_heap) as pool:
         yield pool.map
 
 
@@ -294,6 +315,7 @@ def _positive_int(text: str) -> int:
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = argparse.ArgumentParser(
         prog="readskill",
         description="Batch screening toolkit for oral-reading recordings.",

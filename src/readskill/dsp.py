@@ -96,9 +96,11 @@ def raw_frames(samples: np.ndarray) -> np.ndarray:
 
 
 def _centroid_batch(frames: np.ndarray) -> np.ndarray:
-    # One batch, unlike _harmonicity_batch: the matmul's BLAS kernel picks
-    # its summation order by row count, so a row's last bits would depend
-    # on the size of its block.
+    # One batch, unlike _harmonicity_batch. spec[:, keep] comes back
+    # column-major, with strides (8, 8 * rows), so spec @ freqs runs BLAS's
+    # column-sweep kernel. A row-major copy of the same values changes the
+    # product's last bit in most rows (409 of 498 in one 5 s recording), so
+    # a blocked form must keep this layout and kernel (ROADMAP item 9).
     spec = np.abs(np.fft.rfft(frames, n=FFT_SIZE, axis=1)) ** 2
     freqs = np.fft.rfftfreq(FFT_SIZE, d=1.0 / SAMPLE_RATE)
     keep = (freqs > 0.0) & (freqs <= CENTROID_MAX_HZ)

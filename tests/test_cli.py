@@ -2,11 +2,15 @@
 determinism and the handoff between commands."""
 from __future__ import annotations
 
+import ctypes
 import json
+import multiprocessing
 import os
+import platform
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +18,7 @@ import pytest
 
 import readskill
 from conftest import harmonicity_batch_oracle
-from readskill import classify, dsp, lexical
+from readskill import classify, cli, dsp, lexical, synth
 from readskill.cli import main
 from readskill.corpus import load_wav, write_wav
 
@@ -25,6 +29,14 @@ def run(*argv: str) -> int:
 
 def read_rows(path) -> list[str]:
     return [ln for ln in path.read_text().splitlines()[2:] if ln]
+
+
+def checkout_env(**extra: str) -> dict[str, str]:
+    """The environment with ``extra`` set and the copy under test first on
+    PYTHONPATH, for CLI runs in a fresh process."""
+    src = str(Path(readskill.__file__).parents[1])
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
 @pytest.fixture(scope="module")
@@ -682,16 +694,14 @@ CHAIN = (("featurize", "--dump-frames", "--dump-events"), ("cluster",), ("evalua
 
 def test_cli_chain_runs_with_scipy_unimportable(small_corpus, tmp_path):
     blocked, free = tmp_path / "blocked", tmp_path / "free"
-    src = str(Path(readskill.__file__).parents[1])  # the copy under test
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
     def settings(out):
         return ["--set", f"corpus_root={small_corpus}", "--set", f"out_dir={out}",
                 "--set", "folds=3", "--jobs", "2"]
 
     done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(CHAIN),
-                           *settings(blocked)], capture_output=True, text=True, env=env)
+                           *settings(blocked)], capture_output=True, text=True,
+                          env=checkout_env())
     assert done.returncode == 0, done.stderr
     for command in CHAIN:
         assert run(*settings(free), *command) == 0
@@ -755,12 +765,9 @@ def test_non_utf8_config_exits_2(tmp_path, capsys):
 def _cli_in_c_locale(utf8_mode: bool, *argv: str) -> subprocess.CompletedProcess:
     """Run the CLI under the C locale, whose preferred encoding is ASCII
     unless Python's UTF-8 mode is on."""
-    src = str(Path(readskill.__file__).parents[1])  # the copy under test
-    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "1" if utf8_mode else "0",
-           "PYTHONPATH": os.pathsep.join(
-               p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run([sys.executable, "-m", "readskill.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True,
+                          env=checkout_env(LC_ALL="C", PYTHONUTF8="1" if utf8_mode else "0"))
 
 
 @pytest.mark.parametrize("case", ["labels", "hypothesis"])
@@ -1020,3 +1027,69 @@ def test_class_holding_csv_syntax_stays_one_cell(small_corpus, one_stage_model, 
     err = capsys.readouterr().err
     assert err == f"error: UnknownLabel: c_a_000: class {label!r} is not one of " \
                   f"{lexical.SKILL_NAMES}\n"
+
+
+GLIBC = platform.libc_ver()[0] == "glibc"
+
+
+def _featurize_minor_faults(corpus, out) -> int:
+    """Minor page faults of one ``featurize --dump-frames --dump-events``
+    run at --jobs 1, in a fresh process."""
+    child = subprocess.Popen(
+        [sys.executable, "-m", "readskill.cli", "--set", f"corpus_root={corpus}",
+         "--set", f"out_dir={out}", "--jobs", "1", "featurize", "--dump-frames",
+         "--dump-events"], stdout=subprocess.DEVNULL, env=checkout_env())
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0
+    return usage.ru_minflt
+
+
+@pytest.mark.skipif(not GLIBC, reason="the heap policy under test is glibc's")
+def test_featurize_does_not_refault_freed_memory(tmp_path):
+    # under glibc's default policy every recording's freed temporaries went
+    # back to the kernel, and each 8 s recording past the first cost
+    # ~1,800-3,400 minor faults
+    faults = {}
+    for per_class in (1, 4):
+        corpus = tmp_path / f"corpus_{per_class}"
+        synth.write_corpus(corpus, per_class=per_class, duration=8.0, seed=0)
+        faults[3 * per_class] = _featurize_minor_faults(corpus, tmp_path / f"out_{per_class}")
+    assert (faults[12] - faults[3]) / 9 < 100, faults
+
+
+@pytest.mark.skipif(not GLIBC, reason="glibc's mallopt")
+def test_keep_freed_heap_sets_both_thresholds_on_glibc():
+    assert cli._keep_freed_heap() == (1, 1)
+
+
+def test_cli_runs_the_same_without_mallopt(monkeypatch, capsys):
+    assert main(["config", "--dump"]) == 0
+    expected = capsys.readouterr().out
+    # a C library without mallopt, as on macOS and Windows
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    assert cli._keep_freed_heap() == ()
+    assert main(["config", "--dump"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_pool_workers_keep_freed_heap(monkeypatch):
+    # forkserver and spawn workers do not inherit the parent's malloc settings
+    initializers = []
+
+    class Pool:
+        def __init__(self, processes, initializer=None):
+            initializers.append(initializer)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(multiprocessing, "Pool", Pool)
+    with cli._pool_map(2) as map_fn:
+        assert list(map_fn(abs, [-1, 2])) == [1, 2]
+    assert initializers == [cli._keep_freed_heap]
