@@ -20,6 +20,10 @@ from __future__ import annotations
 import hashlib
 import shutil
 
+import numpy as np
+import pytest
+
+from readskill.classify import PLANS, save_model, train_plan
 from readskill.cli import main
 
 CHAIN = (("featurize", "--dump-frames", "--dump-events"), ("cluster",), ("evaluate",),
@@ -108,3 +112,24 @@ def test_chain_outputs_match_pinned_digests(small_corpus, tmp_path, capsys):
     differ = sorted(name for name in got.keys() | DIGESTS.keys()
                     if got.get(name) != DIGESTS.get(name))
     assert not differ, f"outputs that differ from the pinned digests: {differ}"
+
+
+# The chain above runs on nine recordings with two folds, so none of its
+# split rounds holds more than a handful of rows. These models are grown at
+# the paper's scale: 189 rows of 17 features with ~40 tied values per
+# column, all three classes, and 50 trees per stage.
+PAPER_SCALE_MODEL_DIGESTS = {
+    "one_stage": "c66c08d82edfd22a462bdccf6beb7b865c5c31ab282536c25661c1ebfedc51e7",
+    "two_stage_P": "2324a07ce509c1f55e704c5bdaa7364852376500bb009e1bc2b70717c6ac7316",
+    "two_stage_Q": "c52d42030f48d847cae912855d786f1da10ef2ad4ee72c682d5b33d9fd0c3a75",
+}
+
+
+@pytest.mark.parametrize("plan_id", sorted(PAPER_SCALE_MODEL_DIGESTS))
+def test_paper_scale_models_match_pinned_digests(plan_id, tmp_path):
+    rng = np.random.default_rng(189)
+    y = np.repeat(np.arange(3), 63)
+    X = np.round(rng.normal(size=(189, 17)) + 0.5 * y[:, None], 2)
+    path = tmp_path / "model.json"
+    save_model(train_plan(PLANS[plan_id], X, y, seed_path=(189,)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PAPER_SCALE_MODEL_DIGESTS[plan_id]
