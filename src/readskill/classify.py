@@ -78,6 +78,11 @@ def _gini_gain_scan(ranks: np.ndarray, y: np.ndarray, rows: np.ndarray,
     value gets gain -1.0. Gains derive from integer class counts only, so
     equal partitions give bit-equal gains. Within a column ties take the
     earliest position; across columns they take the lower feature.
+
+    The scan works in place. Per (candidate, row) entry it holds at most
+    the int64 sort order, one int64 and three float64 buffers and two
+    one-byte ones (classes and invalid positions): 42 bytes, plus a few
+    arrays per row.
     """
     k_nodes = len(sizes)
     starts = np.cumsum(sizes) - sizes
@@ -85,36 +90,51 @@ def _gini_gain_scan(ranks: np.ndarray, y: np.ndarray, rows: np.ndarray,
     seg = np.repeat(np.arange(k_nodes), sizes)
     # one key per (candidate, row) orders by node, then by value; the stable
     # sort keeps tied rows in node order
-    key = seg * len(ranks) + ranks[rows, feats[seg].T]           # (m, N)
+    key = (seg * len(ranks) + ranks[rows, feats[seg].T]).astype(
+        np.min_scalar_type(k_nodes * len(ranks)))                # (m, N)
     order = key.argsort(axis=1, kind="stable")
-    key = np.take_along_axis(key, order, axis=1)
-    ys = y[rows][order]
+    key.sort(axis=1)
+    # -1 marks positions between equal values and the last row of each node
+    invalid = np.ones(key.shape, dtype=bool)
+    np.greater_equal(key[:, :-1], key[:, 1:], out=invalid[:, :-1])
+    invalid[:, ends] = True
+    del key
+    ys = y[rows].astype(np.min_scalar_type(n_classes))[order]
     counts = np.empty((k_nodes, n_classes), dtype=np.int64)
-    sq_l = sq_r = 0
+    side = np.empty(ys.shape, dtype=np.int64)                    # left, then right
+    square = np.empty(ys.shape)
+    # the sums of squared counts stay below 2**53, so they are exact
+    sq_l = np.zeros(ys.shape)
+    sq_r = np.zeros(ys.shape)
     for c in range(n_classes):
-        cum = (ys == c).cumsum(axis=1)                          # (m, N)
-        through = cum[0, ends]
+        np.add.accumulate(np.equal(ys, c, out=side), axis=1, out=side)
+        through = side[0, ends]
         before = np.concatenate(([0], through[:-1]))
         counts[:, c] = through - before
-        left = cum - before[seg]
-        right = counts[seg, c] - left
-        sq_l = sq_l + left * left
-        sq_r = sq_r + right * right
+        side -= before[seg]
+        sq_l += np.multiply(side, side, out=square)
+        np.subtract(counts[seg, c], side, out=side)
+        sq_r += np.multiply(side, side, out=square)
+    del side, square  # so that the per-row arrays below add nothing to the peak
     parent_gini = 1.0 - ((counts / sizes[:, None]) ** 2).sum(axis=1)
     # position i splits its node after row i; the last row of a node ends it
     n = sizes[seg]
     nl = np.arange(len(rows)) - starts[seg] + 1.0
     nr = n - nl
+    # in place, sq_l and sq_r become nl * gini_l and nr * gini_r, and then
+    # sq_l becomes gain = parent_gini - (nl * gini_l + nr * gini_r) / n
     with np.errstate(divide="ignore", invalid="ignore"):
-        gini_l = 1.0 - sq_l / (nl * nl)
-        gini_r = 1.0 - sq_r / (nr * nr)
-        gain = parent_gini[seg] - (nl * gini_l + nr * gini_r) / n
-    valid = np.zeros(key.shape, dtype=bool)
-    valid[:, :-1] = key[:, :-1] < key[:, 1:]
-    valid[:, ends] = False
-    # -1 marks positions between equal values; every real gain lies above
-    # it, so a column without a valid position never wins.
-    gain = np.where(valid, gain, -1.0)
+        for sq, size in ((sq_l, nl), (sq_r, nr)):
+            sq /= size * size
+            np.subtract(1.0, sq, out=sq)
+            sq *= size
+        gain = sq_l
+        gain += sq_r
+        gain /= n
+        np.subtract(parent_gini[seg], gain, out=gain)
+    # every real gain lies above -1, so a column without a valid position
+    # never wins
+    np.copyto(gain, -1.0, where=invalid)
 
     col_best = np.maximum.reduceat(gain, starts, axis=1)         # (m, K)
     col = col_best.argmax(axis=0)

@@ -175,8 +175,14 @@ def silhouette(points: np.ndarray, assignments: np.ndarray) -> float:
     clusters = np.unique(idx)
     if len(clusters) < 2:
         raise SingleCluster("silhouette needs at least two clusters")
-    dist = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
     n = len(points)
+    # distances from 32 points at a time: each is the same sum over the same
+    # squared differences, without an (n, n, d) difference tensor
+    dist = np.empty((n, n))
+    for a in range(0, n, 32):
+        block = points[a:a + 32, None, :] - points[None, :, :]
+        np.sqrt(np.square(block, out=block).sum(axis=2), out=dist[a:a + 32])
+        del block  # before the next one is made
     sums = np.stack([dist[:, idx == c].sum(axis=1) for c in clusters], axis=1)
     sizes = np.array([(idx == c).sum() for c in clusters])
     own_col = np.searchsorted(clusters, idx)

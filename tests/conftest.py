@@ -2,6 +2,8 @@
 ones several test modules read from are built once per session."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,21 @@ def small_corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus_small")
     synth.write_corpus(root, per_class=3, duration=8.0, seed=0)
     return root
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes that fn(*args) holds at its peak beyond what was live before,
+    under tracemalloc, which sees numpy's array buffers. A first untraced
+    call keeps one-time costs, such as numpy's lazy imports, out of it."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
 
 
 def harmonicity_batch_oracle(frames, intensity_db):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from readskill.classify import (
     CV_FOLDS,
     PLANS,
@@ -472,6 +473,18 @@ def test_batched_scan_matches_per_column_scan(round_):
             got = order[start:start + len(rows)]
             assert np.array_equal(got, rows[np.argsort(X[rows, feature[k]], kind="stable")])
         start += len(rows)
+
+
+def test_root_round_scan_memory_per_entry():
+    # one forest's root round at the paper's scale: 50 trees of 189
+    # bootstrap rows, 5 candidate columns each
+    rng = np.random.default_rng(189)
+    X = np.round(rng.normal(size=(189, 17)), 2)
+    y = rng.integers(0, 3, 189)
+    rows = rng.integers(0, 189, 50 * 189)
+    feats = np.sort([rng.choice(17, 5, replace=False) for _ in range(50)], axis=1)
+    peak = traced_peak(_gini_gain_scan, _ranks(X), y, rows, np.full(50, 189), feats, 3)
+    assert peak / (5 * len(rows)) < 64
 
 
 def _oracle_gini_gain_scan(X, y, feats, n_classes):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from readskill.corpus import TranscribedWord, Transcription
 from readskill.errors import (
     AmbiguousLabeling,
@@ -209,6 +210,16 @@ def test_silhouette_square_corner_split():
 def test_silhouette_singletons_score_zero():
     pts = np.array([[0.0], [5.0]])
     assert silhouette(pts, np.array([0, 1])) == 0.0
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_silhouette_memory_stays_quadratic_in_points(d):
+    # the (n, n) distances and one cluster's columns of them fit under
+    # 3 * n**2 floats; an (n, n, d) difference tensor beside the distances
+    # takes (d + 1) * n**2
+    n = 189
+    pts = np.random.default_rng(d).random((n, d))
+    assert traced_peak(silhouette, pts, np.arange(n) % 3) < 3 * n * n * 8
 
 
 def test_silhouette_single_cluster_error():
