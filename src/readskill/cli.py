@@ -98,7 +98,7 @@ def _featurize_one(index: CorpusIndex, fcfg, out_dir: Path, dump_fr: bool,
     intervals, _ = parse_intervals(index.intervals_path(rid), len(samples) / SAMPLE_RATE)
     values, detail = featurize.extract_features(samples, intervals, index.story, fcfg)
     if dump_fr:
-        dump_frames(detail.track, out_dir / f"frames_{rid}.csv")
+        dump_frames(detail.track, samples, out_dir / f"frames_{rid}.csv")
     if dump_ev:
         dump_events(detail.pauses, detail.peaks, out_dir / f"events_{rid}.csv")
     return rid, index.labels.get(rid), values

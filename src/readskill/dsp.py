@@ -7,7 +7,6 @@ All analysis runs on 25 ms frames (400 samples) advanced by 10 ms
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -46,14 +45,8 @@ class VadConfig:
 
 @dataclass
 class FrameTrack:
-    """Per-frame analysis of one recording.
+    """Per-frame analysis of one recording."""
 
-    ``frames`` holds the raw frames (a strided view of the samples).
-    The VAD needs harmonicity only on its band frames, so the full
-    per-frame harmonicity track is computed from ``frames`` on first read.
-    """
-
-    frames: np.ndarray
     energy: np.ndarray
     intensity_db: np.ndarray
     centroid_hz: np.ndarray
@@ -62,10 +55,6 @@ class FrameTrack:
     @property
     def n_frames(self) -> int:
         return len(self.energy)
-
-    @cached_property
-    def harmonicity(self) -> np.ndarray:
-        return _harmonicity_batch(self.frames, self.intensity_db)
 
     @property
     def times(self) -> np.ndarray:
@@ -250,7 +239,6 @@ def build_track(samples: np.ndarray, vad_config: VadConfig | None = None) -> Fra
     harm = np.zeros(len(raw))
     harm[band] = _harmonicity_batch(raw[band], intensity_db[band])
     return FrameTrack(
-        frames=raw,
         energy=energy,
         intensity_db=intensity_db,
         centroid_hz=centroid,
@@ -271,10 +259,13 @@ def moving_average(x: np.ndarray, win: int) -> np.ndarray:
     return (c[hi] - c[lo]) / (hi - lo)
 
 
-def dump_frames(track: FrameTrack, path) -> None:
-    """Write one row per frame for debugging and audits."""
+def dump_frames(track: FrameTrack, samples: np.ndarray, path) -> None:
+    """Write one row per frame of the track built from ``samples``, for
+    debugging and audits. Harmonicity is computed here for every frame;
+    build_track computes it for the VAD's band frames only."""
+    harmonicity = _harmonicity_batch(raw_frames(samples), track.intensity_db)
     cols = (track.times.tolist(), track.energy.tolist(), track.intensity_db.tolist(),
-            track.centroid_hz.tolist(), track.harmonicity.tolist(),
+            track.centroid_hz.tolist(), harmonicity.tolist(),
             np.asarray(track.is_speech, dtype=np.int64).tolist())
     rows = [f"{t!r},{e!r},{i!r},{c!r},{h!r},{s}\n" for t, e, i, c, h, s in zip(*cols)]
     with open(path, "w", encoding="utf-8") as fh:

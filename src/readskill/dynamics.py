@@ -25,15 +25,15 @@ INTENSITY_DYNAMICS_FEATURES = (
 )
 
 
-def _top_two(counts: np.ndarray) -> tuple[int, int]:
-    """Largest and second-largest band counts; ties resolve to the lower
-    band, and a single occupied band yields c2 = 0."""
-    c1_band = int(np.argmax(counts))
-    c1 = int(counts[c1_band])
-    rest = counts.copy()
-    rest[c1_band] = -1
-    c2 = int(max(np.max(rest), 0))
-    return c1, c2
+def _speech_by_interval(track: FrameTrack, intervals: np.ndarray):
+    """Yield the frame mask of each interval's speech frames, skipping
+    intervals that hold none."""
+    speech = track.is_speech.astype(bool)
+    idx = interval_index(track.times, intervals)
+    for k in range(len(intervals)):
+        sel = speech & (idx == k)
+        if sel.any():
+            yield sel
 
 
 def spectral_dynamics(track: FrameTrack, intervals: np.ndarray) -> tuple[float, ...]:
@@ -52,19 +52,13 @@ def spectral_dynamics(track: FrameTrack, intervals: np.ndarray) -> tuple[float, 
         return (0.0,) * len(SPECTRAL_DYNAMICS_FEATURES)
 
     bands = np.clip((track.centroid_hz / BAND_WIDTH_HZ).astype(int), 0, n_bands - 1)
-    idx = interval_index(track.times, intervals)
 
     ratios = []
     norms = []
-    for k in range(len(intervals)):
-        sel = speech & (idx == k)
-        count = int(sel.sum())
-        if count == 0:
-            continue
-        hist = np.bincount(bands[sel], minlength=n_bands)
-        c1, c2 = _top_two(hist)
+    for sel in _speech_by_interval(track, intervals):
+        c2, c1 = np.sort(np.bincount(bands[sel], minlength=n_bands))[-2:].tolist()
         ratios.append(c1 / c2 if c2 > 0 else float(c1))
-        norms.append(c1 / count)
+        norms.append(c1 / int(sel.sum()))
 
     global_hist = np.bincount(bands[speech], minlength=n_bands)
     return (
@@ -90,13 +84,9 @@ def intensity_dynamics(track: FrameTrack, intervals: np.ndarray) -> tuple[float,
     if not speech.any():
         return (0.0,) * len(INTENSITY_DYNAMICS_FEATURES)
 
-    idx = interval_index(track.times, intervals)
     macros = []
     micro_windows = []
-    for k in range(len(intervals)):
-        sel = speech & (idx == k)
-        if not sel.any():
-            continue
+    for sel in _speech_by_interval(track, intervals):
         contour = track.intensity_db[sel]
         contour = contour - contour.mean()
         macros.append(float(np.std(moving_average(contour, MACRO_WIN_FRAMES))))

@@ -296,18 +296,12 @@ def detect_syllables(samples: np.ndarray, is_speech: np.ndarray,
     env = moving_average(env, smooth_frames)
 
     peak_idx = _find_peaks(env)
-    if len(peak_idx) == 0:
-        return np.empty(0)
-    top = float(env.max())
-    if top <= 0.0:
-        return np.empty(0)
+    top = float(env.max(initial=0.0))
     prom = _peak_prominences(env, peak_idx)
     speech = np.asarray(is_speech, dtype=bool)[:n]
     ok = speech[peak_idx] & (env[peak_idx] >= cfg.height_frac * top) \
         & (prom >= cfg.prominence_frac * top)
     candidates = peak_idx[ok]
-    if len(candidates) == 0:
-        return np.empty(0)
 
     # strongest first; ties go to the earlier peak
     min_gap = int(round(cfg.min_gap_s / HOP_S))

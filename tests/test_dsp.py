@@ -25,6 +25,7 @@ from readskill.dsp import (
     _harmonicity_batch,
     bool_runs,
     build_track,
+    dump_frames,
     moving_average,
     frame_energy,
     raw_frames,
@@ -278,13 +279,16 @@ def _exactness_signals():
     (VadConfig(harmonicity_margin_db=6.0, abs_threshold_db=-200.0), False),
     (VadConfig(harmonicity_margin_db=9.0, abs_threshold_db=-200.0), False),
 ], ids=["default", "abs_threshold", "margins_equal", "margin_above"])
-def test_build_track_speech_matches_full_harmonicity_vad(cfg, has_band):
+def test_build_track_speech_matches_full_harmonicity_vad(cfg, has_band, tmp_path):
     band_frames = 0
     for name, x in _exactness_signals().items():
         track = build_track(x, cfg)
         full = _harmonicity_batch(raw_frames(x), track.intensity_db)
         assert np.array_equal(track.is_speech, vad(track.intensity_db, full, cfg)), name
-        assert np.array_equal(track.harmonicity, full), name
+        # the frame dump's harmonicity column is that full track
+        dump_frames(track, x, tmp_path / "frames.csv")
+        rows = (tmp_path / "frames.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[4]) for row in rows] == full.tolist(), name
         band_frames += int(_band(track.intensity_db, cfg).sum())
     if has_band is not None:
         assert (band_frames > 0) == has_band
@@ -389,7 +393,8 @@ def test_build_track_fields():
     want_db = 10.0 * np.log10(track.energy + 1e-12)
     assert np.allclose(track.intensity_db, want_db, atol=0)
     assert np.all((track.centroid_hz >= 0) & (track.centroid_hz <= 8000))
-    assert np.all((track.harmonicity >= 0) & (track.harmonicity <= 1))
+    harmonicity = _harmonicity_batch(raw_frames(x), track.intensity_db)
+    assert np.all((harmonicity >= 0) & (harmonicity <= 1))
     assert track.times[0] == CENTER_S
     assert np.isclose(track.times[1] - track.times[0], HOP_S)
 

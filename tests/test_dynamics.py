@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from readskill.dsp import FRAME_LEN, HOP_S, FrameTrack, moving_average
+from readskill.dsp import HOP_S, FrameTrack, moving_average
 from readskill.dynamics import intensity_dynamics, spectral_dynamics
 
 CENTER_S = 0.0125
@@ -23,7 +23,6 @@ def make_track(centroids, intensity=None, speech=None) -> FrameTrack:
     intensity = np.asarray(intensity, dtype=np.float64)
     energy = 10.0 ** (intensity / 10.0)
     return FrameTrack(
-        frames=np.zeros((n, FRAME_LEN)),
         energy=energy,
         intensity_db=intensity,
         centroid_hz=centroids,

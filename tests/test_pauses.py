@@ -120,10 +120,16 @@ def test_detect_syllables_scale_invariant_count():
 
 
 def test_detect_syllables_silence():
-    x = np.zeros(SAMPLE_RATE)
-    track = build_track(x)
-    peaks = detect_syllables(x, np.zeros(track.n_frames, dtype=bool))
-    assert peaks.dtype == np.float64 and peaks.shape == (0,)
+    tone = am_tone(4.0, 2.0)
+    for name, x, n in [
+        ("silence", np.zeros(SAMPLE_RATE), build_track(np.zeros(SAMPLE_RATE)).n_frames),
+        # peaks, but none on a speech frame
+        ("no speech frame", tone, build_track(tone).n_frames),
+        # an empty speech mask leaves an empty envelope
+        ("empty mask", tone, 0),
+    ]:
+        peaks = detect_syllables(x, np.zeros(n, dtype=bool))
+        assert peaks.dtype == np.float64 and peaks.shape == (0,), name
 
 
 def test_band_pass_is_designed_once_per_band(monkeypatch):

@@ -68,9 +68,9 @@ def test_counter_inputs_keep_their_shape():
         "stage_models", "path"]
 
 
-def test_harmonicity_is_computed_through_the_module(monkeypatch):
+def test_harmonicity_is_computed_through_the_module(monkeypatch, tmp_path):
     # dsp.harmonicity times every _harmonicity_batch call: the band-only one
-    # in build_track and the full track FrameTrack computes on first read
+    # in build_track and the full track that dump_frames writes
     calls = []
     batch = dsp._harmonicity_batch
 
@@ -83,8 +83,8 @@ def test_harmonicity_is_computed_through_the_module(monkeypatch):
     x = rng.standard_normal(16000) * np.repeat(10.0 ** rng.uniform(-4, 0, 100), 160)
     track = dsp.build_track(x, dsp.VadConfig(abs_threshold_db=0.0))
     assert len(calls) == 1 and 0 < calls[0] < track.n_frames
-    assert track.harmonicity is track.harmonicity  # computed once, then cached
-    assert calls == [calls[0], track.n_frames]
+    dsp.dump_frames(track, x, tmp_path / "frames.csv")
+    assert calls == [calls[0], track.n_frames]  # the dump computes it once
 
 
 def test_cv_folds_reach_train_plan_through_the_module(monkeypatch):
