@@ -33,10 +33,10 @@ class AlignmentOp(NamedTuple):
 
 def parse_hypothesis(path: str | Path) -> tuple[list[str], list[float]]:
     """The words and confidences of word,confidence rows; a literal header
-    row is skipped."""
+    as the first non-blank row is skipped."""
     words, confidences = [], []
-    for k, rec in csv_rows(path):
-        if k == 0 and rec[0].strip().lower() == "word":
+    for i, (k, rec) in enumerate(csv_rows(path)):
+        if i == 0 and rec[0].strip().lower() == "word":
             continue
         if len(rec) < 2:
             raise SchemaMismatch(f"{path}: row {k} needs word,confidence")

@@ -145,8 +145,9 @@ def write_wav(samples: np.ndarray, path: str | Path) -> None:
 
 def csv_rows(path: str | Path):
     """Yield (row, cells) for every non-blank row of a CSV file; rows are
-    numbered from 0 as they stand in the file, blank ones included."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    numbered from 0 as they stand in the file, blank ones included. A
+    leading UTF-8 byte-order mark is dropped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             for k, rec in enumerate(csv.reader(fh)):
                 if rec and (len(rec) > 1 or rec[0].strip()):
@@ -295,13 +296,14 @@ def expected_syllables(word: str, lexicon: dict[str, int] | None = None) -> int:
 
 
 def text_lines(path: str | Path, error: type[Exception] = SchemaMismatch) -> list[str]:
-    """Lines of a UTF-8 text file; bytes that do not decode raise ``error``
-    naming the file and the line they sit on."""
-    raw = Path(path).read_bytes()
+    """Lines of a UTF-8 text file, less a leading byte-order mark; bytes
+    that do not decode raise ``error`` naming the file and the line they
+    sit on."""
     try:
-        return raw.decode("utf-8").splitlines()
+        return Path(path).read_bytes().decode("utf-8-sig").splitlines()
     except UnicodeDecodeError as exc:
-        line = raw[:exc.start].count(b"\n") + 1
+        # the decoder's offsets count from after the mark
+        line = exc.object[:exc.start].count(b"\n") + 1
         raise error(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from readskill import corpus
 from readskill.asr_align import parse_hypothesis
+from readskill.config import load_config
 from readskill.corpus import (
     StoryText,
     csv_rows,
@@ -363,6 +364,46 @@ def test_load_story_counts(tmp_path):
     assert story.sentences == (("the", "red", "fox"), ("we", "went", "home"))
     assert story.sentence_syllables == (3, 3)
     assert story.words == ("the", "red", "fox", "we", "went", "home")
+
+
+# Each reader's file as written, then the readings that must give the same
+# result: behind a UTF-8 byte-order mark (Excel's "CSV UTF-8" writes one),
+# after a blank first line, and both.
+_READERS = {
+    "labels": ("labels.csv", "c_a_000,C_A\nm_a_001,M_A\n",
+               lambda path: scan_corpus(path.parent).labels),
+    "metadata": ("metadata.csv", "id,child_id,story_id,timestamp\nc_a_000,k1,s1,t\n",
+                 lambda path: scan_corpus(path.parent).metadata),
+    "intervals": ("r.intervals.csv", "0.0,2.0\n2.0,4.5\n",
+                  lambda path: parse_intervals(path, 4.0)[0].tolist()),
+    "words": ("r.words.csv", "Once,C\nupon,S1,apon\n", parse_transcription),
+    "hyp": ("r.hyp.csv", "word,confidence\nonce,0.9\nword,0.5\n", parse_hypothesis),
+    "story": ("story.txt", "Once upon a time\nthe end\n", load_story),
+    "syllables.lex": ("syllables.lex", "# word syllables\nfire 1\n", load_lexicon),
+    "config": ("run.conf", "seed = 7\nfolds = 3\n",
+               lambda path: load_config(str(path)).dump()),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_readers_ignore_a_byte_order_mark_and_a_blank_first_line(tmp_path, reader):
+    name, text, read = _READERS[reader]
+    for k, body in enumerate((text, "\ufeff" + text, "\n" + text, "\ufeff\n" + text)):
+        path = tmp_path / str(k) / name
+        path.parent.mkdir()
+        path.write_bytes(body.encode("utf-8"))
+        if k == 0:
+            want = read(path)
+        assert read(path) == want, repr(body[:2])
+
+
+def test_text_lines_count_lines_after_the_byte_order_mark(tmp_path):
+    path = tmp_path / "story.txt"
+    path.write_bytes(b"\xef\xbb\xbfa\n\xff\n")
+    with pytest.raises(SchemaMismatch, match="story.txt:2: not UTF-8 text"):
+        load_story(path)
+    path.write_bytes(b"\xef\xbb\xbfa b\n")
+    assert load_story(path).sentences == (("a", "b"),)
 
 
 def test_scan_corpus_full_layout(small_corpus):
