@@ -56,23 +56,25 @@ def _keep_freed_heap() -> tuple[int, ...]:
 
 
 @contextlib.contextmanager
-def _pool_map(jobs: int):
-    """An ordered map over ``jobs`` processes: the builtin ``map`` at
-    ``jobs == 1``, else the map of one pool kept open for the block, so the
-    mapped function and its arguments must pickle."""
-    if jobs == 1:
+def _pool_map(jobs: int, items: int):
+    """An ordered map over ``items`` work items in ``min(jobs, items)``
+    processes: the builtin ``map`` when that is at most one, else the map of
+    one pool kept open for the block, so the mapped function and its
+    arguments must pickle."""
+    processes = min(jobs, items)
+    if processes <= 1:
         yield map
         return
-    with multiprocessing.Pool(jobs, initializer=_keep_freed_heap) as pool:
+    with multiprocessing.Pool(processes, initializer=_keep_freed_heap) as pool:
         yield pool.map
 
 
 def _per_recording(work, ids, jobs: int):
-    """Run ``work(rid)`` for every id through ``_pool_map(jobs)``. Returns
+    """Run ``work(rid)`` for every id through ``_pool_map``. Returns
     the results in id order, and a (rid, message) error for each recording
     that raised ReadskillError or OSError. An id that a CSV cell cannot
     hold fails without running ``work``."""
-    with _pool_map(jobs) as map_fn:
+    with _pool_map(jobs, len(ids)) as map_fn:
         outcomes = list(map_fn(functools.partial(_isolated, work), ids))
     results = [result for _, result, err in outcomes if err is None]
     errors = [(rid, err) for rid, _, err in outcomes if err is not None]
@@ -235,7 +237,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
         groups = [index.metadata.get(rid, {}).get(cfg.group_by) or rid for rid in ids]
     out_dir = Path(cfg.out_dir)
     plan_ids = cfg.plan_ids()
-    with _pool_map(args.jobs) as map_fn:
+    with _pool_map(args.jobs, cfg.folds) as map_fn:
         for plan_id in plan_ids:
             report = classify.cross_validate(
                 classify.PLANS[plan_id], X, y, folds=cfg.folds, seed=cfg.seed,
@@ -323,9 +325,12 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="key = value settings file")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one config key")
-    parser.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    parser.add_argument("--jobs", type=_positive_int, default=cpus,
                         help="worker processes for featurize, cluster, evaluate "
-                             "and asr-align (default: one per CPU)")
+                             "and asr-align, at most one per recording or fold "
+                             "(default: one per CPU this process may run on)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("featurize", help="extract acoustic features per recording")

@@ -87,6 +87,48 @@ def test_asr_align_parallel_matches_serial(small_corpus, tmp_path):
         assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes(), name
 
 
+def _fake_pool(monkeypatch) -> list[int]:
+    """The process count of every multiprocessing.Pool asked for from here
+    on; the fake pool maps in this process and starts none."""
+    asked = []
+
+    class FakePool:
+        def __init__(self, processes, initializer=None):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    return asked
+
+
+def test_jobs_start_no_more_workers_than_work_items(small_corpus, tmp_path, monkeypatch):
+    asked = _fake_pool(monkeypatch)
+    settings = ("--set", f"corpus_root={small_corpus}", "--set", f"out_dir={tmp_path}",
+                "--jobs", "64")
+    assert run(*settings, "featurize") == 0
+    assert asked == [9]  # one per recording
+    assert run(*settings, "--set", "folds=2", "--set", "n_trees=3", "evaluate") == 0
+    assert asked == [9, 2]  # one per fold
+
+
+def test_jobs_default_counts_the_cpus_this_process_may_run_on(small_corpus, tmp_path,
+                                                              monkeypatch):
+    asked = _fake_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run("--set", f"corpus_root={small_corpus}", "--set", f"out_dir={tmp_path}",
+               "cluster") == 0
+    assert asked == []  # one CPU: the builtin map, no pool
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     with pytest.raises(SystemExit) as exc:
