@@ -153,12 +153,14 @@ def cmd_cluster(cfg: RunConfig, args) -> int:
                               restarts=cfg.kmeans_restarts)
 
     write_rows([("variant", "k", "silhouette"),
-                *((variant, k, float(score))
-                  for variant, sweep in (("A", sweep_a), ("B", sweep_b)) for k, score in sweep)],
+                *((variant, k, fit.silhouette)
+                  for variant, sweep in (("A", sweep_a), ("B", sweep_b))
+                  for k, fit in sweep.items())],
                out_dir / "silhouette.csv")
 
-    model = lexical.kmeans(points_b, 3, seed=cfg.seed, restarts=cfg.kmeans_restarts)
-    model.silhouette = lexical.silhouette(points_b, model.assignments)
+    # the model is variant B's K = 3 fit, made apart only when the sweep skips K = 3
+    model = sweep_b[3] if 3 in sweep_b else lexical.sweep_k(
+        points_b, range(3, 4), seed=cfg.seed, restarts=cfg.kmeans_restarts)[3]
     labels = lexical.label_clusters(model.centroids)
     lexical.save_cluster_model(model, labels, out_dir / "cluster_model.json")
 
@@ -168,10 +170,10 @@ def cmd_cluster(cfg: RunConfig, args) -> int:
                out_dir / "clusters.csv")
 
     line_chart(
-        [("variant A", [float(k) for k, _ in sweep_a], [s for _, s in sweep_a],
-          EXTRA_COLORS[0]),
-         ("variant B", [float(k) for k, _ in sweep_b], [s for _, s in sweep_b],
-          EXTRA_COLORS[3])],
+        [(f"variant {variant}", [float(k) for k in sweep],
+          [fit.silhouette for fit in sweep.values()], color)
+         for variant, sweep, color in (("A", sweep_a, EXTRA_COLORS[0]),
+                                       ("B", sweep_b, EXTRA_COLORS[3]))],
         "Mean silhouette by cluster count", "clusters", "mean silhouette",
         out_dir / "silhouette.svg")
 

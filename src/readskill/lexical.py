@@ -201,13 +201,14 @@ def silhouette(points: np.ndarray, assignments: np.ndarray) -> float:
 
 
 def sweep_k(points: np.ndarray, k_range: range, seed: int = 0,
-            restarts: int = KMEANS_RESTARTS) -> list[tuple[int, float]]:
-    """Silhouette score per K; every K reuses the same master seed."""
-    out = []
+            restarts: int = KMEANS_RESTARTS) -> dict[int, ClusterModel]:
+    """The fit for each K, in k_range order, with its silhouette set; every
+    K reuses the same master seed."""
+    fits = {}
     for k in k_range:
-        model = kmeans(points, k, seed=seed, restarts=restarts)
-        out.append((k, silhouette(points, model.assignments)))
-    return out
+        fits[k] = kmeans(points, k, seed=seed, restarts=restarts)
+        fits[k].silhouette = silhouette(points, fits[k].assignments)
+    return fits
 
 
 def label_clusters(centroids: np.ndarray) -> dict[int, SkillClass]:

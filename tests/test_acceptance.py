@@ -132,8 +132,8 @@ def test_criterion_3_cluster_recovery_imbalanced():
         truth = np.repeat([0, 1, 2], counts)
         model = lexical.kmeans(points, 3, seed=seed)
         ari = _adjusted_rand(truth, model.assignments)
-        scores = lexical.sweep_k(points, range(2, 7), seed=seed)
-        best_k = max(scores, key=lambda kv: kv[1])[0]
+        fits = lexical.sweep_k(points, range(2, 7), seed=seed)
+        best_k = max(fits, key=lambda k: fits[k].silhouette)
         if ari != 1.0 or best_k != 3:
             failures.append(f"seed {seed}: ari={ari:.4f} best_k={best_k}")
     elapsed = time.perf_counter() - t0

@@ -381,6 +381,43 @@ def test_cluster_outputs(tmp_path):
     assert (out / "clusters.svg").read_text().startswith("<svg")
 
 
+def _counting_kmeans(monkeypatch) -> list[int]:
+    """K of every lexical.kmeans call from here on."""
+    ks = []
+    kmeans = lexical.kmeans
+
+    def counting(points, k, **kwargs):
+        ks.append(k)
+        return kmeans(points, k, **kwargs)
+
+    monkeypatch.setattr(lexical, "kmeans", counting)
+    return ks
+
+
+def test_cluster_fits_each_k_of_each_variant_once(tmp_path, monkeypatch):
+    corpus = tmp_path / "wcorpus"
+    write_words_corpus(corpus)
+    ks = _counting_kmeans(monkeypatch)
+    assert run("--set", f"corpus_root={corpus}", "--set", f"out_dir={tmp_path / 'out'}",
+               "--jobs", "1", "cluster") == 0
+    # the model is variant B's K = 3 fit from the sweep, not a refit
+    assert ks == [2, 3, 4, 5, 6] * 2
+
+
+def test_cluster_fits_k3_apart_when_the_range_skips_it(tmp_path, monkeypatch):
+    corpus = tmp_path / "wcorpus"
+    write_words_corpus(corpus)
+    ks = _counting_kmeans(monkeypatch)
+    out = tmp_path / "out"
+    assert run("--set", f"corpus_root={corpus}", "--set", f"out_dir={out}",
+               "--set", "cluster_k_min=4", "--set", "cluster_k_max=5",
+               "--jobs", "1", "cluster") == 0
+    assert ks == [4, 5, 4, 5, 3]
+    rows = (out / "silhouette.csv").read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[0] for row in rows] == ["A,4", "A,5", "B,4", "B,5"]
+    assert json.loads((out / "cluster_model.json").read_text())["k"] == 3
+
+
 def test_cluster_rerun_byte_identical(tmp_path):
     corpus = tmp_path / "wcorpus"
     write_words_corpus(corpus)

@@ -229,9 +229,10 @@ def test_silhouette_single_cluster_error():
 
 def test_sweep_k_picks_three_for_three_blobs():
     pts, _ = separable_blobs(seed=2)
-    scores = sweep_k(pts, range(2, 7), seed=0)
-    assert [k for k, _ in scores] == [2, 3, 4, 5, 6]
-    best_k = max(scores, key=lambda kv: kv[1])[0]
+    fits = sweep_k(pts, range(2, 7), seed=0)
+    assert list(fits) == [2, 3, 4, 5, 6]
+    assert [fit.k for fit in fits.values()] == [2, 3, 4, 5, 6]
+    best_k = max(fits, key=lambda k: fits[k].silhouette)
     assert best_k == 3
 
 
@@ -241,15 +242,19 @@ def test_sweep_k_picks_two_for_two_sites():
         np.zeros((12, 2)) + rng.standard_normal((12, 2)) * 0.05,
         np.full((12, 2), 8.0) + rng.standard_normal((12, 2)) * 0.05,
     ])
-    scores = sweep_k(pts, range(2, 6), seed=0)
-    best_k = max(scores, key=lambda kv: kv[1])[0]
+    fits = sweep_k(pts, range(2, 6), seed=0)
+    best_k = max(fits, key=lambda k: fits[k].silhouette)
     assert best_k == 2
 
 
 def test_sweep_k_single_value_range():
     pts, _ = separable_blobs(seed=6)
-    scores = sweep_k(pts, range(2, 3), seed=0)
-    assert len(scores) == 1 and scores[0][0] == 2
+    fits = sweep_k(pts, range(2, 3), seed=0)
+    assert len(fits) == 1 and list(fits) == [2]
+    # each fit is the K-means model of that K, scored by its silhouette
+    model = kmeans(pts, 2, seed=0)
+    assert fits[2].assignments.tolist() == model.assignments.tolist()
+    assert fits[2].silhouette == silhouette(pts, model.assignments)
 
 
 def test_label_clusters_canonical():
