@@ -170,10 +170,10 @@ def cmd_cluster(cfg: RunConfig, args) -> int:
                out_dir / "clusters.csv")
 
     line_chart(
-        [(f"variant {variant}", [float(k) for k in sweep],
-          [fit.silhouette for fit in sweep.values()], color)
-         for variant, sweep, color in (("A", sweep_a, EXTRA_COLORS[0]),
-                                       ("B", sweep_b, EXTRA_COLORS[3]))],
+        [("variant A", [float(k) for k in sweep_a],
+          [fit.silhouette for fit in sweep_a.values()], EXTRA_COLORS[0]),
+         ("variant B", [float(k) for k in sweep_b],
+          [fit.silhouette for fit in sweep_b.values()], EXTRA_COLORS[3])],
         "Mean silhouette by cluster count", "clusters", "mean silhouette",
         out_dir / "silhouette.svg")
 

@@ -87,14 +87,14 @@ def test_asr_align_parallel_matches_serial(small_corpus, tmp_path):
         assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes(), name
 
 
-def _fake_pool(monkeypatch) -> list[int]:
-    """The process count of every multiprocessing.Pool asked for from here
-    on; the fake pool maps in this process and starts none."""
+def _fake_pool(monkeypatch) -> list[tuple]:
+    """(processes, initializer) of every multiprocessing.Pool asked for from
+    here on; the fake pool maps in this process and starts none."""
     asked = []
 
     class FakePool:
         def __init__(self, processes, initializer=None):
-            asked.append(processes)
+            asked.append((processes, initializer))
 
         def __enter__(self):
             return self
@@ -114,9 +114,9 @@ def test_jobs_start_no_more_workers_than_work_items(small_corpus, tmp_path, monk
     settings = ("--set", f"corpus_root={small_corpus}", "--set", f"out_dir={tmp_path}",
                 "--jobs", "64")
     assert run(*settings, "featurize") == 0
-    assert asked == [9]  # one per recording
+    assert [n for n, _ in asked] == [9]  # one per recording
     assert run(*settings, "--set", "folds=2", "--set", "n_trees=3", "evaluate") == 0
-    assert asked == [9, 2]  # one per fold
+    assert [n for n, _ in asked] == [9, 2]  # one per fold
 
 
 def test_jobs_default_counts_the_cpus_this_process_may_run_on(small_corpus, tmp_path,
@@ -1154,21 +1154,7 @@ def test_cli_runs_the_same_without_mallopt(monkeypatch, capsys):
 
 def test_pool_workers_keep_freed_heap(monkeypatch):
     # forkserver and spawn workers do not inherit the parent's malloc settings
-    initializers = []
-
-    class Pool:
-        def __init__(self, processes, initializer=None):
-            initializers.append(initializer)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return None
-
-        map = staticmethod(map)
-
-    monkeypatch.setattr(multiprocessing, "Pool", Pool)
-    with cli._pool_map(2) as map_fn:
+    asked = _fake_pool(monkeypatch)
+    with cli._pool_map(2, 2) as map_fn:
         assert list(map_fn(abs, [-1, 2])) == [1, 2]
-    assert initializers == [cli._keep_freed_heap]
+    assert asked == [(2, cli._keep_freed_heap)]
