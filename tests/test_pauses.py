@@ -120,9 +120,9 @@ def test_detect_syllables_scale_invariant_count():
 
 
 def test_detect_syllables_silence():
-    tone = am_tone(4.0, 2.0)
+    silence, tone = np.zeros(SAMPLE_RATE), am_tone(4.0, 2.0)
     for name, x, n in [
-        ("silence", np.zeros(SAMPLE_RATE), build_track(np.zeros(SAMPLE_RATE)).n_frames),
+        ("silence", silence, build_track(silence).n_frames),
         # peaks, but none on a speech frame
         ("no speech frame", tone, build_track(tone).n_frames),
         # an empty speech mask leaves an empty envelope
