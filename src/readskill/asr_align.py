@@ -32,11 +32,11 @@ class AlignmentOp(NamedTuple):
 
 
 def parse_hypothesis(path: str | Path) -> tuple[list[str], list[float]]:
-    """The words and confidences of word,confidence rows; a literal header
-    as the first non-blank row is skipped."""
+    """The words and confidences of word,confidence rows; a first non-blank
+    row that reads word,confidence, in any case, is a header and skipped."""
     words, confidences = [], []
     for i, (k, rec) in enumerate(csv_rows(path)):
-        if i == 0 and rec[0].strip().lower() == "word":
+        if i == 0 and [cell.strip().lower() for cell in rec] == ["word", "confidence"]:
             continue
         if len(rec) < 2:
             raise SchemaMismatch(f"{path}: row {k} needs word,confidence")

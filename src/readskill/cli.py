@@ -29,12 +29,6 @@ from .pauses import dump_events
 from .svgplot import CLASS_COLORS, EXTRA_COLORS, line_chart, scatter_chart
 
 
-def _write_errors(out_dir: Path, errors: list[tuple[str, str]]) -> None:
-    lines = [f"{rid}: {message}" for rid, message in sorted(errors)]
-    out_dir.joinpath("errors.log").write_text(
-        "\n".join(lines) + "\n" if lines else "", encoding="utf-8")
-
-
 def _keep_freed_heap() -> tuple[int, ...]:
     """Have glibc's malloc keep freed memory in the process. Under its
     default policy each recording's freed numpy temporaries go back to the
@@ -69,16 +63,18 @@ def _pool_map(jobs: int, items: int):
         yield pool.map
 
 
-def _per_recording(work, ids, jobs: int):
-    """Run ``work(rid)`` for every id through ``_pool_map``. Returns
-    the results in id order, and a (rid, message) error for each recording
-    that raised ReadskillError or OSError. An id that a CSV cell cannot
-    hold fails without running ``work``."""
+def _per_recording(work, ids, jobs: int, out_dir: Path):
+    """Run ``work(rid)`` for every id through ``_pool_map``. Writes
+    ``out_dir/errors.log``, one "rid: message" line for each recording that
+    raised ReadskillError or OSError, sorted by (rid, message); an id that
+    a CSV cell cannot hold fails without running ``work``. Returns the
+    results in id order and the number of failed recordings."""
     with _pool_map(jobs, len(ids)) as map_fn:
         outcomes = list(map_fn(functools.partial(_isolated, work), ids))
-    results = [result for _, result, err in outcomes if err is None]
-    errors = [(rid, err) for rid, _, err in outcomes if err is not None]
-    return results, errors
+    errors = sorted((rid, err) for rid, _, err in outcomes if err is not None)
+    out_dir.joinpath("errors.log").write_text(
+        "".join(f"{rid}: {message}\n" for rid, message in errors), encoding="utf-8")
+    return [result for _, result, err in outcomes if err is None], len(errors)
 
 
 def _isolated(work, rid):
@@ -115,11 +111,10 @@ def cmd_featurize(cfg: RunConfig, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     work = functools.partial(_featurize_one, index, cfg.feature, out_dir,
                              args.dump_frames, args.dump_events)
-    rows, errors = _per_recording(work, index.ids, args.jobs)
+    rows, failed = _per_recording(work, index.ids, args.jobs, out_dir)
     featurize.write_features(rows, out_dir / "features.csv")
-    _write_errors(out_dir, errors)
-    print(f"featurize: {len(rows)} ok, {len(errors)} failed")
-    return 1 if errors else 0
+    print(f"featurize: {len(rows)} ok, {failed} failed")
+    return 1 if failed else 0
 
 
 def _miscue_row(index: CorpusIndex, rid: str):
@@ -136,8 +131,7 @@ def cmd_cluster(cfg: RunConfig, args) -> int:
 
     ids = [rid for rid in index.ids if index.words_path(rid).exists()]
     work = functools.partial(_miscue_row, index)
-    results, errors = _per_recording(work, ids, args.jobs)
-    _write_errors(out_dir, errors)
+    results, failed = _per_recording(work, ids, args.jobs, out_dir)
     need = max(cfg.cluster_k_max, 3)
     if len(results) < need:
         raise TooFewPoints(f"cluster needs at least {need} transcriptions, the larger of "
@@ -145,20 +139,19 @@ def cmd_cluster(cfg: RunConfig, args) -> int:
                            f"got {len(results)}")
     ids = [rid for rid, _ in results]
     points_a = np.array([a for _, a in results])
-    points_b = points_a @ lexical.MERGE_A_TO_B.T
+    points = {"A": points_a, "B": points_a @ lexical.MERGE_A_TO_B.T}
     k_range = range(cfg.cluster_k_min, cfg.cluster_k_max + 1)
-    sweep_a = lexical.sweep_k(points_a, k_range, seed=cfg.seed,
-                              restarts=cfg.kmeans_restarts)
-    sweep_b = lexical.sweep_k(points_b, k_range, seed=cfg.seed,
-                              restarts=cfg.kmeans_restarts)
+    sweeps = {variant: lexical.sweep_k(p, k_range, seed=cfg.seed,
+                                       restarts=cfg.kmeans_restarts)
+              for variant, p in points.items()}
 
     write_rows([("variant", "k", "silhouette"),
                 *((variant, k, fit.silhouette)
-                  for variant, sweep in (("A", sweep_a), ("B", sweep_b))
-                  for k, fit in sweep.items())],
+                  for variant, sweep in sweeps.items() for k, fit in sweep.items())],
                out_dir / "silhouette.csv")
 
     # the model is variant B's K = 3 fit, made apart only when the sweep skips K = 3
+    points_b, sweep_b = points["B"], sweeps["B"]
     model = sweep_b[3] if 3 in sweep_b else lexical.sweep_k(
         points_b, range(3, 4), seed=cfg.seed, restarts=cfg.kmeans_restarts)[3]
     labels = lexical.label_clusters(model.centroids)
@@ -170,10 +163,9 @@ def cmd_cluster(cfg: RunConfig, args) -> int:
                out_dir / "clusters.csv")
 
     line_chart(
-        [("variant A", [float(k) for k in sweep_a],
-          [fit.silhouette for fit in sweep_a.values()], EXTRA_COLORS[0]),
-         ("variant B", [float(k) for k in sweep_b],
-          [fit.silhouette for fit in sweep_b.values()], EXTRA_COLORS[3])],
+        [(f"variant {variant}", [float(k) for k in sweep],
+          [fit.silhouette for fit in sweep.values()], color)
+         for (variant, sweep), color in zip(sweeps.items(), (EXTRA_COLORS[0], EXTRA_COLORS[3]))],
         "Mean silhouette by cluster count", "clusters", "mean silhouette",
         out_dir / "silhouette.svg")
 
@@ -188,9 +180,9 @@ def cmd_cluster(cfg: RunConfig, args) -> int:
                        points_b[mask, inc].tolist(), CLASS_COLORS[name]))
     scatter_chart(groups, "Miscue mix by cluster", "correct or self-corrected fraction",
                   "missed or incorrect fraction", out_dir / "clusters.svg")
-    print(f"cluster: {len(ids)} recordings, {len(errors)} failed, chosen K=3 "
+    print(f"cluster: {len(ids)} recordings, {failed} failed, chosen K=3 "
           f"silhouette {model.silhouette:.4f}")
-    return 1 if errors else 0
+    return 1 if failed else 0
 
 
 def _labeled_matrix(cfg: RunConfig):
@@ -269,7 +261,7 @@ def cmd_asr_align(cfg: RunConfig, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     centroids, labels = lexical.load_cluster_model(out_dir / "cluster_model.json")
     work = functools.partial(_asr_align_one, index, centroids, labels, cfg.tau)
-    results, errors = _per_recording(work, index.ids, args.jobs)
+    results, failed = _per_recording(work, index.ids, args.jobs, out_dir)
     write_rows([("id", "pct_C", "pct_M", "pct_I", "skill"),
                 *((rid, *pct, skill.name) for rid, pct, skill in results)],
                out_dir / "asr_classes.csv")
@@ -277,9 +269,8 @@ def cmd_asr_align(cfg: RunConfig, args) -> int:
              if index.labels.get(rid) in SKILL_NAMES]
     confusion = classify.confusion([a for a, _ in known], [p for _, p in known])
     classify.write_confusion(confusion, SKILL_NAMES, out_dir / "asr_confusion.csv")
-    _write_errors(out_dir, errors)
-    print(f"asr-align: {len(results)} ok, {len(errors)} failed")
-    return 1 if errors else 0
+    print(f"asr-align: {len(results)} ok, {failed} failed")
+    return 1 if failed else 0
 
 
 def cmd_report(cfg: RunConfig, args) -> int:
@@ -336,20 +327,28 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("featurize", help="extract acoustic features per recording")
+    p.set_defaults(run=cmd_featurize)
     p.add_argument("--dump-frames", action="store_true",
                    help="also write per-recording frame tracks")
     p.add_argument("--dump-events", action="store_true",
                    help="also write detected pauses and syllable nuclei")
-    sub.add_parser("cluster", help="cluster miscue fractions and label clusters")
-    sub.add_parser("train", help="fit the configured classifier plans")
+    sub.add_parser("cluster", help="cluster miscue fractions and label clusters"
+                   ).set_defaults(run=cmd_cluster)
+    sub.add_parser("train", help="fit the configured classifier plans"
+                   ).set_defaults(run=cmd_train)
     p = sub.add_parser("predict", help="classify feature rows with a saved model")
+    p.set_defaults(run=cmd_predict)
     p.add_argument("--model", help="model file (default: first configured plan)")
-    sub.add_parser("evaluate", help="cross-validate the configured plans")
-    sub.add_parser("asr-align", help="align recognizer hypotheses and classify")
-    sub.add_parser("report", help="summarize evaluation reports")
+    sub.add_parser("evaluate", help="cross-validate the configured plans"
+                   ).set_defaults(run=cmd_evaluate)
+    sub.add_parser("asr-align", help="align recognizer hypotheses and classify"
+                   ).set_defaults(run=cmd_asr_align)
+    sub.add_parser("report", help="summarize evaluation reports"
+                   ).set_defaults(run=cmd_report)
     p = sub.add_parser("config", help="show the effective configuration")
+    p.set_defaults(run=cmd_config)
     p.add_argument("--dump", action="store_true",
-                   help="print every key = value pair")
+                   help="print the same key = value lines as plain config")
 
     args = parser.parse_args(argv)
     try:
@@ -358,18 +357,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    handlers = {
-        "featurize": cmd_featurize,
-        "cluster": cmd_cluster,
-        "train": cmd_train,
-        "predict": cmd_predict,
-        "evaluate": cmd_evaluate,
-        "asr-align": cmd_asr_align,
-        "report": cmd_report,
-        "config": cmd_config,
-    }
     try:
-        return handlers[args.command](cfg, args)
+        return args.run(cfg, args)
     except NoModel as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -129,14 +129,15 @@ def _coerce(name: str, raw: str):
     return raw
 
 
-def apply_set(cfg: RunConfig, assignment: str) -> None:
-    """Apply one ``key=value`` override in place."""
+def apply_set(cfg: RunConfig, assignment: str, where: str = "") -> None:
+    """Apply one ``key=value`` setting in place; ``where`` prefixes the
+    message of a setting that is not key=value or names no key."""
     if "=" not in assignment:
-        raise ConfigError(f"override {assignment!r} is not key=value")
+        raise ConfigError(f"{where}expected key = value, got {assignment!r}")
     name, raw = assignment.split("=", 1)
     name = name.strip()
     if name not in _KEYS:
-        raise ConfigError(f"unknown config key {name!r}")
+        raise ConfigError(f"{where}unknown config key {name!r}")
     setattr(*_owner(cfg, name), _coerce(name, raw))
 
 
@@ -147,15 +148,8 @@ def load_config(path: str | Path | None = None,
     if path is not None:
         for k, line in enumerate(text_lines(path, ConfigError)):
             line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{k + 1}: expected key = value")
-            name, raw = line.split("=", 1)
-            name = name.strip()
-            if name not in _KEYS:
-                raise ConfigError(f"{path}:{k + 1}: unknown config key {name!r}")
-            setattr(*_owner(cfg, name), _coerce(name, raw))
+            if line:
+                apply_set(cfg, line, f"{path}:{k + 1}: ")
     for assignment in overrides or []:
         apply_set(cfg, assignment)
     cfg.validate()

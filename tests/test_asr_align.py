@@ -328,6 +328,22 @@ def test_parse_hypothesis_with_header(tmp_path):
     assert parse_hypothesis(path) == (["the", "fox"], [0.9, 0.35])
 
 
+@pytest.mark.parametrize("header", ["\nword,confidence\n", "\nWORD , Confidence\n"])
+def test_parse_hypothesis_skips_a_header_in_any_case(tmp_path, header):
+    path = tmp_path / "hyp.csv"
+    path.write_text(header + "the,0.9\nfox,0.35\n")
+    assert parse_hypothesis(path) == (["the", "fox"], [0.9, 0.35])
+
+
+def test_parse_hypothesis_keeps_a_first_word_spelled_word(tmp_path):
+    path = tmp_path / "hyp.csv"
+    path.write_text("Word,0.9\nplay,0.8\n")
+    assert parse_hypothesis(path) == (["Word", "play"], [0.9, 0.8])
+    path.write_text("word\nplay,0.8\n")
+    with pytest.raises(SchemaMismatch, match="hyp.csv: row 0 needs word,confidence"):
+        parse_hypothesis(path)
+
+
 def test_parse_hypothesis_without_header(tmp_path):
     path = tmp_path / "hyp.csv"
     path.write_text("the,0.9\n\nfox,0.35\n")

@@ -319,11 +319,13 @@ def test_labels_row_without_class_exits_2(small_corpus, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_featurize_without_story(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["featurize", "asr-align"])
+def test_featurize_without_story(tmp_path, capsys, command):
     rc = run("--set", f"corpus_root={tmp_path}", "--set",
-             f"out_dir={tmp_path / 'out'}", "--jobs", "1", "featurize")
+             f"out_dir={tmp_path / 'out'}", "--jobs", "1", command)
     assert rc == 2
-    assert "story.txt" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: no story.txt under {tmp_path}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def write_words_corpus(root) -> None:
@@ -452,6 +454,20 @@ def test_cluster_too_few_recordings(tmp_path, capsys):
         assert sorted(p.name for p in out.iterdir()) == ["errors.log"]
 
 
+def test_errors_log_sorts_by_recording_id(tmp_path):
+    # sorting the "rid: message" lines would put "fluent_0-1" first ("-" < ":")
+    corpus = tmp_path / "wcorpus"
+    write_words_corpus(corpus)
+    for rid in ("fluent_0", "fluent_0-1"):
+        (corpus / f"{rid}.words.csv").write_text("go,C\n")
+    out = tmp_path / "out"
+    rc = run("--set", f"corpus_root={corpus}", "--set", f"out_dir={out}",
+             "--jobs", "1", "cluster")
+    assert rc == 1
+    log = (out / "errors.log").read_text().splitlines()
+    assert [line.split(": ")[0] for line in log] == ["fluent_0", "fluent_0-1"]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_cluster_partial_failure(tmp_path, jobs):
     corpus = tmp_path / "wcorpus"
@@ -564,6 +580,13 @@ def test_report_summarizes(small_corpus, featurized, capsys):
     assert "plan one_stage" in text
     assert "accuracy" in text
     assert capsys.readouterr().out == text
+
+
+def test_report_without_reports(tmp_path, capsys):
+    rc = run("--set", f"out_dir={tmp_path}", "--jobs", "1", "report")
+    assert rc == 0
+    assert capsys.readouterr().out == "no evaluation reports found\n"
+    assert (tmp_path / "report.txt").read_text() == "no evaluation reports found\n"
 
 
 def test_asr_align_flow(small_corpus, tmp_path):
@@ -972,7 +995,8 @@ def test_bad_model_file_exits_2(small_corpus, featurized, tmp_path, capsys,
     ('{"format": "%s"}' % classify.MODEL_VERSION, "not a cvreport-v1 report"),
     ('{"format": "cvreport-v1"}', "malformed report (KeyError: 'plan')"),
     ("[" * 200_000, "not a JSON file"),
-], ids=["not_json", "other_format", "no_plan", "too_deep"])
+    ("[]", "not a JSON object"),
+], ids=["not_json", "other_format", "no_plan", "too_deep", "not_object"])
 def test_bad_cvreport_exits_2(tmp_path, capsys, content, needle):
     (tmp_path / "cvreport_x.json").write_text(content)
     rc = run("--set", f"out_dir={tmp_path}", "--jobs", "1", "report")

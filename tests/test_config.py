@@ -62,7 +62,7 @@ def test_load_config_unknown_key(tmp_path):
 def test_load_config_missing_equals(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("seed 9\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="run.cfg:1: expected key = value, got 'seed 9'"):
         load_config(path)
 
 
@@ -85,7 +85,7 @@ def test_coercion_types():
 
 def test_apply_set_errors():
     cfg = RunConfig()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^expected key = value, got 'seed'$"):
         apply_set(cfg, "seed")
     with pytest.raises(ConfigError):
         apply_set(cfg, "bogus=1")

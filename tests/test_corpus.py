@@ -118,6 +118,16 @@ def test_load_wav_rejects_missing_data_chunk(tmp_path):
         load_wav(path)
 
 
+@pytest.mark.parametrize("fmt", [b"", b"fmt " + struct.pack("<I", 14) + bytes(14)],
+                         ids=["no_fmt", "short_fmt"])
+def test_load_wav_rejects_missing_or_short_fmt_chunk(tmp_path, fmt):
+    path = tmp_path / "a.wav"
+    body = b"WAVE" + fmt + b"data" + struct.pack("<I", 2) + b"\x00\x00"
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    with pytest.raises(NotWav, match="a.wav: missing fmt chunk"):
+        load_wav(path)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(min_value=-32768, max_value=32767),
                 min_size=1, max_size=400))
