@@ -67,7 +67,7 @@ def _per_recording(work, ids, jobs: int, out_dir: Path):
     """Run ``work(rid)`` for every id through ``_pool_map``. Writes
     ``out_dir/errors.log``, one "rid: message" line for each recording that
     raised ReadskillError or OSError, sorted by (rid, message); an id that
-    a CSV cell cannot hold fails without running ``work``. Returns the
+    holds CR or LF fails without running ``work``. Returns the
     results in id order and the number of failed recordings."""
     with _pool_map(jobs, len(ids)) as map_fn:
         outcomes = list(map_fn(functools.partial(_isolated, work), ids))
@@ -79,10 +79,10 @@ def _per_recording(work, ids, jobs: int, out_dir: Path):
 
 def _isolated(work, rid):
     try:
-        if any(c in rid for c in ',"\r\n'):
+        if "\r" in rid or "\n" in rid:
             rid = repr(rid)  # keeps its errors.log entry on one line
-            raise SchemaMismatch("recording id holds a comma, a double quote, CR or LF, "
-                                 "which a CSV cell of an output table cannot hold")
+            raise SchemaMismatch("recording id holds CR or LF, which would split its "
+                                 "errors.log line")
         return rid, work(rid), None
     except (ReadskillError, OSError) as exc:
         return rid, None, f"{type(exc).__name__}: {exc}"

@@ -113,7 +113,7 @@ def _owner(cfg: RunConfig, key: str):
     return functools.reduce(getattr, path, cfg), f.name
 
 
-def _coerce(name: str, raw: str):
+def _coerce(name: str, raw: str, where: str):
     f = _KEYS[name][1]
     raw = raw.strip()
     try:
@@ -122,23 +122,25 @@ def _coerce(name: str, raw: str):
         if f.type == "float":
             value = float(raw)
             if not math.isfinite(value):
-                raise ConfigError(f"{name} must be a finite number, got {raw!r}")
+                raise ConfigError(f"{where}{name} must be a finite number, got {raw!r}")
             return value
     except ValueError:
-        raise ConfigError(f"{name} expects a {f.type}, got {raw!r}") from None
+        article = "an" if f.type == "int" else "a"
+        raise ConfigError(f"{where}{name} expects {article} {f.type}, got {raw!r}") from None
     return raw
 
 
 def apply_set(cfg: RunConfig, assignment: str, where: str = "") -> None:
     """Apply one ``key=value`` setting in place; ``where`` prefixes the
-    message of a setting that is not key=value or names no key."""
+    message of a setting that is not key=value, names no key or holds a
+    value of the wrong type."""
     if "=" not in assignment:
         raise ConfigError(f"{where}expected key = value, got {assignment!r}")
     name, raw = assignment.split("=", 1)
     name = name.strip()
     if name not in _KEYS:
         raise ConfigError(f"{where}unknown config key {name!r}")
-    setattr(*_owner(cfg, name), _coerce(name, raw))
+    setattr(*_owner(cfg, name), _coerce(name, raw, where))
 
 
 def load_config(path: str | Path | None = None,

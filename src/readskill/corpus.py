@@ -158,11 +158,13 @@ def csv_rows(path: str | Path):
 
 def _cell(value) -> str:
     """One CSV cell: None is empty, a number its shortest round-trip text,
-    and text holding a comma, a double quote, CR or LF is quoted."""
-    text = value if isinstance(value, str) else "" if value is None else str(value)
-    if "," in text or '"' in text or "\r" in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    which never needs quotes, and text holding a comma, a double quote, CR
+    or LF is quoted."""
+    if not isinstance(value, str):
+        return "" if value is None else str(value)
+    if "," in value or '"' in value or "\r" in value or "\n" in value:
+        return '"' + value.replace('"', '""') + '"'
+    return value
 
 
 def write_rows(rows, path: str | Path) -> None:

@@ -85,16 +85,15 @@ def raw_frames(samples: np.ndarray) -> np.ndarray:
 
 
 def _centroid_batch(frames: np.ndarray) -> np.ndarray:
-    # One batch, unlike _harmonicity_batch. spec[:, keep] comes back
-    # column-major, with strides (8, 8 * rows), so spec @ freqs runs BLAS's
-    # column-sweep kernel. A row-major copy of the same values changes the
-    # product's last bit in most rows (409 of 498 in one 5 s recording), so
-    # a blocked form must keep this layout and kernel (ROADMAP item 9).
+    """Power-weighted mean frequency of each frame's spectrum over
+    (0, CENTROID_MAX_HZ], 0 for a silent frame. Both sums reduce each row
+    on its own, with numpy's loops rather than BLAS, so a frame's value
+    does not depend on the frames computed with it."""
     spec = np.abs(np.fft.rfft(frames, n=FFT_SIZE, axis=1)) ** 2
     freqs = np.fft.rfftfreq(FFT_SIZE, d=1.0 / SAMPLE_RATE)
-    keep = (freqs > 0.0) & (freqs <= CENTROID_MAX_HZ)
+    keep = slice(1, int(np.searchsorted(freqs, CENTROID_MAX_HZ, side="right")))
     spec = spec[:, keep]
-    num = spec @ freqs[keep]
+    num = np.einsum("ij,j->i", spec, freqs[keep])
     denom = spec.sum(axis=1)
     out = np.zeros(len(frames))
     nz = denom > 0.0
@@ -263,10 +262,11 @@ def dump_frames(track: FrameTrack, samples: np.ndarray, path) -> None:
     """Write one row per frame of the track built from ``samples``, for
     debugging and audits. Harmonicity is computed here for every frame;
     build_track computes it for the VAD's band frames only."""
+    from .corpus import write_rows  # corpus imports SAMPLE_RATE from here
+
     harmonicity = _harmonicity_batch(raw_frames(samples), track.intensity_db)
     cols = (track.times.tolist(), track.energy.tolist(), track.intensity_db.tolist(),
             track.centroid_hz.tolist(), harmonicity.tolist(),
             np.asarray(track.is_speech, dtype=np.int64).tolist())
-    rows = [f"{t!r},{e!r},{i!r},{c!r},{h!r},{s}\n" for t, e, i, c, h, s in zip(*cols)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("time,energy,intensity_db,centroid_hz,harmonicity,is_speech\n" + "".join(rows))
+    write_rows([("time", "energy", "intensity_db", "centroid_hz", "harmonicity", "is_speech"),
+                *zip(*cols)], path)

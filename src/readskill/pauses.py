@@ -124,18 +124,6 @@ def _butter_band_sos(band_low_hz: float, band_high_hz: float) -> np.ndarray:
     return sos
 
 
-def _steady_state(sos: np.ndarray) -> np.ndarray:
-    """Each section's delay registers after a unit step has settled, as
-    ``scipy.signal.sosfilt_zi``: the start state that gives no transient."""
-    zi = np.empty((len(sos), 2))
-    scale = 1.0
-    for section, (b, a) in enumerate(zip(sos[:, :3], sos[:, 3:])):
-        i_minus_a = np.array([[1.0 + a[1], -1.0], [a[2], 1.0]])
-        zi[section] = scale * np.linalg.solve(i_minus_a, b[1:] - a[1:] * b[0])
-        scale *= np.sum(b) / np.sum(a)  # the section's gain at DC
-    return zi
-
-
 def _df2t_step(sos: np.ndarray, state: np.ndarray, u: np.ndarray):
     """One sample of the transposed direct-form II cascade, as
     scipy.signal.sosfilt runs it, for each column of ``state`` (_STATES
@@ -160,7 +148,6 @@ class _BandPass(NamedTuple):
     inputs: np.ndarray      # (_BLOCK, _BLOCK + _STATES)
     from_state: np.ndarray  # (_STATES, _BLOCK)
     step: np.ndarray        # (_STATES, _STATES)
-    zi: np.ndarray          # (_STATES,) start state per unit of the first input
 
 
 @functools.lru_cache(maxsize=8)
@@ -180,8 +167,7 @@ def _band_pass(band_low_hz: float, band_high_hz: float) -> _BandPass:
     band_pass = _BandPass(
         inputs=np.hstack((zero_state, to_end)),
         from_state=np.stack([c @ p for p in powers[:_BLOCK]], axis=1),
-        step=np.ascontiguousarray(powers[_BLOCK].T),
-        zi=_steady_state(sos).ravel())
+        step=np.ascontiguousarray(powers[_BLOCK].T))
     for array in band_pass:
         array.flags.writeable = False
     return band_pass
@@ -196,8 +182,8 @@ def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _filter(band_pass: _BandPass, u: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """The cascade's response to ``u`` from the state ``start``.
+def _filter(band_pass: _BandPass, u: np.ndarray) -> np.ndarray:
+    """The cascade's response to ``u`` from rest.
 
     Each block's start state is the sum of the terms of the blocks before
     it, each carried forward by ``step``. A doubling scan builds the sums:
@@ -207,8 +193,7 @@ def _filter(band_pass: _BandPass, u: np.ndarray, start: np.ndarray) -> np.ndarra
     blocks = np.zeros(n_blocks * _BLOCK)
     blocks[:len(u)] = u
     by_input = _matmul_rows(blocks.reshape(n_blocks, _BLOCK), band_pass.inputs)
-    states = np.empty((n_blocks, _STATES))
-    states[0] = start
+    states = np.zeros((n_blocks, _STATES))
     states[1:] = by_input[:-1, _BLOCK:]
     stride, step = 1, band_pass.step
     while stride < n_blocks:
@@ -221,12 +206,17 @@ def _filter(band_pass: _BandPass, u: np.ndarray, start: np.ndarray) -> np.ndarra
 
 def _filtfilt(band_pass: _BandPass, x: np.ndarray) -> np.ndarray:
     """Zero-phase filtering as ``scipy.signal.sosfiltfilt``: _PAD samples of
-    odd extension at each end, then a forward and a backward pass, each
-    started in the steady state of its first sample. Only the last bits
-    differ, since the blocks sum in another order."""
+    odd extension at each end, then a forward and a backward pass.
+
+    sosfiltfilt starts each pass in the steady state of its first sample
+    v, so the pass's output is the constant response to v plus the
+    response from rest to the input minus v. The cascade's zeros at +1
+    make its DC gain exactly 0, so the constant response is 0, and each
+    pass here runs from rest on its input minus its first sample. Only
+    the last bits differ, since the blocks sum in another order."""
     ext = np.concatenate((2 * x[0] - x[_PAD:0:-1], x, 2 * x[-1] - x[-2:-(_PAD + 2):-1]))
-    y = _filter(band_pass, ext, band_pass.zi * ext[0])
-    y = _filter(band_pass, y[::-1], band_pass.zi * y[-1])[::-1]
+    y = _filter(band_pass, ext - ext[0])
+    y = _filter(band_pass, y[::-1] - y[-1])[::-1]
     return y[_PAD:-_PAD]
 
 

@@ -1086,24 +1086,47 @@ def test_predict_on_empty_feature_table_writes_header_only(
     assert (tmp_path / "predictions.csv").read_text() == "id,skill\n"
 
 
-@pytest.mark.parametrize("rid", ["smith, j", 'say "hi"', "two\rlines", "two\nlines"])
-def test_recording_id_no_csv_cell_can_hold_fails_alone(small_corpus, tmp_path, rid):
+def _corpus_with_copied_recording(small_corpus, tmp_path, rid):
     corpus = tmp_path / "corpus"
     shutil.copytree(small_corpus, corpus)
     for suffix in (".wav", ".intervals.csv", ".words.csv", ".hyp.csv"):
         shutil.copy(corpus / f"c_a_000{suffix}", corpus / f"{rid}{suffix}")
     out = tmp_path / "out"
-    settings = ("--set", f"corpus_root={corpus}", "--set", f"out_dir={out}", "--jobs", "1")
+    return out, ("--set", f"corpus_root={corpus}", "--set", f"out_dir={out}", "--jobs", "1")
+
+
+@pytest.mark.parametrize("rid", ["two\rlines", "two\nlines"])
+def test_recording_id_with_a_line_end_fails_alone(small_corpus, tmp_path, rid):
+    out, settings = _corpus_with_copied_recording(small_corpus, tmp_path, rid)
     assert run(*settings, "featurize") == 1
     assert (out / "errors.log").read_text() == (
-        f"{rid!r}: SchemaMismatch: recording id holds a comma, a double quote, CR or LF, "
-        "which a CSV cell of an output table cannot hold\n")
+        f"{rid!r}: SchemaMismatch: recording id holds CR or LF, which would split its "
+        "errors.log line\n")
     rows = read_rows(out / "features.csv")
     assert len(rows) == 9 and all(len(r.split(",")) == 19 for r in rows)
     assert run(*settings, "--set", "folds=3", "evaluate") == 0
     assert run(*settings, "cluster") == 1
     clusters = (out / "clusters.csv").read_text().splitlines()
     assert len(clusters) == 10 and all(len(r.split(",")) == 3 for r in clusters)
+
+
+@pytest.mark.parametrize("rid", ["smith, j", 'say "hi"'])
+def test_recording_id_with_csv_syntax_is_one_quoted_cell(small_corpus, tmp_path, rid):
+    out, settings = _corpus_with_copied_recording(small_corpus, tmp_path, rid)
+    quoted = '"' + rid.replace('"', '""') + '"'
+    with (tmp_path / "corpus" / "labels.csv").open("a") as fh:
+        fh.write(f"{quoted},C_A\n")
+    assert run(*settings, "featurize", "--dump-frames", "--dump-events") == 0
+    assert (out / "errors.log").read_text() == ""
+    rows = read_rows(out / "features.csv")
+    assert len(rows) == 10 and rows[-1] == quoted + rows[0][len("c_a_000"):]
+    assert (out / f"frames_{rid}.csv").read_bytes() == (out / "frames_c_a_000.csv").read_bytes()
+    assert run(*settings, "--set", "folds=3", "evaluate") == 0
+    for command, table in (("cluster", "clusters.csv"), ("asr-align", "asr_classes.csv")):
+        assert run(*settings, command) == 0
+        lines = (out / table).read_text().splitlines()
+        assert len(lines) == 11 and lines[-1].startswith(quoted + ",")
+        assert lines[-1][len(quoted):] == lines[1][len("c_a_000"):]
 
 
 @pytest.mark.parametrize("label", ["C,A", '"C_A', "C\rA", "C\nA"])

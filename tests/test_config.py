@@ -66,6 +66,19 @@ def test_load_config_missing_equals(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("seed = abc", "seed expects an int, got 'abc'"),
+    ("tau = high", "tau expects a float, got 'high'"),
+    ("min_pause_s = nan", "min_pause_s must be a finite number, got 'nan'"),
+])
+def test_load_config_bad_value_names_its_line(tmp_path, line, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"# run settings\n{line}\n")
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == f"{path}:2: {message}"
+
+
 def test_load_config_non_utf8(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_bytes(b"seed = 2\nplan = \xff\n")

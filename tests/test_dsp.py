@@ -125,6 +125,18 @@ def test_centroid_amplitude_invariant():
     assert abs(a - b) <= 1e-9 * abs(a)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=2**32 - 1),
+       st.lists(st.integers(min_value=0, max_value=200), max_size=8))
+@example(70, 0, list(range(7, 70, 7)))
+@example(3, 1, [])
+def test_centroid_batch_is_the_same_for_any_split(n, seed, cuts):
+    frames, _ = _gated_frames(n, seed, "mixed")
+    bounds = sorted({0, n, *(c % (n + 1) for c in cuts)})
+    joined = np.concatenate([_centroid_batch(frames[a:b]) for a, b in zip(bounds, bounds[1:])])
+    assert joined.tobytes() == _centroid_batch(frames).tobytes()
+
+
 def frame_harmonicity(frame: np.ndarray) -> float:
     """_harmonicity_batch on one frame, gated by that frame's intensity."""
     f = np.asarray(frame, dtype=np.float64)[None, :]

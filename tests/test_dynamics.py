@@ -232,3 +232,17 @@ def test_intensity_single_frame_interval():
     macro_mean, _, micro_mean, _ = intensity_dynamics(track, spans((0.0, 1.0)))
     assert macro_mean == 0.0
     assert micro_mean == 0.0
+
+
+@pytest.mark.parametrize("n_speech", [5, 6, 7, 8])
+def test_intensity_sentence_with_one_micro_window(n_speech):
+    # 5-8 speech frames give 4-7 first differences: exactly one complete
+    # 4-frame micro window, whose mean is the micro value
+    speech = np.zeros(50, dtype=bool)
+    speech[10:10 + n_speech] = True
+    contour = np.full(50, -30.0)
+    contour[10:18] = -20.0 + np.array([0.0, 3.0, -1.0, 1.0, -4.0, 2.0, 0.0, 5.0])
+    track = make_track(np.full(50, 500.0), intensity=contour, speech=speech)
+    _, _, micro_mean, micro_std = intensity_dynamics(track, spans((0.0, 1.0)))
+    assert micro_mean == pytest.approx(3.5, abs=1e-12)  # mean of |3|, |-4|, |2|, |-5|
+    assert micro_std == 0.0

@@ -11,9 +11,12 @@ confidence, so that the failure paths (errors.log, exit code 1) are
 pinned with the rest. The temporary directory is masked wherever an
 output names it: in stdout, in errors.log and in ``config --dump``.
 
-Recorded with numpy 2.4.6 and OpenBLAS on x86-64. The centroid's BLAS
-product makes the feature bits platform-specific, so another BLAS or CPU
-family may read different digests without any change to the code.
+Recorded with numpy 2.4.6 and OpenBLAS on x86-64. No feature bit comes
+from a BLAS product: the spectral centroid is a row reduction, and the
+band-pass's block products reach the outputs only through peak
+comparisons. Cluster's variant-B merge is still a BLAS product, and
+``np.fft`` decides bits everywhere, so another numpy, BLAS or CPU family
+may still read different digests without any change to the code.
 """
 from __future__ import annotations
 
@@ -53,14 +56,14 @@ DIGESTS = {
     "events_m_a_000.csv": "f75c1d34f40a974c9179c96381ffd9c3b1b67ef348d5f946bc8cf5924831f4aa",
     "events_m_a_002.csv": "5a3ec2ebd23f670effc1c2b5b33733d8f0cc10ebd19f66ee663bf5cf102452cc",
     "features.csv": "0488207d13749e3004ccf55a1d9d263cf84482f767e25723621a9886ee9b2958",
-    "frames_c_a_000.csv": "8756a5993712fc1ee09b183c278241f53137d7ef79bfb7b5c5e1f1ac5478ccfb",
-    "frames_c_a_001.csv": "5560efff858ab125ac20c9a42e2ee376c8478ccd27df0dc83ba0696f12d41b41",
-    "frames_c_a_002.csv": "b1e551e117ed81924a3401d2b70a104f7cb9f3290a848f2077e716cff849d85a",
-    "frames_i_a_000.csv": "e64c19a910dd32d5da07a8fb109421339a33f6041907380a43731cfca0817953",
-    "frames_i_a_001.csv": "b5c4f897d031caa471129fa3e4fafcb6fd0cdbc89cf7a2104b8aff75ebe06a7c",
-    "frames_i_a_002.csv": "f4e55dfc81ee4997a3b22fe8d195130ec96d3f703911ebbbb5c9d20cd6658b52",
-    "frames_m_a_000.csv": "2994064a1e12e2eaba13e1e4b557facf49e2504855b54f32e11a579ca03b8554",
-    "frames_m_a_002.csv": "9cde82d7ba61a1dec754715683b8e9b34a66ca162d31195e2890cbdda7ca36af",
+    "frames_c_a_000.csv": "8d934406d3420bf8b5984ad414cfba75aa4edce518e1d6be0f2feeab3473479c",
+    "frames_c_a_001.csv": "b94a5eb9f78352747342e792d95b2b845cfe6c369b0dc5ca3909542e287068eb",
+    "frames_c_a_002.csv": "ed4ba5d20ebf5c01fc046090ac690d2f1cfbc5827f73edc777572b72af2630a3",
+    "frames_i_a_000.csv": "138d61672b41356445ded77d6f73ee17a01a1e54c0d51ee8bccc7773ae422fe2",
+    "frames_i_a_001.csv": "1b7bec6d250c5b823176e10cf953d61b0d555b423221347cfb70cc294cf1f7a0",
+    "frames_i_a_002.csv": "c96505a50e395a18cc5bea6bc6aff89b814dd173b4b2612c41ab42ac56fb183c",
+    "frames_m_a_000.csv": "f608d241519d9cf0dae46de9fcd4aaee3977f1e1159576fd405d40f7ff03ce18",
+    "frames_m_a_002.csv": "67cedca28596258a98f49a156f77a928560e87e6b3320a5831795b6991077f99",
     "model_one_stage.json": "9189be3e8341e93fbecafd9598e0111d2af2c3e04d619805906e9fc82de8304e",
     "model_two_stage_P.json": "d0d1f7d09519d601902df6e41409934c2b7613d2fe18dc1e79671935f83adae9",
     "model_two_stage_Q.json": "3fefe25afd4b55aa62a824bc1a43b90c622b64c15302e7a6dc670a6a915a0193",

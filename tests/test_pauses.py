@@ -154,6 +154,28 @@ def test_band_pass_is_designed_once_per_band(monkeypatch):
     assert len(designs) == 2
 
 
+@pytest.mark.parametrize("band", [(300.0, 2500.0), (200.0, 2500.0), (1.0, 7999.0),
+                                  (0.5, 50.0), (3000.0, 3001.0), (7990.0, 7999.0)])
+def test_band_pass_passes_no_dc(band):
+    # the filter passes start from rest, which holds only while a zero at +1
+    # makes the cascade's gain at DC exactly 0
+    from readskill import pauses
+
+    sos = pauses._butter_band_sos(*band)
+    assert np.prod(sos[:, :3].sum(axis=1)) == 0.0
+
+
+@pytest.mark.parametrize("n", [400, 4_001, 80_000])
+@pytest.mark.parametrize("offset", [0.3, -5.0, 100.0])
+def test_band_output_ignores_an_offset(n, offset):
+    from readskill import pauses
+
+    band_pass = pauses._band_pass(300.0, 2500.0)
+    x = np.random.default_rng(n).standard_normal(n)
+    shifted = pauses._filtfilt(band_pass, x + offset)
+    assert np.max(np.abs(shifted - pauses._filtfilt(band_pass, x))) <= 1e-12 * np.max(np.abs(x))
+
+
 def test_detect_syllables_too_short_input():
     peaks = detect_syllables(np.zeros(100), np.zeros(0, dtype=bool))
     assert peaks.dtype == np.float64 and peaks.shape == (0,)

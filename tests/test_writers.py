@@ -5,11 +5,6 @@ no module under ``src/readskill`` but ``corpus.py`` calls ``open`` or
 file it reads or writes is UTF-8 whatever the locale: each ``open`` or
 ``.open`` in text mode, and each ``read_text`` or ``write_text``, passes
 ``encoding=``.
-
-The one exception is ``dsp.dump_frames``. Its f-string rows write a
-5,998-row frame dump (one 60 s recording) in 18-19 ms against 29-31 ms
-through ``write_rows`` and 34 ms through ``csv.writer`` (best of 15, same
-bytes), and ``featurize --dump-frames`` writes one such dump per recording.
 """
 from __future__ import annotations
 
@@ -17,7 +12,6 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "readskill"
-ALLOWED = {"dsp.py:dump_frames"}
 
 
 def _mode(call: ast.Call, position: int) -> str:
@@ -84,7 +78,7 @@ def test_only_corpus_writes_tables():
     for path, tree in _package_trees():
         if path.name != "corpus.py":
             found |= writers(tree, path.stem)
-    assert found == ALLOWED
+    assert found == set()
 
 
 def test_every_text_file_names_its_encoding():
