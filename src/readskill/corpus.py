@@ -18,13 +18,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dsp import SAMPLE_RATE
 from .errors import (
     CoverageGap,
     EmptyIntervals,
@@ -43,6 +43,7 @@ from .errors import (
     WrongSampleRate,
 )
 
+SAMPLE_RATE = 16000  # the WAV format's rate, and the rate dsp analyses at
 PCM_SCALE = 32768.0
 
 # reading outcome labels: correct, missed, incomplete-then-corrected,
@@ -53,7 +54,7 @@ SUBSTITUTION_LABELS = ("S1", "Sm")
 # metadata.csv columns after the id; evaluate's group_by names one of them
 METADATA_FIELDS = ("child_id", "story_id", "timestamp")
 
-VOWELS = frozenset("aeiouy")
+VOWELS = "aeiouy"
 
 
 def interval_index(times, intervals: np.ndarray) -> np.ndarray:
@@ -281,15 +282,7 @@ def expected_syllables(word: str, lexicon: dict[str, int] | None = None) -> int:
     if lexicon and w in lexicon:
         return lexicon[w]
 
-    groups = 0
-    in_group = False
-    for ch in w:
-        if ch in VOWELS:
-            if not in_group:
-                groups += 1
-            in_group = True
-        else:
-            in_group = False
+    groups = len(re.findall(f"[{VOWELS}]+", w))
     if w.endswith("e"):
         consonant_le = len(w) >= 3 and w.endswith("le") and w[-3] not in VOWELS
         if not consonant_le:

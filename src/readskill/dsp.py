@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import SAMPLE_RATE, write_rows
 from .errors import TooShort
 
-SAMPLE_RATE = 16000
 FRAME_LEN = 400          # 25 ms
 HOP = 160                # 10 ms
 HOP_S = HOP / SAMPLE_RATE
@@ -262,8 +262,6 @@ def dump_frames(track: FrameTrack, samples: np.ndarray, path) -> None:
     """Write one row per frame of the track built from ``samples``, for
     debugging and audits. Harmonicity is computed here for every frame;
     build_track computes it for the VAD's band frames only."""
-    from .corpus import write_rows  # corpus imports SAMPLE_RATE from here
-
     harmonicity = _harmonicity_batch(raw_frames(samples), track.intensity_db)
     cols = (track.times.tolist(), track.energy.tolist(), track.intensity_db.tolist(),
             track.centroid_hz.tolist(), harmonicity.tolist(),

@@ -187,16 +187,15 @@ def silhouette(points: np.ndarray, assignments: np.ndarray) -> float:
     sizes = np.array([(idx == c).sum() for c in clusters])
     own_col = np.searchsorted(clusters, idx)
 
+    rows = np.arange(n)
+    size_own = sizes[own_col]
+    a = sums[rows, own_col] / np.maximum(size_own - 1, 1)  # singletons score 0 below
+    means = sums / sizes
+    means[rows, own_col] = np.inf  # b: the nearest other cluster
+    b = means.min(axis=1)
+    top = np.maximum(a, b)
     scores = np.zeros(n)
-    for i in range(n):
-        size_own = sizes[own_col[i]]
-        if size_own <= 1:
-            continue
-        a = sums[i, own_col[i]] / (size_own - 1)
-        other = [sums[i, c] / sizes[c] for c in range(len(clusters)) if c != own_col[i]]
-        b = min(other)
-        top = max(a, b)
-        scores[i] = (b - a) / top if top > 0.0 else 0.0
+    np.divide(b - a, top, out=scores, where=(size_own > 1) & (top > 0.0))
     return float(scores.mean())
 
 

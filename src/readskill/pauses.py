@@ -152,22 +152,20 @@ class _BandPass(NamedTuple):
 
 @functools.lru_cache(maxsize=8)
 def _band_pass(band_low_hz: float, band_high_hz: float) -> _BandPass:
-    """The band's filter, designed once per band. Every caller shares the
-    arrays, so they are read-only."""
+    """The band's filter, designed once per band: one block of the cascade
+    run on every unit input sample and every unit start state at once.
+    Every caller shares the arrays, so they are read-only."""
     sos = _butter_band_sos(band_low_hz, band_high_hz)
-    a, c = _df2t_step(sos, np.eye(_STATES), np.zeros(_STATES))
-    b, d = _df2t_step(sos, np.zeros((_STATES, 1)), np.ones(1))
-    powers = [np.eye(_STATES)]  # A^0 .. A^_BLOCK
-    for _ in range(_BLOCK):
-        powers.append(a @ powers[-1])
-    impulse = np.concatenate((d, [c @ powers[i] @ b[:, 0] for i in range(_BLOCK - 1)]))
-    lag = np.arange(_BLOCK)[None, :] - np.arange(_BLOCK)[:, None]  # out - in
-    zero_state = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)
-    to_end = np.stack([powers[_BLOCK - 1 - j] @ b[:, 0] for j in range(_BLOCK)])
+    unit = np.eye(_BLOCK + _STATES)  # a column per unit sample, then per unit state
+    state, outputs = unit[_BLOCK:], []
+    for u in unit[:_BLOCK]:
+        state, y = _df2t_step(sos, state, u)
+        outputs.append(y)
+    response = np.vstack((*outputs, state)).T  # (unit, block output then end state)
     band_pass = _BandPass(
-        inputs=np.hstack((zero_state, to_end)),
-        from_state=np.stack([c @ p for p in powers[:_BLOCK]], axis=1),
-        step=np.ascontiguousarray(powers[_BLOCK].T))
+        inputs=np.ascontiguousarray(response[:_BLOCK]),
+        from_state=np.ascontiguousarray(response[_BLOCK:, :_BLOCK]),
+        step=np.ascontiguousarray(response[_BLOCK:, _BLOCK:]))
     for array in band_pass:
         array.flags.writeable = False
     return band_pass

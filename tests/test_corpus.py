@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from readskill import corpus
@@ -320,6 +320,34 @@ def test_normalize_word():
 ])
 def test_expected_syllables(word, count):
     assert expected_syllables(word) == count
+
+
+def syllables_loop(word: str) -> int:
+    """The vowel-group count as a walk over the letters, one at a time."""
+    w = normalize_word(word)
+    groups = 0
+    in_group = False
+    for ch in w:
+        if ch in "aeiouy":
+            if not in_group:
+                groups += 1
+            in_group = True
+        else:
+            in_group = False
+    if w.endswith("e"):
+        consonant_le = len(w) >= 3 and w.endswith("le") and w[-3] not in "aeiouy"
+        if not consonant_le:
+            groups -= 1
+    return max(1, groups)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="aeiouyYEbcdlrstéüßñøAİ'-", min_size=1, max_size=12),
+       st.sampled_from(["", "e", "le", "ble", "ale", "yle", "ée"]))
+def test_expected_syllables_equals_the_letter_walk(stem, ending):
+    word = stem + ending
+    assume(normalize_word(word))
+    assert expected_syllables(word) == syllables_loop(word)
 
 
 def test_expected_syllables_empty_word():

@@ -197,6 +197,51 @@ def test_silhouette_matches_oracle():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+def silhouette_loop(points: np.ndarray, idx: np.ndarray) -> float:
+    """``silhouette`` with a Python loop over the points for the scores."""
+    clusters = np.unique(idx)
+    n = len(points)
+    dist = np.empty((n, n))
+    for a in range(0, n, 32):
+        block = points[a:a + 32, None, :] - points[None, :, :]
+        np.sqrt(np.square(block, out=block).sum(axis=2), out=dist[a:a + 32])
+    sums = np.stack([dist[:, idx == c].sum(axis=1) for c in clusters], axis=1)
+    sizes = np.array([(idx == c).sum() for c in clusters])
+    own_col = np.searchsorted(clusters, idx)
+    scores = np.zeros(n)
+    for i in range(n):
+        size_own = sizes[own_col[i]]
+        if size_own <= 1:
+            continue
+        a = sums[i, own_col[i]] / (size_own - 1)
+        b = min(sums[i, c] / sizes[c] for c in range(len(clusters)) if c != own_col[i])
+        top = max(a, b)
+        scores[i] = (b - a) / top if top > 0.0 else 0.0
+    return float(scores.mean())
+
+
+@st.composite
+def clusterings(draw):
+    """2-6 clusters, often with singletons, over points drawn from a few
+    coordinates (so duplicates are common) or from any finite floats."""
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(k, 40))
+    d = draw(st.integers(1, 4))
+    coord = st.one_of(st.sampled_from([0.0, 1.0, -2.5]),
+                      st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    points = np.array(draw(st.lists(coord, min_size=n * d, max_size=n * d))).reshape(n, d)
+    idx = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    idx[:k] = draw(st.permutations(range(k)))  # every cluster has a member
+    return points, idx
+
+
+@settings(max_examples=300, deadline=None)
+@given(clusterings())
+def test_silhouette_equals_the_per_point_loop(clustering):
+    points, idx = clustering
+    assert silhouette(points, idx) == silhouette_loop(points, idx)
+
+
 def test_silhouette_square_corner_split():
     # unit square: splitting along an edge beats splitting along a diagonal
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])

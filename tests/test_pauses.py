@@ -176,6 +176,21 @@ def test_band_output_ignores_an_offset(n, offset):
     assert np.max(np.abs(shifted - pauses._filtfilt(band_pass, x))) <= 1e-12 * np.max(np.abs(x))
 
 
+@pytest.mark.parametrize("band,tol", [((300.0, 2500.0), 1e-13), ((0.5, 50.0), 1e-8),
+                                      ((1.0, 7999.0), 1e-8)])
+@pytest.mark.parametrize("n", [1, 63, 64, 1000, 4_001])
+def test_band_pass_blocks_match_the_cascade_run_sample_by_sample(band, tol, n):
+    from readskill import pauses
+
+    sos = pauses._butter_band_sos(*band)
+    u = np.random.default_rng(n).standard_normal(n)
+    state, expected = np.zeros(pauses._STATES), np.empty(n)
+    for i, sample in enumerate(u):
+        state, expected[i] = pauses._df2t_step(sos, state, sample)
+    got = pauses._filter(pauses._band_pass(*band), u)
+    assert np.max(np.abs(got - expected)) <= tol * np.max(np.abs(u))
+
+
 def test_detect_syllables_too_short_input():
     peaks = detect_syllables(np.zeros(100), np.zeros(0, dtype=bool))
     assert peaks.dtype == np.float64 and peaks.shape == (0,)
