@@ -6,8 +6,8 @@ per split, midpoint thresholds and no depth cap, so split choices depend
 only on feature ranks. Tree t of a forest draws all of its randomness from
 a generator seeded with (*seed_path, t), which makes every model a pure
 function of the master seed. Leaf votes use the class counts of the full
-training sample routed through the tree; the bootstrap only shapes the
-tree. All vote ties break toward the lower class code.
+training sample, routed through each tree as it grows; the bootstrap only
+shapes the tree. All vote ties break toward the lower class code.
 """
 from __future__ import annotations
 
@@ -153,20 +153,26 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, n_classes: int, m_features: int,
     so each generator sees its draws in the order a recursive build makes
     them. A round pops one node from every non-empty stack and scores them
     all in one scan. A node with one row or one class is a leaf when it is
-    made, and draws nothing.
+    made, and draws nothing. Each node also carries the rows of X that the
+    X[:, f] < threshold tests of prediction send to it, whose classes a
+    leaf counts when it is made.
     """
     n, d = X.shape
     ranks = np.column_stack([np.unique(column, return_inverse=True)[1] for column in X.T])
+
+    def counts(reach):
+        return np.bincount(y[reach], minlength=n_classes).astype(np.float64)
+
     roots = [_Node() for _ in boots]
     importance = np.zeros((len(boots), d))
     stacks = [[] for _ in boots]
     for root, rows, stack in zip(roots, boots, stacks):
         if (y[rows] == y[rows[0]]).all():  # one row is one class too
-            root.counts = np.zeros(n_classes)
+            root.counts = counts(np.arange(n))
         else:
-            stack.append((root, rows))
+            stack.append((root, rows, np.arange(n)))
     while live := [t for t, stack in enumerate(stacks) if stack]:
-        nodes, parts = zip(*(stacks[t].pop() for t in live))
+        nodes, parts, reaches = zip(*(stacks[t].pop() for t in live))
         feats = np.sort([rngs[t].choice(d, m_features, replace=False) for t in live],
                         axis=1)
         sizes = np.array([len(part) for part in parts])
@@ -181,38 +187,25 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, n_classes: int, m_features: int,
         ys = y[order]
         bounds = np.column_stack((starts, cut)).ravel()
         pure = (np.minimum.reduceat(ys, bounds) == np.maximum.reduceat(ys, bounds))
-        for t, node, ok, f, thr, a, c, b, (leaf_l, leaf_r) in zip(
-                live, nodes, split.tolist(), feature.tolist(), threshold.tolist(),
+        for t, node, reach, ok, f, thr, a, c, b, (leaf_l, leaf_r) in zip(
+                live, nodes, reaches, split.tolist(), feature.tolist(), threshold.tolist(),
                 starts.tolist(), cut.tolist(), (starts + sizes).tolist(),
                 pure.reshape(-1, 2).tolist()):
             if not ok:
-                node.counts = np.zeros(n_classes)
+                node.counts = counts(reach)
                 continue
             node.feature, node.threshold = f, thr
             node.left, node.right = _Node(), _Node()
-            for child, part, leaf in ((node.right, order[c:b], leaf_r),
-                                      (node.left, order[a:c], leaf_l)):
+            # prediction's test, not growth's partition: the midpoint of two
+            # adjacent doubles rounds onto one of them
+            left = X[reach, f] < thr
+            for child, part, to, leaf in ((node.right, order[c:b], reach[~left], leaf_r),
+                                          (node.left, order[a:c], reach[left], leaf_l)):
                 if leaf:
-                    child.counts = np.zeros(n_classes)
+                    child.counts = counts(to)
                 else:
-                    stacks[t].append((child, part))
+                    stacks[t].append((child, part, to))
     return roots, importance
-
-
-def _leaf_rows(root: _Node, X: np.ndarray):
-    """Yield (leaf, row indices of X routed to it) for every leaf that at
-    least one row of X reaches."""
-    stack = [(root, np.arange(len(X)))]
-    while stack:
-        node, idx = stack.pop()
-        if len(idx) == 0:
-            continue
-        if node.is_leaf:
-            yield node, idx
-            continue
-        mask = X[idx, node.feature] < node.threshold
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
 
 
 def train_forest(X: np.ndarray, y: np.ndarray, n_trees: int = N_TREES,
@@ -235,10 +228,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, n_trees: int = N_TREES,
     boots = [rng.integers(0, n, size=n) for rng in rngs]
     trees, importance = _grow_trees(X, y, n_classes, math.ceil(math.sqrt(d)), rngs, boots)
     importance_sum = np.zeros(d)
-    for root, imp in zip(trees, importance):
-        # a leaf that no training row reaches keeps its all-zero counts
-        for leaf, idx in _leaf_rows(root, X):
-            leaf.counts = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
+    for imp in importance:
         importance_sum += imp
     return RandomForestModel(
         trees=trees,
@@ -258,8 +248,14 @@ def predict_batch(model: RandomForestModel, X: np.ndarray) -> np.ndarray:
     votes = np.zeros((len(X), model.n_classes))
     pred = np.empty(len(X), dtype=np.int64)
     for root in model.trees:
-        for leaf, idx in _leaf_rows(root, X):
-            pred[idx] = leaf.counts.argmax()
+        stack = [(root, np.arange(len(X)))]
+        while stack:
+            node, idx = stack.pop()
+            if node.is_leaf:
+                pred[idx] = node.counts.argmax()
+            elif len(idx):
+                left = X[idx, node.feature] < node.threshold
+                stack += (node.left, idx[left]), (node.right, idx[~left])
         votes[np.arange(len(X)), pred] += 1
     return votes.argmax(axis=1)
 
@@ -539,17 +535,21 @@ def _node_to_dict(node: _Node):
 
 
 def _node_from_dict(d, n_features: int, n_classes: int) -> _Node:
-    """One saved node; a split on a column the stage lacks, or a leaf whose
-    counts do not hold one entry per class, raises ValueError."""
+    """One saved node; a split on a column the stage lacks, a non-finite
+    threshold or count, or a leaf without one count per class raises ValueError."""
     if "counts" in d:
         counts = np.array(d["counts"], dtype=np.float64)
         if counts.shape != (n_classes,):
             raise ValueError(f"leaf counts of shape {counts.shape}, expected ({n_classes},)")
+        if not np.isfinite(counts).all():
+            raise ValueError(f"non-finite leaf counts {counts.tolist()}")
         return _Node(counts=counts)
-    feature = int(d["feature"])
+    feature, threshold = int(d["feature"]), float(d["threshold"])
     if not 0 <= feature < n_features:
         raise ValueError(f"node feature {feature} outside [0, {n_features})")
-    return _Node(feature=feature, threshold=float(d["threshold"]),
+    if not math.isfinite(threshold):
+        raise ValueError(f"non-finite threshold {threshold}")
+    return _Node(feature=feature, threshold=threshold,
                  left=_node_from_dict(d["left"], n_features, n_classes),
                  right=_node_from_dict(d["right"], n_features, n_classes))
 
@@ -599,13 +599,12 @@ def load_model(path) -> StageModels:
             if n_classes != stage.n_codes:
                 raise SchemaMismatch(f"{path}: stage {s} has {n_classes} classes, plan "
                                      f"{plan.plan_id} needs {stage.n_codes}")
-            models.append(RandomForestModel(
-                trees=[_node_from_dict(t, len(features), n_classes)
-                       for t in stage_payload["trees"]],
-                n_classes=n_classes,
-                n_features=len(features),
-                importances=np.array(stage_payload["importances"], dtype=np.float64),
-            ))
+            importances = np.array(stage_payload["importances"], dtype=np.float64)
+            if not np.isfinite(importances).all():
+                raise SchemaMismatch(f"{path}: stage {s} has a non-finite importance")
+            trees = [_node_from_dict(t, len(features), n_classes) for t in stage_payload["trees"]]
+            models.append(RandomForestModel(trees=trees, n_classes=n_classes,
+                                            n_features=len(features), importances=importances))
         if tuple(payload["feature_names"]) != FEATURE_NAMES:
             raise SchemaMismatch(f"{path}: feature_names differ from features.csv")
         return StageModels(plan=plan, models=models)

@@ -349,6 +349,48 @@ def test_load_model_wrong_format(tmp_path):
         load_model(path)
 
 
+def _saved_payload(tmp_path):
+    X, y = gaussian_classes(seed=25)
+    save_model(train_plan(PLANS["one_stage"], X, y, n_trees=2), tmp_path / "model.json")
+    return json.loads((tmp_path / "model.json").read_text())
+
+
+def _assert_load_rejects(tmp_path, payload, literal):
+    """Write payload with its "@" cell spelled as a JSON number literal, which
+    json parses as a non-finite float, and expect load_model to refuse it."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload).replace('"@"', literal))
+    with pytest.raises(SchemaMismatch, match="model.json: .*non-finite"):
+        load_model(path)
+
+
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e999"]
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+def test_load_model_rejects_non_finite_threshold(tmp_path, literal):
+    payload = _saved_payload(tmp_path)
+    payload["stages"][0]["trees"][0]["threshold"] = "@"
+    _assert_load_rejects(tmp_path, payload, literal)
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+def test_load_model_rejects_non_finite_counts(tmp_path, literal):
+    payload = _saved_payload(tmp_path)
+    node = payload["stages"][0]["trees"][0]
+    while "counts" not in node:
+        node = node["left"]
+    node["counts"][0] = "@"
+    _assert_load_rejects(tmp_path, payload, literal)
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+def test_load_model_rejects_non_finite_importance(tmp_path, literal):
+    payload = _saved_payload(tmp_path)
+    payload["stages"][0]["importances"][0] = "@"
+    _assert_load_rejects(tmp_path, payload, literal)
+
+
 def test_load_model_too_deep_tree(tmp_path, monkeypatch):
     # a tree nested deeper than the interpreter's recursion limit is a bad
     # file, not a crash; JSON parsing itself may stop first on such a file
@@ -690,12 +732,17 @@ def test_plans_match_branching_oracle(tmp_path_factory, plan_id, table):
 def forest_tables(draw):
     """Tables of 2-40 rows and 2 or 3 classes whose cells take a few levels,
     with some constant columns, so many nodes draw only columns that cannot
-    split them."""
+    split them. The levels are integers or adjacent doubles; between
+    adjacent doubles a midpoint threshold can round onto the lower value,
+    so X < threshold sends that value's rows right, where growth put them
+    left."""
     n_classes = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(2, 40))
     d = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = rng.integers(0, draw(st.integers(1, 4)), size=(n, d)).astype(np.float64)
+    if draw(st.booleans()):
+        X = 1.0 + X * np.spacing(1.0)
     for j in draw(st.sets(st.integers(0, d - 1))):
         X[:, j] = X[0, j]
     y = rng.integers(0, n_classes, size=n)
@@ -706,6 +753,8 @@ def forest_tables(draw):
 @settings(max_examples=150, deadline=None)
 @given(forest_tables(), st.integers(0, 99))
 @example((np.ones((6, 3)), np.array([0, 1, 0, 1, 0, 1]), 2, 3), 0)  # no column splits
+@example(((1.0 + np.arange(4).repeat(2) * np.spacing(1.0))[:, None],  # adjacent doubles
+          np.array([0, 0, 1, 1, 0, 0, 1, 1]), 2, 3), 0)
 def test_forest_matches_recursive_oracle(tmp_path_factory, table, seed):
     X, y, n_classes, n_trees = table
     got = train_forest(X, y, n_trees=n_trees, seed_path=(seed,), n_classes=n_classes)
