@@ -12,18 +12,15 @@ shapes the tree. All vote ties break toward the lower class code.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .corpus import json_object, write_rows
+from .corpus import save_json, saved_json, write_rows
 from .errors import (
     DimensionMismatch,
     EmptyMatrix,
-    NoModel,
     SchemaMismatch,
     SingleClassTraining,
     TooFewPerClass,
@@ -500,8 +497,7 @@ def cross_validate(plan: StagePlan, X: np.ndarray, y: np.ndarray,
 
 def write_report(report: CVReport, json_path, csv_path) -> None:
     """Emit cvreport.json and confusion.csv for one plan."""
-    payload = {
-        "format": REPORT_VERSION,
+    save_json(json_path, REPORT_VERSION, {
         "plan": report.plan_id,
         "seed": report.seed,
         "folds": report.folds,
@@ -510,9 +506,7 @@ def write_report(report: CVReport, json_path, csv_path) -> None:
         "pooled_confusion": report.pooled_confusion.tolist(),
         "accuracy": report.accuracy,
         "importances": report.importances,
-    }
-    Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                               encoding="utf-8")
+    }, indent=2)
     write_confusion(report.pooled_confusion, SKILL_NAMES, csv_path)
 
 
@@ -534,17 +528,26 @@ def _node_to_dict(node: _Node):
     }
 
 
+def _typed(value, types: tuple, what: str):
+    """value, if its type is one of types; so a JSON true is no integer here."""
+    if type(value) not in types:
+        raise ValueError(f"{what} {value!r} is a {type(value).__name__}")
+    return value
+
+
 def _node_from_dict(d, n_features: int, n_classes: int) -> _Node:
-    """One saved node; a split on a column the stage lacks, a non-finite
-    threshold or count, or a leaf without one count per class raises ValueError."""
+    """One saved node; a value of the wrong JSON type, a split on a column the stage
+    lacks, a non-finite number or a leaf without one count per class raises ValueError."""
     if "counts" in d:
-        counts = np.array(d["counts"], dtype=np.float64)
+        counts = np.array([_typed(v, (int, float), "leaf count") for v in d["counts"]],
+                          dtype=np.float64)
         if counts.shape != (n_classes,):
             raise ValueError(f"leaf counts of shape {counts.shape}, expected ({n_classes},)")
         if not np.isfinite(counts).all():
             raise ValueError(f"non-finite leaf counts {counts.tolist()}")
         return _Node(counts=counts)
-    feature, threshold = int(d["feature"]), float(d["threshold"])
+    feature = _typed(d["feature"], (int,), "node feature")
+    threshold = float(_typed(d["threshold"], (int, float), "threshold"))
     if not 0 <= feature < n_features:
         raise ValueError(f"node feature {feature} outside [0, {n_features})")
     if not math.isfinite(threshold):
@@ -556,8 +559,7 @@ def _node_from_dict(d, n_features: int, n_classes: int) -> _Node:
 
 def save_model(stage_models: StageModels, path) -> None:
     """Dump a fitted plan as self-describing JSON."""
-    payload = {
-        "format": MODEL_VERSION,
+    save_json(path, MODEL_VERSION, {
         "plan": stage_models.plan.plan_id,
         "feature_names": list(FEATURE_NAMES),
         "stages": [
@@ -569,22 +571,15 @@ def save_model(stage_models: StageModels, path) -> None:
             }
             for stage, model in zip(stage_models.plan.stages, stage_models.models)
         ],
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+    })
 
 
 def load_model(path) -> StageModels:
-    p = Path(path)
-    if not p.exists():
-        raise NoModel(f"no classifier model at {path}")
-    payload = json_object(p)
-    if payload.get("format") != MODEL_VERSION:
-        raise SchemaMismatch(f"{path}: unknown model format")
-    try:
-        plan = PLANS[payload["plan"]]
-    except (KeyError, TypeError):
-        raise SchemaMismatch(f"{path}: unknown plan {payload.get('plan')!r}") from None
-    try:
+    with saved_json(path, MODEL_VERSION, "classifier model") as payload:
+        try:
+            plan = PLANS[payload["plan"]]
+        except (KeyError, TypeError):
+            raise SchemaMismatch(f"{path}: unknown plan {payload.get('plan')!r}") from None
         stages = payload["stages"]
         if len(stages) != len(plan.stages):
             raise SchemaMismatch(f"{path}: {len(stages)} stages, plan {plan.plan_id} "
@@ -592,22 +587,25 @@ def load_model(path) -> StageModels:
         models = []
         for s, (stage, stage_payload) in enumerate(zip(plan.stages, stages)):
             features = tuple(stage_payload["features"])
-            n_classes = int(stage_payload["n_classes"])
+            n_classes = _typed(stage_payload["n_classes"], (int,), "n_classes")
             if features != stage.features:
                 raise SchemaMismatch(f"{path}: stage {s} features differ from plan "
                                      f"{plan.plan_id}")
             if n_classes != stage.n_codes:
                 raise SchemaMismatch(f"{path}: stage {s} has {n_classes} classes, plan "
                                      f"{plan.plan_id} needs {stage.n_codes}")
-            importances = np.array(stage_payload["importances"], dtype=np.float64)
+            importances = np.array([_typed(v, (int, float), "importance")
+                                    for v in stage_payload["importances"]], dtype=np.float64)
+            if len(importances) != len(features):
+                raise SchemaMismatch(f"{path}: stage {s} has {len(importances)} importances "
+                                     f"for {len(features)} features")
             if not np.isfinite(importances).all():
                 raise SchemaMismatch(f"{path}: stage {s} has a non-finite importance")
             trees = [_node_from_dict(t, len(features), n_classes) for t in stage_payload["trees"]]
+            if not trees:
+                raise SchemaMismatch(f"{path}: stage {s} has no trees")
             models.append(RandomForestModel(trees=trees, n_classes=n_classes,
                                             n_features=len(features), importances=importances))
         if tuple(payload["feature_names"]) != FEATURE_NAMES:
             raise SchemaMismatch(f"{path}: feature_names differ from features.csv")
         return StageModels(plan=plan, models=models)
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise SchemaMismatch(
-            f"{path}: malformed model ({type(exc).__name__}: {exc})") from None

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import asr_align, classify, featurize, lexical
 from .config import RunConfig, load_config
-from .corpus import (CorpusIndex, json_object, load_wav, parse_intervals,
-                     parse_transcription, scan_corpus, write_rows)
+from .corpus import (CorpusIndex, load_wav, parse_intervals, parse_transcription,
+                     saved_json, scan_corpus, write_rows)
 from .dsp import SAMPLE_RATE, dump_frames
 from .errors import NoModel, ReadskillError, SchemaMismatch, TooFewPoints, UnknownLabel
 from .lexical import SKILL_NAMES, SkillClass
@@ -277,18 +277,12 @@ def cmd_report(cfg: RunConfig, args) -> int:
     out_dir = Path(cfg.out_dir)
     lines = []
     for path in sorted(out_dir.glob("cvreport*.json")):
-        payload = json_object(path)
-        if payload.get("format") != classify.REPORT_VERSION:
-            raise SchemaMismatch(f"{path}: not a {classify.REPORT_VERSION} report")
-        try:
+        with saved_json(path, classify.REPORT_VERSION, "report") as payload:
             lines.append(f"plan {payload['plan']}: accuracy {payload['accuracy']:.4f} "
                          f"over {payload['folds']} folds (seed {payload['seed']})")
             ranked = sorted(payload["importances"].items(),
                             key=lambda kv: (-kv[1], kv[0]))
             lines.extend(f"  {name}: {value:.4f}" for name, value in ranked[:5])
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise SchemaMismatch(
-                f"{path}: malformed report ({type(exc).__name__}: {exc})") from None
     if not lines:
         lines.append("no evaluation reports found")
     text = "\n".join(lines) + "\n"

@@ -15,6 +15,7 @@ recordings:
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -30,6 +31,7 @@ from .errors import (
     EmptyIntervals,
     EmptyWord,
     MissingSubstitutionText,
+    NoModel,
     NotWav,
     OutOfRange,
     Overlap,
@@ -176,6 +178,37 @@ def write_rows(rows, path: str | Path) -> None:
         fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
+def save_json(path: str | Path, version: str, fields: dict, indent: int | None = None) -> None:
+    """Write ``{"format": version, **fields}`` as the JSON object saved_json
+    reads back: sorted keys and a final newline."""
+    Path(path).write_text(json.dumps({"format": version, **fields}, indent=indent,
+                                     sort_keys=True) + "\n", encoding="utf-8")
+
+
+@contextlib.contextmanager
+def saved_json(path: str | Path, version: str, what: str):
+    """Yield the JSON object that save_json wrote to path as ``version``.
+    A missing file raises NoModel. A file that is not such an object, or
+    whose fields the block reads as the wrong type or shape (OverflowError:
+    an integer past float range), raises SchemaMismatch naming the file."""
+    if not Path(path).exists():
+        raise NoModel(f"no {what} at {path}")
+    try:
+        payload = json.loads(Path(path).read_bytes())
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
+        raise SchemaMismatch(f"{path}: not a JSON file ({exc})") from None
+    if not isinstance(payload, dict):
+        raise SchemaMismatch(f"{path}: not a JSON object")
+    if payload.get("format") != version:
+        raise SchemaMismatch(f"{path}: not a {version} {what}")
+    try:
+        yield payload
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError,
+            RecursionError) as exc:
+        raise SchemaMismatch(
+            f"{path}: malformed {what} ({type(exc).__name__}: {exc})") from None
+
+
 def finite_float(path, k: int, what: str, cell: str) -> float:
     """The finite number a CSV cell holds; anything else raises
     SchemaMismatch naming the file, the row and the column."""
@@ -300,17 +333,6 @@ def text_lines(path: str | Path, error: type[Exception] = SchemaMismatch) -> lis
         # the decoder's offsets count from after the mark
         line = exc.object[:exc.start].count(b"\n") + 1
         raise error(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
-
-
-def json_object(path: str | Path) -> dict:
-    """The JSON object a file holds; anything else raises SchemaMismatch."""
-    try:
-        payload = json.loads(Path(path).read_bytes())
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
-        raise SchemaMismatch(f"{path}: not a JSON file ({exc})") from None
-    if not isinstance(payload, dict):
-        raise SchemaMismatch(f"{path}: not a JSON object")
-    return payload
 
 
 def load_lexicon(path: str | Path) -> dict[str, int]:

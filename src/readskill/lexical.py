@@ -7,17 +7,14 @@ toward the lower class.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .corpus import Transcription, json_object
+from .corpus import Transcription, save_json, saved_json
 from .errors import (
     AmbiguousLabeling,
     EmptyTranscription,
-    NoModel,
     SchemaMismatch,
     SingleCluster,
     TooFewPoints,
@@ -235,8 +232,7 @@ def label_clusters(centroids: np.ndarray) -> dict[int, SkillClass]:
 
 def save_cluster_model(model: ClusterModel, labels: dict[int, SkillClass], path) -> None:
     """Write a labeled merged-variant (B) model."""
-    payload = {
-        "format": CLUSTER_MODEL_VERSION,
+    save_json(path, CLUSTER_MODEL_VERSION, {
         "variant": "B",
         "k": model.k,
         "seed": model.seed,
@@ -244,27 +240,16 @@ def save_cluster_model(model: ClusterModel, labels: dict[int, SkillClass], path)
         "silhouette": model.silhouette,
         "centroids": [[float(v) for v in row] for row in model.centroids],
         "labels": {str(c): labels[c].name for c in sorted(labels)},
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    }, indent=2)
 
 
 def load_cluster_model(path) -> tuple[np.ndarray, dict[int, SkillClass]]:
     """Read the centroids and cluster labels of a saved K=3 variant-B
     model; labels must name each skill class for exactly one cluster."""
-    p = Path(path)
-    if not p.exists():
-        raise NoModel(f"no cluster model at {path}")
-    payload = json_object(p)
-    if payload.get("format") != CLUSTER_MODEL_VERSION:
-        raise NoModel(f"{path}: unknown cluster model format")
-    try:
+    with saved_json(path, CLUSTER_MODEL_VERSION, "cluster model") as payload:
         centroids = np.array(payload["centroids"], dtype=np.float64)
         labels = {int(c): SkillClass[name] for c, name in payload["labels"].items()}
         variant = payload["variant"]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SchemaMismatch(
-            f"{path}: malformed cluster model ({type(exc).__name__}: {exc})") from None
     if variant != "B":
         raise SchemaMismatch(f"{path}: variant {variant!r}, expected 'B'")
     if centroids.shape != (3, len(VARIANT_B_DIMS)):

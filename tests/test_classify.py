@@ -403,8 +403,8 @@ def test_load_model_too_deep_tree(tmp_path, monkeypatch):
     for _ in range(5000):
         node = {"feature": 0, "threshold": 0.5, "left": node, "right": leaf}
     payload["stages"][0]["trees"] = [node]
-    monkeypatch.setattr("readskill.classify.json_object", lambda _: payload)
-    with pytest.raises(SchemaMismatch, match="malformed model .RecursionError"):
+    monkeypatch.setattr("readskill.corpus.json.loads", lambda _: payload)
+    with pytest.raises(SchemaMismatch, match="malformed classifier model .RecursionError"):
         load_model(path)
 
 

@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -20,7 +21,9 @@ import readskill
 from conftest import harmonicity_batch_oracle
 from readskill import classify, cli, dsp, lexical, synth
 from readskill.cli import main
+from readskill.config import load_config
 from readskill.corpus import load_wav, write_wav
+from readskill.errors import NoModel, SchemaMismatch
 
 
 def run(*argv: str) -> int:
@@ -964,10 +967,25 @@ def _first_leaf(payload):
      '"feature_names": []}\n' % classify.MODEL_VERSION,
      "unknown plan 'three_stage'"),
     (lambda _: '{"format": "%s", "plan": "one_stage"}\n' % classify.MODEL_VERSION,
-     "malformed model (KeyError: 'stages')"),
+     "malformed classifier model (KeyError: 'stages')"),
     (_edit_model(lambda m: m.update(stages=[])), "0 stages, plan one_stage has 1"),
+    (_edit_model(lambda m: m["stages"][0].update(trees=[])), "stage 0 has no trees"),
     (_edit_model(lambda m: _first_split(m).update(feature=99)),
-     "malformed model (ValueError: node feature 99 outside [0, 17))"),
+     "malformed classifier model (ValueError: node feature 99 outside [0, 17))"),
+    (_edit_model(lambda m: _first_split(m).update(feature=1.9)),
+     "malformed classifier model (ValueError: node feature 1.9 is a float)"),
+    (_edit_model(lambda m: _first_split(m).update(threshold="0.5")),
+     "malformed classifier model (ValueError: threshold '0.5' is a str)"),
+    (_edit_model(lambda m: _first_leaf(m)["counts"].__setitem__(0, "1")),
+     "malformed classifier model (ValueError: leaf count '1' is a str)"),
+    (_edit_model(lambda m: m["stages"][0].update(n_classes=3.7)),
+     "malformed classifier model (ValueError: n_classes 3.7 is a float)"),
+    (_edit_model(lambda m: m["stages"][0].update(n_classes="3")),
+     "malformed classifier model (ValueError: n_classes '3' is a str)"),
+    (_edit_model(lambda m: m["stages"][0].update(n_classes=True)),
+     "malformed classifier model (ValueError: n_classes True is a bool)"),
+    (_edit_model(lambda m: m["stages"][0].update(importances=[0.5])),
+     "stage 0 has 1 importances for 17 features"),
     (_edit_model(lambda m: m["stages"][0]["features"].reverse()),
      "stage 0 features differ from plan one_stage"),
     (_edit_model(lambda m: m["feature_names"].reverse()),
@@ -975,10 +993,12 @@ def _first_leaf(payload):
     (_edit_model(lambda m: m["stages"][0].update(n_classes=2)),
      "stage 0 has 2 classes, plan one_stage needs 3"),
     (_edit_model(lambda m: _first_leaf(m)["counts"].pop()),
-     "malformed model (ValueError: leaf counts of shape (2,), expected (3,))"),
+     "malformed classifier model (ValueError: leaf counts of shape (2,), expected (3,))"),
     (lambda _: "[" * 200_000, "not a JSON file"),
-], ids=["not_json", "unknown_plan", "no_stages", "empty_stages",
-        "feature_out_of_range", "features_reordered", "feature_names_reordered",
+], ids=["not_json", "unknown_plan", "no_stages", "empty_stages", "empty_trees",
+        "feature_out_of_range", "fractional_feature", "text_threshold", "text_count",
+        "fractional_n_classes", "text_n_classes", "bool_n_classes", "importances_short",
+        "features_reordered", "feature_names_reordered",
         "class_count", "leaf_counts_short", "too_deep"])
 def test_bad_model_file_exits_2(small_corpus, featurized, tmp_path, capsys,
                                 one_stage_model, content, needle):
@@ -1046,6 +1066,60 @@ def test_bad_cluster_model_exits_2(small_corpus, tmp_path, capsys, content, need
              "--jobs", "1", "asr-align")
     assert rc == 2
     _one_line_schema_error(capsys, "cluster_model.json: ", needle)
+
+
+def _read_report(path):
+    cli.cmd_report(load_config(overrides=[f"out_dir={path.parent}"]), None)
+
+
+ONE_STAGE_FEATURES = list(classify.PLANS["one_stage"].stages[0].features)
+PAST_FLOAT = 10 ** 400  # a JSON integer that no float can hold
+
+# reader: (read, file name, format, what its messages call the file, fields
+# of which one has the wrong type, fields of which one is PAST_FLOAT)
+SAVED_JSON_READERS = {
+    "classifier_model": (
+        classify.load_model, "model.json", classify.MODEL_VERSION, "classifier model",
+        {"plan": "one_stage", "stages": 1},
+        {"plan": "one_stage", "stages": [{
+            "features": ONE_STAGE_FEATURES, "n_classes": 3,
+            "importances": [PAST_FLOAT] * len(ONE_STAGE_FEATURES)}]}),
+    "cluster_model": (
+        lexical.load_cluster_model, "cluster_model.json", lexical.CLUSTER_MODEL_VERSION,
+        "cluster model",
+        {"variant": "B", "centroids": CLUSTER_CENTROIDS, "labels": []},
+        {"variant": "B", "centroids": [[PAST_FLOAT] * 4] * 3, "labels": {}}),
+    "report": (
+        _read_report, "cvreport.json", classify.REPORT_VERSION, "report",
+        {"plan": "one_stage", "folds": 7, "seed": 0, "accuracy": "high"},
+        {"plan": "one_stage", "folds": 7, "seed": 0, "accuracy": PAST_FLOAT}),
+}
+
+
+@pytest.mark.parametrize("reader, case", [
+    (reader, case) for reader in SAVED_JSON_READERS
+    for case in ("missing", "other_format", "wrong_type", "past_float")
+    # report reads only the cvreport files that exist
+    if (reader, case) != ("report", "missing")])
+def test_saved_json_reader_rule(tmp_path, reader, case):
+    """Every saved-JSON reader fails alike: a missing file raises NoModel,
+    and a file of another format or with a field it cannot read raises
+    SchemaMismatch naming the file."""
+    read, name, version, what, wrong_type, past_float = SAVED_JSON_READERS[reader]
+    path = tmp_path / name
+    if case == "missing":
+        with pytest.raises(NoModel, match=f"^no {what} at {re.escape(str(path))}$"):
+            read(path)
+        return
+    fields, needle = {
+        "other_format": ({"format": "other-v1"}, f"not a {version} {what}"),
+        "wrong_type": ({"format": version, **wrong_type}, f"malformed {what} ("),
+        "past_float": ({"format": version, **past_float},
+                       f"malformed {what} (OverflowError: "),
+    }[case]
+    path.write_text(json.dumps(fields))
+    with pytest.raises(SchemaMismatch, match=f"^{re.escape(f'{path}: {needle}')}"):
+        read(path)
 
 
 @pytest.fixture(scope="module")

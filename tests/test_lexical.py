@@ -16,6 +16,7 @@ from readskill.errors import (
     AmbiguousLabeling,
     EmptyTranscription,
     NoModel,
+    SchemaMismatch,
     SingleCluster,
     TooFewPoints,
 )
@@ -366,5 +367,5 @@ def test_load_cluster_model_missing(tmp_path):
 def test_load_cluster_model_wrong_format(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "other-v1"}')
-    with pytest.raises(NoModel):
+    with pytest.raises(SchemaMismatch, match="not a cluster-model-v1 cluster model"):
         load_cluster_model(path)
