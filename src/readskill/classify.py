@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import save_json, saved_json, write_rows
+from .corpus import save_json, saved_json, typed, write_rows
 from .errors import (
     DimensionMismatch,
     EmptyMatrix,
@@ -528,30 +528,19 @@ def _node_to_dict(node: _Node):
     }
 
 
-def _typed(value, types: tuple, what: str):
-    """value, if its type is one of types; so a JSON true is no integer here."""
-    if type(value) not in types:
-        raise ValueError(f"{what} {value!r} is a {type(value).__name__}")
-    return value
-
-
 def _node_from_dict(d, n_features: int, n_classes: int) -> _Node:
     """One saved node; a value of the wrong JSON type, a split on a column the stage
-    lacks, a non-finite number or a leaf without one count per class raises ValueError."""
+    lacks or a leaf without one count per class raises ValueError."""
     if "counts" in d:
-        counts = np.array([_typed(v, (int, float), "leaf count") for v in d["counts"]],
+        counts = np.array([typed(v, (int, float), "leaf count") for v in d["counts"]],
                           dtype=np.float64)
         if counts.shape != (n_classes,):
             raise ValueError(f"leaf counts of shape {counts.shape}, expected ({n_classes},)")
-        if not np.isfinite(counts).all():
-            raise ValueError(f"non-finite leaf counts {counts.tolist()}")
         return _Node(counts=counts)
-    feature = _typed(d["feature"], (int,), "node feature")
-    threshold = float(_typed(d["threshold"], (int, float), "threshold"))
+    feature = typed(d["feature"], (int,), "node feature")
+    threshold = float(typed(d["threshold"], (int, float), "threshold"))
     if not 0 <= feature < n_features:
         raise ValueError(f"node feature {feature} outside [0, {n_features})")
-    if not math.isfinite(threshold):
-        raise ValueError(f"non-finite threshold {threshold}")
     return _Node(feature=feature, threshold=threshold,
                  left=_node_from_dict(d["left"], n_features, n_classes),
                  right=_node_from_dict(d["right"], n_features, n_classes))
@@ -587,20 +576,18 @@ def load_model(path) -> StageModels:
         models = []
         for s, (stage, stage_payload) in enumerate(zip(plan.stages, stages)):
             features = tuple(stage_payload["features"])
-            n_classes = _typed(stage_payload["n_classes"], (int,), "n_classes")
+            n_classes = typed(stage_payload["n_classes"], (int,), "n_classes")
             if features != stage.features:
                 raise SchemaMismatch(f"{path}: stage {s} features differ from plan "
                                      f"{plan.plan_id}")
             if n_classes != stage.n_codes:
                 raise SchemaMismatch(f"{path}: stage {s} has {n_classes} classes, plan "
                                      f"{plan.plan_id} needs {stage.n_codes}")
-            importances = np.array([_typed(v, (int, float), "importance")
+            importances = np.array([typed(v, (int, float), "importance")
                                     for v in stage_payload["importances"]], dtype=np.float64)
             if len(importances) != len(features):
                 raise SchemaMismatch(f"{path}: stage {s} has {len(importances)} importances "
                                      f"for {len(features)} features")
-            if not np.isfinite(importances).all():
-                raise SchemaMismatch(f"{path}: stage {s} has a non-finite importance")
             trees = [_node_from_dict(t, len(features), n_classes) for t in stage_payload["trees"]]
             if not trees:
                 raise SchemaMismatch(f"{path}: stage {s} has no trees")

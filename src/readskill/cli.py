@@ -21,7 +21,7 @@ import numpy as np
 from . import asr_align, classify, featurize, lexical
 from .config import RunConfig, load_config
 from .corpus import (CorpusIndex, load_wav, parse_intervals, parse_transcription,
-                     saved_json, scan_corpus, write_rows)
+                     saved_json, scan_corpus, typed, write_rows)
 from .dsp import SAMPLE_RATE, dump_frames
 from .errors import NoModel, ReadskillError, SchemaMismatch, TooFewPoints, UnknownLabel
 from .lexical import SKILL_NAMES, SkillClass
@@ -278,9 +278,13 @@ def cmd_report(cfg: RunConfig, args) -> int:
     lines = []
     for path in sorted(out_dir.glob("cvreport*.json")):
         with saved_json(path, classify.REPORT_VERSION, "report") as payload:
-            lines.append(f"plan {payload['plan']}: accuracy {payload['accuracy']:.4f} "
-                         f"over {payload['folds']} folds (seed {payload['seed']})")
-            ranked = sorted(payload["importances"].items(),
+            plan = payload["plan"]
+            accuracy = typed(payload["accuracy"], (int, float), "accuracy")
+            folds = typed(payload["folds"], (int,), "folds")
+            seed = typed(payload["seed"], (int,), "seed")
+            lines.append(f"plan {plan}: accuracy {accuracy:.4f} over {folds} folds (seed {seed})")
+            ranked = sorted(((name, typed(value, (int, float), "importance"))
+                             for name, value in payload["importances"].items()),
                             key=lambda kv: (-kv[1], kv[0]))
             lines.extend(f"  {name}: {value:.4f}" for name, value in ranked[:5])
     if not lines:

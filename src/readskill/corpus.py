@@ -185,18 +185,37 @@ def save_json(path: str | Path, version: str, fields: dict, indent: int | None =
                                      sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _finite(text: str) -> float:
+    """A JSON number or NaN/Infinity literal, if finite, as json reads it."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def typed(value, types: tuple, what: str):
+    """value, if its type is one of types (so a JSON true is no number); else ValueError."""
+    if type(value) not in types:
+        raise ValueError(f"{what} {value!r} is a {type(value).__name__}")
+    return value
+
+
 @contextlib.contextmanager
 def saved_json(path: str | Path, version: str, what: str):
     """Yield the JSON object that save_json wrote to path as ``version``.
-    A missing file raises NoModel. A file that is not such an object, or
-    whose fields the block reads as the wrong type or shape (OverflowError:
-    an integer past float range), raises SchemaMismatch naming the file."""
+    A missing file raises NoModel. A file that is not such an object, holds
+    a non-finite number (NaN, Infinity, or 1e999, which overflows), or whose
+    fields the block reads as the wrong type or shape (OverflowError: an
+    integer past float range) raises SchemaMismatch naming the file."""
     if not Path(path).exists():
         raise NoModel(f"no {what} at {path}")
     try:
-        payload = json.loads(Path(path).read_bytes())
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
+        payload = json.loads(Path(path).read_bytes(), parse_float=_finite,
+                             parse_constant=_finite)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SchemaMismatch(f"{path}: not a JSON file ({exc})") from None
+    except ValueError as exc:  # a number that _finite or int() refuses
+        raise SchemaMismatch(f"{path}: malformed {what} (ValueError: {exc})") from None
     if not isinstance(payload, dict):
         raise SchemaMismatch(f"{path}: not a JSON object")
     if payload.get("format") != version:

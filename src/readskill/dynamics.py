@@ -25,69 +25,60 @@ INTENSITY_DYNAMICS_FEATURES = (
 )
 
 
-def _speech_by_interval(track: FrameTrack, intervals: np.ndarray):
-    """Yield the frame mask of each interval's speech frames, skipping
-    intervals that hold none."""
-    speech = track.is_speech.astype(bool)
+def speech_by_sentence(track: FrameTrack, intervals: np.ndarray) -> list[np.ndarray]:
+    """The boolean frame mask of each interval's speech frames, in interval
+    order, skipping intervals that hold none. interval_index puts every
+    frame in one interval, so the masks partition the speech frames."""
+    speech = track.is_speech.astype(bool)  # library callers may pass 0/1 ints
     idx = interval_index(track.times, intervals)
-    for k in range(len(intervals)):
-        sel = speech & (idx == k)
-        if sel.any():
-            yield sel
+    masks = (speech & (idx == k) for k in range(len(intervals)))
+    return [sel for sel in masks if sel.any()]
 
 
-def spectral_dynamics(track: FrameTrack, intervals: np.ndarray) -> tuple[float, ...]:
-    """Histogram speech-frame centroids into fixed 400 Hz bands, for the
-    SPECTRAL_DYNAMICS_FEATURES values.
+def spectral_dynamics(centroid_hz: np.ndarray, sentences: list) -> tuple[float, ...]:
+    """Histogram the speech-frame centroids of each speech_by_sentence mask
+    into fixed 400 Hz bands, for the SPECTRAL_DYNAMICS_FEATURES values.
 
-    freq_distribution_ratio: mean over intervals of c1/c2 (a lone occupied
+    freq_distribution_ratio: mean over sentences of c1/c2 (a lone occupied
     band contributes c1 itself).
-    norm_mode_count: whole-recording c1 over the speech frame count.
-    norm_mode_variation: population std over intervals of the per-interval
-    c1 over that interval's speech frame count.
+    norm_mode_count: c1 of the summed histograms over the speech frame count.
+    norm_mode_variation: population std over sentences of the per-sentence
+    c1 over that sentence's speech frame count.
     """
-    n_bands = int(round(BAND_TOP_HZ / BAND_WIDTH_HZ))
-    speech = track.is_speech.astype(bool)
-    if not speech.any():
+    if not sentences:
         return (0.0,) * len(SPECTRAL_DYNAMICS_FEATURES)
+    n_bands = int(round(BAND_TOP_HZ / BAND_WIDTH_HZ))
+    bands = np.clip((centroid_hz / BAND_WIDTH_HZ).astype(int), 0, n_bands - 1)
 
-    bands = np.clip((track.centroid_hz / BAND_WIDTH_HZ).astype(int), 0, n_bands - 1)
-
-    ratios = []
-    norms = []
-    for sel in _speech_by_interval(track, intervals):
-        c2, c1 = np.sort(np.bincount(bands[sel], minlength=n_bands))[-2:].tolist()
+    ratios, norms = [], []
+    total = np.zeros(n_bands, dtype=np.int64)
+    for sel in sentences:
+        hist = np.bincount(bands[sel], minlength=n_bands)
+        c2, c1 = np.sort(hist)[-2:].tolist()
         ratios.append(c1 / c2 if c2 > 0 else float(c1))
         norms.append(c1 / int(sel.sum()))
-
-    global_hist = np.bincount(bands[speech], minlength=n_bands)
-    return (
-        float(np.mean(ratios)),
-        int(global_hist.max()) / int(speech.sum()),
-        float(np.std(norms)),
-    )
+        total += hist
+    return float(np.mean(ratios)), int(total.max()) / int(total.sum()), float(np.std(norms))
 
 
-def intensity_dynamics(track: FrameTrack, intervals: np.ndarray) -> tuple[float, ...]:
-    """Loudness dynamics of the speech-only intensity contour: the
-    INTENSITY_DYNAMICS_FEATURES values.
+def intensity_dynamics(intensity_db: np.ndarray, sentences: list) -> tuple[float, ...]:
+    """Loudness dynamics of the speech-only intensity contour, split by the
+    speech_by_sentence masks: the INTENSITY_DYNAMICS_FEATURES values.
 
-    Each interval's speech frames are mean-normalized in dB. The macro
-    value per interval is the population std of the 31-point moving
+    Each sentence's speech frames are mean-normalized in dB. The macro
+    value per sentence is the population std of the 31-point moving
     average of that contour; macro_mean/macro_std aggregate over
-    intervals. Micro values are means of absolute frame-to-frame dB
+    sentences. Micro values are means of absolute frame-to-frame dB
     differences over non-overlapping 4-sample windows (trailing partial
     windows are dropped); micro_mean/micro_std aggregate every window in
     the recording.
     """
-    speech = track.is_speech.astype(bool)
-    if not speech.any():
+    if not sentences:
         return (0.0,) * len(INTENSITY_DYNAMICS_FEATURES)
 
-    macros = []
-    micro_windows = []
-    for sel in _speech_by_interval(track, intervals):
-        contour = track.intensity_db[sel]
+    macros, micro_windows = [], []
+    for sel in sentences:
+        contour = intensity_db[sel]
         contour = contour - contour.mean()
         macros.append(float(np.std(moving_average(contour, MACRO_WIN_FRAMES))))
         diffs = np.abs(np.diff(contour))
@@ -96,11 +87,6 @@ def intensity_dynamics(track: FrameTrack, intervals: np.ndarray) -> tuple[float,
             blocks = diffs[: n_complete * MICRO_WIN_FRAMES].reshape(n_complete, -1)
             micro_windows.extend(blocks.mean(axis=1).tolist())
 
-    macros_arr = np.array(macros) if macros else np.zeros(1)
-    micro_arr = np.array(micro_windows) if micro_windows else np.zeros(1)
-    return (
-        float(macros_arr.mean()),
-        float(macros_arr.std()),
-        float(micro_arr.mean()),
-        float(micro_arr.std()),
-    )
+    micro = micro_windows or [0.0]
+    return (float(np.mean(macros)), float(np.std(macros)),
+            float(np.mean(micro)), float(np.std(micro)))

@@ -17,6 +17,7 @@ from .dynamics import (
     SPECTRAL_DYNAMICS_FEATURES,
     intensity_dynamics,
     spectral_dynamics,
+    speech_by_sentence,
 )
 from .errors import IntervalCountMismatch, SchemaMismatch, TooShort
 from .pauses import (
@@ -92,12 +93,13 @@ def extract_features(samples: np.ndarray, intervals: np.ndarray,
                        f"{cfg.min_pause_s} s pause")
     peaks = (detect_syllables(samples, track.is_speech, cfg.syllable)
              if speech_frames else np.empty(0))
+    sentences = speech_by_sentence(track, intervals)
     groups = (
         pause_features(pauses, intervals, duration),
         syllable_rate_features(peaks, intervals, list(story.sentence_syllables),
                                speech_frames * HOP_S),
-        spectral_dynamics(track, intervals),
-        intensity_dynamics(track, intervals),
+        spectral_dynamics(track.centroid_hz, sentences),
+        intensity_dynamics(track.intensity_db, sentences),
     )
     values = np.array([v for group in groups for v in group])
     return values, ExtractionDetail(track=track, pauses=pauses, peaks=peaks)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Transcription, save_json, saved_json
+from .corpus import Transcription, save_json, saved_json, typed
 from .errors import (
     AmbiguousLabeling,
     EmptyTranscription,
@@ -247,16 +247,17 @@ def load_cluster_model(path) -> tuple[np.ndarray, dict[int, SkillClass]]:
     """Read the centroids and cluster labels of a saved K=3 variant-B
     model; labels must name each skill class for exactly one cluster."""
     with saved_json(path, CLUSTER_MODEL_VERSION, "cluster model") as payload:
-        centroids = np.array(payload["centroids"], dtype=np.float64)
+        centroids = np.array([[typed(v, (int, float), "centroid") for v in row]
+                              for row in payload["centroids"]], dtype=np.float64)
         labels = {int(c): SkillClass[name] for c, name in payload["labels"].items()}
+        if list(map(str, labels)) != list(payload["labels"]):
+            raise ValueError(f"label keys {list(payload['labels'])} are not all plain integers")
         variant = payload["variant"]
     if variant != "B":
         raise SchemaMismatch(f"{path}: variant {variant!r}, expected 'B'")
     if centroids.shape != (3, len(VARIANT_B_DIMS)):
         raise SchemaMismatch(f"{path}: centroids of shape {centroids.shape}, "
                              f"expected (3, {len(VARIANT_B_DIMS)})")
-    if not np.isfinite(centroids).all():
-        raise SchemaMismatch(f"{path}: non-finite centroid")
     if sorted(labels) != [0, 1, 2] or sorted(labels.values()) != list(SkillClass):
         named = ", ".join(f"{c}: {s.name}" for c, s in sorted(labels.items()))
         raise SchemaMismatch(

@@ -99,21 +99,22 @@ def _legend(parts: list[str], entries: list[tuple[str, str]]) -> None:
                      f'{label}</text>')
 
 
-def line_chart(series: list[tuple[str, list[float], list[float], str]],
-               title: str, x_label: str, y_label: str,
-               path: str | Path | None = None) -> str:
-    """Polyline chart; series is a list of (label, xs, ys, color)."""
-    all_x = [v for _, xs, _, _ in series for v in xs]
-    all_y = [v for _, _, ys, _ in series for v in ys]
+def _chart(series: list[tuple[str, list[float], list[float], str]], title: str,
+           x_label: str, y_label: str, path: str | Path | None, dot: str, line: bool) -> str:
+    """Axes fitted to every (label, xs, ys, color) series, with a polyline
+    through each series' points if line, one circle per point with the
+    attributes dot formats from the color, and a legend."""
+    all_x = [v for _, xs, _, _ in series for v in xs] or [0.0, 1.0]
+    all_y = [v for _, _, ys, _ in series for v in ys] or [0.0, 1.0]
     frame = _Frame(min(all_x), max(all_x), min(all_y), max(all_y))
     parts = _chrome(frame, title, x_label, y_label)
-    for label, xs, ys, color in series:
-        pts = " ".join(f"{_fmt(frame.x(x))},{_fmt(frame.y(y))}" for x, y in zip(xs, ys))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                     f'stroke-width="2"/>')
-        for x, y in zip(xs, ys):
-            parts.append(f'<circle cx="{_fmt(frame.x(x))}" cy="{_fmt(frame.y(y))}" '
-                         f'r="3" fill="{color}"/>')
+    for _, xs, ys, color in series:
+        pts = [(_fmt(frame.x(x)), _fmt(frame.y(y))) for x, y in zip(xs, ys)]
+        if line:
+            joined = " ".join(f"{px},{py}" for px, py in pts)
+            parts.append(f'<polyline points="{joined}" fill="none" stroke="{color}" '
+                         f'stroke-width="2"/>')
+        parts.extend(f'<circle cx="{px}" cy="{py}" {dot.format(color)}/>' for px, py in pts)
     _legend(parts, [(label, color) for label, _, _, color in series])
     parts.append("</svg>")
     svg = "\n".join(parts) + "\n"
@@ -122,21 +123,16 @@ def line_chart(series: list[tuple[str, list[float], list[float], str]],
     return svg
 
 
+def line_chart(series: list[tuple[str, list[float], list[float], str]],
+               title: str, x_label: str, y_label: str,
+               path: str | Path | None = None) -> str:
+    """Polyline chart; series is a list of (label, xs, ys, color)."""
+    return _chart(series, title, x_label, y_label, path, 'r="3" fill="{}"', line=True)
+
+
 def scatter_chart(groups: list[tuple[str, list[float], list[float], str]],
                   title: str, x_label: str, y_label: str,
                   path: str | Path | None = None) -> str:
     """Scatter chart; groups is a list of (label, xs, ys, color)."""
-    all_x = [v for _, xs, _, _ in groups for v in xs] or [0.0, 1.0]
-    all_y = [v for _, _, ys, _ in groups for v in ys] or [0.0, 1.0]
-    frame = _Frame(min(all_x), max(all_x), min(all_y), max(all_y))
-    parts = _chrome(frame, title, x_label, y_label)
-    for label, xs, ys, color in groups:
-        for x, y in zip(xs, ys):
-            parts.append(f'<circle cx="{_fmt(frame.x(x))}" cy="{_fmt(frame.y(y))}" '
-                         f'r="4" fill="{color}" fill-opacity="0.75"/>')
-    _legend(parts, [(label, color) for label, _, _, color in groups])
-    parts.append("</svg>")
-    svg = "\n".join(parts) + "\n"
-    if path is not None:
-        Path(path).write_text(svg, encoding="utf-8")
-    return svg
+    return _chart(groups, title, x_label, y_label, path,
+                  'r="4" fill="{}" fill-opacity="0.75"', line=False)

@@ -17,7 +17,7 @@ from readskill.cli import main as cli_main
 from readskill.config import RunConfig
 from readskill.corpus import load_wav, parse_intervals, scan_corpus
 from readskill.dsp import _centroid_batch, build_track
-from readskill.dynamics import intensity_dynamics, spectral_dynamics
+from readskill.dynamics import intensity_dynamics, spectral_dynamics, speech_by_sentence
 from readskill.lexical import SkillClass
 from readskill.pauses import detect_syllables, extract_pauses
 
@@ -189,11 +189,15 @@ def test_criterion_4_dsp_oracles():
     profile = synth.make_profile(SkillClass.C_A, seed=2)
     samples, intervals, _, _ = synth.generate(profile, duration=10.0)
     track = build_track(samples)
-    base = spectral_dynamics(track, intervals) + intensity_dynamics(track, intervals)
+    sentences = speech_by_sentence(track, intervals)
+    base = (spectral_dynamics(track.centroid_hz, sentences)
+            + intensity_dynamics(track.intensity_db, sentences))
     for delta in (6.0206, -12.5):
         shifted = replace(track, energy=track.energy * 10.0 ** (delta / 10.0),
                           intensity_db=track.intensity_db + delta)
-        off = spectral_dynamics(shifted, intervals) + intensity_dynamics(shifted, intervals)
+        shifted_sentences = speech_by_sentence(shifted, intervals)
+        off = (spectral_dynamics(shifted.centroid_hz, shifted_sentences)
+               + intensity_dynamics(shifted.intensity_db, shifted_sentences))
         # all 7 values: 3 spectral, then 4 intensity
         drift = max(abs(a - b) for a, b in zip(off, base))
         if drift > 1e-9:

@@ -356,8 +356,8 @@ def _saved_payload(tmp_path):
 
 
 def _assert_load_rejects(tmp_path, payload, literal):
-    """Write payload with its "@" cell spelled as a JSON number literal, which
-    json parses as a non-finite float, and expect load_model to refuse it."""
+    """Write payload with its "@" cell spelled as a JSON number literal that
+    reads as a non-finite float, and expect load_model to refuse it."""
     path = tmp_path / "model.json"
     path.write_text(json.dumps(payload).replace('"@"', literal))
     with pytest.raises(SchemaMismatch, match="model.json: .*non-finite"):
@@ -403,7 +403,7 @@ def test_load_model_too_deep_tree(tmp_path, monkeypatch):
     for _ in range(5000):
         node = {"feature": 0, "threshold": 0.5, "left": node, "right": leaf}
     payload["stages"][0]["trees"] = [node]
-    monkeypatch.setattr("readskill.corpus.json.loads", lambda _: payload)
+    monkeypatch.setattr("readskill.corpus.json.loads", lambda *_, **__: payload)
     with pytest.raises(SchemaMismatch, match="malformed classifier model .RecursionError"):
         load_model(path)
 

@@ -1010,13 +1010,27 @@ def test_bad_model_file_exits_2(small_corpus, featurized, tmp_path, capsys,
     _one_line_schema_error(capsys, "model.json: ", needle)
 
 
+def _cvreport(**fields) -> str:
+    """A one_stage cvreport file, with fields replaced."""
+    payload = {"format": classify.REPORT_VERSION, "plan": "one_stage", "accuracy": 0.5,
+               "folds": 7, "seed": 0, "importances": {"pause_mean": 0.5}}
+    return json.dumps({**payload, **fields})
+
+
 @pytest.mark.parametrize("content, needle", [
     ("cvreport, but not JSON\n", "not a JSON file"),
     ('{"format": "%s"}' % classify.MODEL_VERSION, "not a cvreport-v1 report"),
     ('{"format": "cvreport-v1"}', "malformed report (KeyError: 'plan')"),
     ("[" * 200_000, "not a JSON file"),
     ("[]", "not a JSON object"),
-], ids=["not_json", "other_format", "no_plan", "too_deep", "not_object"])
+    (_cvreport(accuracy=True), "malformed report (ValueError: accuracy True is a bool)"),
+    (_cvreport(folds="seven"), "malformed report (ValueError: folds 'seven' is a str)"),
+    (_cvreport(seed=None), "malformed report (ValueError: seed None is a NoneType)"),
+    (_cvreport(seed=2.0), "malformed report (ValueError: seed 2.0 is a float)"),
+    (_cvreport(importances={"pause_mean": "0.5"}),
+     "malformed report (ValueError: importance '0.5' is a str)"),
+], ids=["not_json", "other_format", "no_plan", "too_deep", "not_object", "bool_accuracy",
+        "text_folds", "null_seed", "fractional_seed", "text_importance"])
 def test_bad_cvreport_exits_2(tmp_path, capsys, content, needle):
     (tmp_path / "cvreport_x.json").write_text(content)
     rc = run("--set", f"out_dir={tmp_path}", "--jobs", "1", "report")
@@ -1052,13 +1066,24 @@ def _cluster_model(**fields) -> str:
     (_cluster_model(labels={"0": "C_A", "1": "M_A", "3": "I_A"}),
      "labels {0: C_A, 1: M_A, 3: I_A} must give clusters 0, 1 and 2 one class each"),
     (_cluster_model(centroids=[[0.9, 0.0, 0.05, float("nan")]] + CLUSTER_CENTROIDS[1:]),
-     "non-finite centroid"),
+     "malformed cluster model (ValueError: non-finite number NaN)"),
+    (_cluster_model(centroids=[["0.9", 0.04, 0.03, 0.03]] + CLUSTER_CENTROIDS[1:]),
+     "malformed cluster model (ValueError: centroid '0.9' is a str)"),
+    (_cluster_model(centroids=[[True, 0.04, 0.03, 0.03]] + CLUSTER_CENTROIDS[1:]),
+     "malformed cluster model (ValueError: centroid True is a bool)"),
+    (_cluster_model(labels={" 0": "C_A", "1": "M_A", "2": "I_A"}),
+     "malformed cluster model (ValueError: label keys [' 0', '1', '2'] are not all "
+     "plain integers)"),
+    (_cluster_model(labels={"0": "C_A", "01": "M_A", "2": "I_A"}),
+     "malformed cluster model (ValueError: label keys ['0', '01', '2'] are not all "
+     "plain integers)"),
     (_cluster_model(variant="A"), "variant 'A', expected 'B'"),
     (_cluster_model(centroids=[row + [0.0] for row in CLUSTER_CENTROIDS]),
      "centroids of shape (3, 5), expected (3, 4)"),
     ("[" * 200_000, "not a JSON file"),
 ], ids=["not_json", "unknown_class", "no_centroids", "missing_cluster",
-        "repeated_class", "cluster_out_of_range", "nan_centroid", "variant_a",
+        "repeated_class", "cluster_out_of_range", "nan_centroid", "text_centroid",
+        "bool_centroid", "spaced_label_key", "padded_label_key", "variant_a",
         "wrong_shape", "too_deep"])
 def test_bad_cluster_model_exits_2(small_corpus, tmp_path, capsys, content, needle):
     (tmp_path / "cluster_model.json").write_text(content)
@@ -1074,38 +1099,41 @@ def _read_report(path):
 
 ONE_STAGE_FEATURES = list(classify.PLANS["one_stage"].stages[0].features)
 PAST_FLOAT = 10 ** 400  # a JSON integer that no float can hold
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e999"]  # 1e999 overflows to inf
 
 # reader: (read, file name, format, what its messages call the file, fields
-# of which one has the wrong type, fields of which one is PAST_FLOAT)
+# of which one has the wrong type, fields with a given value where a number goes)
 SAVED_JSON_READERS = {
     "classifier_model": (
         classify.load_model, "model.json", classify.MODEL_VERSION, "classifier model",
         {"plan": "one_stage", "stages": 1},
-        {"plan": "one_stage", "stages": [{
+        lambda v: {"plan": "one_stage", "stages": [{
             "features": ONE_STAGE_FEATURES, "n_classes": 3,
-            "importances": [PAST_FLOAT] * len(ONE_STAGE_FEATURES)}]}),
+            "importances": [v] * len(ONE_STAGE_FEATURES)}]}),
     "cluster_model": (
         lexical.load_cluster_model, "cluster_model.json", lexical.CLUSTER_MODEL_VERSION,
         "cluster model",
         {"variant": "B", "centroids": CLUSTER_CENTROIDS, "labels": []},
-        {"variant": "B", "centroids": [[PAST_FLOAT] * 4] * 3, "labels": {}}),
+        lambda v: {"variant": "B", "centroids": [[v] * 4] * 3, "labels": {}}),
     "report": (
         _read_report, "cvreport.json", classify.REPORT_VERSION, "report",
         {"plan": "one_stage", "folds": 7, "seed": 0, "accuracy": "high"},
-        {"plan": "one_stage", "folds": 7, "seed": 0, "accuracy": PAST_FLOAT}),
+        lambda v: {"plan": "one_stage", "folds": 7, "seed": 0, "accuracy": v}),
 }
 
 
 @pytest.mark.parametrize("reader, case", [
     (reader, case) for reader in SAVED_JSON_READERS
-    for case in ("missing", "other_format", "wrong_type", "past_float")
+    for case in ("missing", "other_format", "wrong_type", "past_float", "text_number",
+                 "bool_number", *NON_FINITE)
     # report reads only the cvreport files that exist
     if (reader, case) != ("report", "missing")])
 def test_saved_json_reader_rule(tmp_path, reader, case):
     """Every saved-JSON reader fails alike: a missing file raises NoModel,
-    and a file of another format or with a field it cannot read raises
+    and a file of another format, with a field it cannot read, with a bool
+    or text where a number goes or with a non-finite number raises
     SchemaMismatch naming the file."""
-    read, name, version, what, wrong_type, past_float = SAVED_JSON_READERS[reader]
+    read, name, version, what, wrong_type, number = SAVED_JSON_READERS[reader]
     path = tmp_path / name
     if case == "missing":
         with pytest.raises(NoModel, match=f"^no {what} at {re.escape(str(path))}$"):
@@ -1114,10 +1142,16 @@ def test_saved_json_reader_rule(tmp_path, reader, case):
     fields, needle = {
         "other_format": ({"format": "other-v1"}, f"not a {version} {what}"),
         "wrong_type": ({"format": version, **wrong_type}, f"malformed {what} ("),
-        "past_float": ({"format": version, **past_float},
+        "past_float": ({"format": version, **number(PAST_FLOAT)},
                        f"malformed {what} (OverflowError: "),
-    }[case]
-    path.write_text(json.dumps(fields))
+        "text_number": ({"format": version, **number("0.5")},
+                        f"malformed {what} (ValueError: "),
+        "bool_number": ({"format": version, **number(True)},
+                        f"malformed {what} (ValueError: "),
+    }.get(case, ({"format": version, **number("@")},
+                 f"malformed {what} (ValueError: non-finite number {case})"))
+    # a non-finite case writes its literal in place of "@" (json.dumps spells no 1e999)
+    path.write_text(json.dumps(fields).replace('"@"', case))
     with pytest.raises(SchemaMismatch, match=f"^{re.escape(f'{path}: {needle}')}"):
         read(path)
 

@@ -8,7 +8,7 @@ import pytest
 from readskill import synth
 from readskill.corpus import StoryText
 from readskill.dsp import HOP_S
-from readskill.dynamics import intensity_dynamics, spectral_dynamics
+from readskill.dynamics import intensity_dynamics, spectral_dynamics, speech_by_sentence
 from readskill.errors import IntervalCountMismatch, SchemaMismatch
 from readskill.featurize import (
     FEATURE_GROUPS,
@@ -92,8 +92,9 @@ def test_values_wired_to_component_outputs():
     speech_duration = float(detail.track.is_speech.sum()) * HOP_S
     sr = syllable_rate_features(detail.peaks, ivs,
                                 list(story.sentence_syllables), speech_duration)
-    sd = spectral_dynamics(detail.track, ivs)
-    idy = intensity_dynamics(detail.track, ivs)
+    sentences = speech_by_sentence(detail.track, ivs)
+    sd = spectral_dynamics(detail.track.centroid_hz, sentences)
+    idy = intensity_dynamics(detail.track.intensity_db, sentences)
 
     assert v[FEATURE_INDEX["pause_mean"]] == pf[0]
     assert v[FEATURE_INDEX["pause_std"]] == pf[1]

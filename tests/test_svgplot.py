@@ -53,6 +53,12 @@ def test_scatter_chart_empty_groups():
     assert svg.endswith("</svg>\n")
 
 
+def test_line_chart_empty_series_draws_the_same_axes():
+    # both kinds share their frame, chrome and legend, so with nothing to
+    # mark they draw the same empty axes
+    assert line_chart([], "empty", "x", "y") == scatter_chart([], "empty", "x", "y")
+
+
 def test_single_point_degenerate_range():
     # both axes collapse to one value; the frame must still be finite
     svg = line_chart([("only", [3.0], [5.0], "#000000")], "t", "x", "y")
