@@ -224,14 +224,11 @@ def train_forest(X: np.ndarray, y: np.ndarray, n_trees: int = N_TREES,
     rngs = [np.random.default_rng([*seed_path, t]) for t in range(n_trees)]
     boots = [rng.integers(0, n, size=n) for rng in rngs]
     trees, importance = _grow_trees(X, y, n_classes, math.ceil(math.sqrt(d)), rngs, boots)
-    importance_sum = np.zeros(d)
-    for imp in importance:
-        importance_sum += imp
     return RandomForestModel(
         trees=trees,
         n_classes=n_classes,
         n_features=d,
-        importances=importance_sum / n_trees,
+        importances=importance.mean(axis=0),
     )
 
 

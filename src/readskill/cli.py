@@ -94,11 +94,12 @@ def _featurize_one(index: CorpusIndex, fcfg, out_dir: Path, dump_fr: bool,
     dumps when asked."""
     samples = load_wav(index.wav_path(rid))
     intervals, _ = parse_intervals(index.intervals_path(rid), len(samples) / SAMPLE_RATE)
-    values, detail = featurize.extract_features(samples, intervals, index.story, fcfg)
+    values, track, pauses, peaks = featurize.extract_features(
+        samples, intervals, index.story, fcfg)
     if dump_fr:
-        dump_frames(detail.track, samples, out_dir / f"frames_{rid}.csv")
+        dump_frames(track, samples, out_dir / f"frames_{rid}.csv")
     if dump_ev:
-        dump_events(detail.pauses, detail.peaks, out_dir / f"events_{rid}.csv")
+        dump_events(pauses, peaks, out_dir / f"events_{rid}.csv")
     return rid, index.labels.get(rid), values
 
 
@@ -139,7 +140,7 @@ def cmd_cluster(cfg: RunConfig, args) -> int:
                            f"got {len(results)}")
     ids = [rid for rid, _ in results]
     points_a = np.array([a for _, a in results])
-    points = {"A": points_a, "B": points_a @ lexical.MERGE_A_TO_B.T}
+    points = {"A": points_a, "B": lexical.variant_b(points_a)}
     k_range = range(cfg.cluster_k_min, cfg.cluster_k_max + 1)
     sweeps = {variant: lexical.sweep_k(p, k_range, seed=cfg.seed,
                                        restarts=cfg.kmeans_restarts)

@@ -55,23 +55,13 @@ class FeatureConfig:
     syllable: SyllableConfig = field(default_factory=SyllableConfig)
 
 
-@dataclass
-class ExtractionDetail:
-    """Intermediate products kept around for dumps and tests: the frame
-    track, the (k, 2) array of (start, duration) pauses and the syllable
-    nucleus times, all in seconds."""
-
-    track: FrameTrack
-    pauses: np.ndarray
-    peaks: np.ndarray
-
-
 def extract_features(samples: np.ndarray, intervals: np.ndarray,
                      story: StoryText, cfg: FeatureConfig | None = None,
-                     ) -> tuple[np.ndarray, ExtractionDetail]:
+                     ) -> tuple[np.ndarray, FrameTrack, np.ndarray, np.ndarray]:
     """Compute the 17 acoustic feature values of one recording's 16 kHz
-    samples, in FEATURE_NAMES order, with the intermediate products they
-    were measured from.
+    samples, in FEATURE_NAMES order, with what they were measured from:
+    (values, frame track, (k, 2) array of (start, duration) pauses,
+    syllable nucleus times), all times in seconds.
 
     A recording with no detected speech gets the all-silence policy: the
     pause group reflects one recording-length pause and every other group
@@ -102,7 +92,7 @@ def extract_features(samples: np.ndarray, intervals: np.ndarray,
         intensity_dynamics(track.intensity_db, sentences),
     )
     values = np.array([v for group in groups for v in group])
-    return values, ExtractionDetail(track=track, pauses=pauses, peaks=peaks)
+    return values, track, pauses, peaks
 
 
 def write_features(rows, path) -> None:

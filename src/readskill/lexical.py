@@ -40,14 +40,6 @@ SKILL_NAMES = tuple(c.name for c in SkillClass)
 VARIANT_A_DIMS = ("C", "S1", "SmD", "M", "I")
 VARIANT_B_DIMS = ("CS1", "SmD", "M", "I")
 
-# variant B = variant A with C and S1 merged
-MERGE_A_TO_B = np.array([
-    [1, 1, 0, 0, 0],
-    [0, 0, 1, 0, 0],
-    [0, 0, 0, 1, 0],
-    [0, 0, 0, 0, 1],
-], dtype=np.float64)
-
 # the variant-B columns of the correct, missed and incorrect axes
 CMI_COLUMNS = tuple(VARIANT_B_DIMS.index(d) for d in ("CS1", "M", "I"))
 
@@ -68,7 +60,7 @@ class ClusterModel:
 
 def miscue_fractions(transcription: Transcription) -> np.ndarray:
     """Variant A fractions (C, S1, Sm+D, M, I) of word outcomes over the
-    canonical word count. ``MERGE_A_TO_B`` maps them to variant B,
+    canonical word count. ``variant_b`` maps them to variant B,
     (C+S1, Sm+D, M, I)."""
     if not transcription.words:
         raise EmptyTranscription("transcription has no words")
@@ -80,6 +72,11 @@ def miscue_fractions(transcription: Transcription) -> np.ndarray:
         counts["C"], counts["S1"], counts["Sm"] + counts["D"],
         counts["M"], counts["I"],
     ], dtype=np.float64) / n
+
+
+def variant_b(points_a: np.ndarray) -> np.ndarray:
+    """Variant B rows of (n, 5) variant A rows: C and S1 summed."""
+    return np.column_stack((points_a[:, 0] + points_a[:, 1], points_a[:, 2:]))
 
 
 def _assign(points: np.ndarray, centroids: np.ndarray,

@@ -289,18 +289,21 @@ def detect_syllables(samples: np.ndarray, is_speech: np.ndarray,
     speech = np.asarray(is_speech, dtype=bool)[:n]
     ok = speech[peak_idx] & (env[peak_idx] >= cfg.height_frac * top) \
         & (prom >= cfg.prominence_frac * top)
-    candidates = peak_idx[ok]
-
-    # strongest first; ties go to the earlier peak
-    min_gap = int(round(cfg.min_gap_s / HOP_S))
-    order = sorted(range(len(candidates)), key=lambda i: (-env[candidates[i]], candidates[i]))
-    kept: list[int] = []
-    for i in order:
-        c = candidates[i]
-        if all(abs(c - k) >= min_gap for k in kept):
-            kept.append(int(c))
-    kept.sort()
+    kept = _keep_apart(env, peak_idx[ok], int(round(cfg.min_gap_s / HOP_S)))
     return frame_times(n)[kept]
+
+
+def _keep_apart(env: np.ndarray, candidates: np.ndarray, min_gap: int) -> np.ndarray:
+    """Mask over the frames of ``env`` of the candidate frames kept when,
+    strongest first with ties to the earlier frame, each one is kept only
+    if no kept frame lies closer than min_gap frames."""
+    free = np.ones(len(env), dtype=bool)
+    kept = np.zeros(len(env), dtype=bool)
+    for c in candidates[np.lexsort((candidates, -env[candidates]))]:
+        if free[c]:
+            kept[c] = True
+            free[max(0, c - min_gap + 1):c + min_gap] = False
+    return kept
 
 
 RATE_FEATURES = (

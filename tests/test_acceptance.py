@@ -37,7 +37,7 @@ def _feature_matrix(root):
     for rid in index.ids:
         samples = load_wav(index.wav_path(rid))
         ivs, _ = parse_intervals(index.intervals_path(rid), len(samples) / SAMPLE_RATE)
-        values, _ = featurize.extract_features(samples, ivs, index.story, cfg)
+        values, *_ = featurize.extract_features(samples, ivs, index.story, cfg)
         rows.append(values)
         labels.append(int(SkillClass[index.labels[rid]]))
     return np.array(rows), np.array(labels)

@@ -60,7 +60,7 @@ def test_feature_index_round_trip():
 
 def test_all_silence_policy():
     duration = 2.0
-    v, _ = extract_features(np.zeros(int(duration * SAMPLE_RATE)), spans((0.0, 1.0), (1.0, duration)), STORY)
+    v, *_ = extract_features(np.zeros(int(duration * SAMPLE_RATE)), spans((0.0, 1.0), (1.0, duration)), STORY)
     # one recording-length pause (whole hops, so a hair under 2.0 s)
     assert v[FEATURE_INDEX["pause_mean"]] == pytest.approx(duration, abs=0.05)
     assert v[FEATURE_INDEX["pause_min"]] == v[FEATURE_INDEX["pause_max"]]
@@ -82,19 +82,19 @@ def test_interval_count_mismatch():
 
 
 def test_values_wired_to_component_outputs():
-    # recompute every block from the returned detail and compare positions
+    # recompute every block from the returned products and compare positions
     profile = synth.make_profile(synth.SkillClass.M_A, seed=5)
     samples, ivs, _, _ = synth.generate(profile, duration=8.0)
     story = synth.default_story()
-    v, detail = extract_features(samples, ivs, story)
+    v, track, pauses, peaks = extract_features(samples, ivs, story)
 
-    pf = pause_features(detail.pauses, ivs, 8.0)
-    speech_duration = float(detail.track.is_speech.sum()) * HOP_S
-    sr = syllable_rate_features(detail.peaks, ivs,
+    pf = pause_features(pauses, ivs, 8.0)
+    speech_duration = float(track.is_speech.sum()) * HOP_S
+    sr = syllable_rate_features(peaks, ivs,
                                 list(story.sentence_syllables), speech_duration)
-    sentences = speech_by_sentence(detail.track, ivs)
-    sd = spectral_dynamics(detail.track.centroid_hz, sentences)
-    idy = intensity_dynamics(detail.track.intensity_db, sentences)
+    sentences = speech_by_sentence(track, ivs)
+    sd = spectral_dynamics(track.centroid_hz, sentences)
+    idy = intensity_dynamics(track.intensity_db, sentences)
 
     assert v[FEATURE_INDEX["pause_mean"]] == pf[0]
     assert v[FEATURE_INDEX["pause_std"]] == pf[1]
@@ -121,9 +121,9 @@ def test_articulation_rate_tracks_bump_rate():
     profile = synth.make_profile(synth.SkillClass.C_A, seed=1,
                                  pause_schedule=())
     samples, ivs, _, _ = synth.generate(profile, duration=8.0)
-    values, detail = extract_features(samples, ivs, synth.default_story())
+    values, _, _, peaks = extract_features(samples, ivs, synth.default_story())
     # every rendered bump is found exactly once
-    assert len(detail.peaks) == round(profile.syllable_rate_hz * 8.0)
+    assert len(peaks) == round(profile.syllable_rate_hz * 8.0)
     # speech time can only shrink below the full duration (AM troughs dip
     # under the VAD threshold), so the rate lands at or above nominal
     ar = values[FEATURE_INDEX["articulation_rate"]]
@@ -134,8 +134,8 @@ def test_extract_deterministic():
     profile = synth.make_profile(synth.SkillClass.I_A, seed=9)
     samples, ivs, _, _ = synth.generate(profile, duration=8.0)
     story = synth.default_story()
-    a, _ = extract_features(samples, ivs, story)
-    b, _ = extract_features(samples, ivs, story)
+    a, *_ = extract_features(samples, ivs, story)
+    b, *_ = extract_features(samples, ivs, story)
     assert np.array_equal(a, b)
 
 

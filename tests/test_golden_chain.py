@@ -14,9 +14,9 @@ output names it: in stdout, in errors.log and in ``config --dump``.
 Recorded with numpy 2.4.6 and OpenBLAS on x86-64. No feature bit comes
 from a BLAS product: the spectral centroid is a row reduction, and the
 band-pass's block products reach the outputs only through peak
-comparisons. Cluster's variant-B merge is still a BLAS product, and
-``np.fft`` decides bits everywhere, so another numpy, BLAS or CPU family
-may still read different digests without any change to the code.
+comparisons. ``np.fft`` decides bits everywhere, so another numpy, BLAS
+or CPU family may still read different digests without any change to the
+code.
 """
 from __future__ import annotations
 

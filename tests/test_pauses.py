@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from readskill.dsp import FRAME_LEN, HOP_S, SAMPLE_RATE, build_track
 from readskill.errors import IntervalCountMismatch
@@ -204,6 +206,40 @@ def test_detect_syllables_min_gap():
     times = sorted(peaks)
     for a, b in zip(times, times[1:]):
         assert b - a >= 10 * HOP_S - 1e-9
+
+
+def pairwise_keep_apart(env, candidates, min_gap):
+    """The nucleus frames detect_syllables kept before the frame mask:
+    strongest first, ties to the earlier frame, each compared with every
+    frame kept so far."""
+    order = sorted(range(len(candidates)), key=lambda i: (-env[candidates[i]], candidates[i]))
+    kept: list[int] = []
+    for i in order:
+        c = candidates[i]
+        if all(abs(c - k) >= min_gap for k in kept):
+            kept.append(int(c))
+    kept.sort()
+    return kept
+
+
+@st.composite
+def envelopes_and_candidates(draw):
+    # integer-valued envelopes make ties between candidates common
+    values = draw(st.sampled_from([st.integers(0, 4).map(float), st.floats(0.0, 1e6)]))
+    env = np.array(draw(st.lists(values, min_size=1, max_size=80)))
+    candidates = sorted(draw(st.sets(st.integers(0, len(env) - 1))))
+    return env, np.array(candidates, dtype=np.intp), draw(st.integers(0, 15))
+
+
+@settings(max_examples=400, deadline=None)
+@given(envelopes_and_candidates())
+def test_keep_apart_equals_the_pairwise_rule(case):
+    from readskill import pauses
+
+    env, candidates, min_gap = case
+    kept = pauses._keep_apart(env, candidates, min_gap)
+    assert kept.shape == env.shape
+    assert np.flatnonzero(kept).tolist() == pairwise_keep_apart(env, candidates, min_gap)
 
 
 def test_syllable_rate_features_exact():
