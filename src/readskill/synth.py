@@ -179,12 +179,14 @@ def _absorbs(x: np.ndarray, bound: float) -> bool:
 
 
 def generate(profile: ProfileSpec, duration: float
-             ) -> tuple[np.ndarray, np.ndarray, Transcription, np.ndarray]:
+             ) -> tuple[np.ndarray, np.ndarray, Transcription, np.ndarray, np.ndarray]:
     """Render one recording's 16 kHz samples plus its (k, 2) array of
-    (start, end) sentence intervals, its transcription and the (k, 2)
-    array of (start, duration) pauses it rendered, in seconds: the
-    schedule snapped to the frame grid, as pauses.extract_pauses lays out
-    the pauses it detects.
+    (start, end) sentence intervals, its transcription, the (k, 2) array
+    of (start, duration) pauses it rendered, in seconds: the schedule
+    snapped to the frame grid, as pauses.extract_pauses lays out the
+    pauses it detects, and the times in seconds of its syllable nuclei,
+    the amplitude maxima: span start + (j + 0.5) / k * span length for
+    bump j of the k bumps in each speech span.
 
     Only the speech samples get a carrier; each rendered silence (a pause
     widened by PAUSE_RENDER_PAD on both sides) is exactly the noise, or
@@ -268,7 +270,9 @@ def generate(profile: ProfileSpec, duration: float
 
     pauses = np.array([(s0 / SAMPLE_RATE, (s1 - s0) / SAMPLE_RATE)
                        for s0, s1 in silences]).reshape(-1, 2)
-    return samples, intervals, transcription, pauses
+    nuclei = np.concatenate([(a + (np.arange(k) + 0.5) / k * (b - a)) / SAMPLE_RATE
+                             for (a, b), k in zip(spans, bump_counts)])
+    return samples, intervals, transcription, pauses, nuclei
 
 
 def default_story() -> StoryText:
@@ -348,7 +352,7 @@ def write_corpus(out_dir, per_class: int = 3, duration: float = 10.0,
                         if pause_style == "randomized" else None)
             profile = make_profile(skill, seed=rec_seed, noise_dbfs=noise_dbfs,
                                    pause_schedule=schedule)
-            samples, intervals, transcription, _ = generate(profile, duration)
+            samples, intervals, transcription, _, _ = generate(profile, duration)
             write_wav(samples, root / f"{rid}.wav")
             write_rows(intervals.tolist(), root / f"{rid}.intervals.csv")
             write_transcription(transcription, root / f"{rid}.words.csv")

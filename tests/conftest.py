@@ -36,6 +36,52 @@ def traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
+NUCLEUS_WINDOW_S = 0.05  # a detected nucleus this close to a rendered one finds it
+
+
+def matched_times(truth, found, window: float = NUCLEUS_WINDOW_S) -> int:
+    """Size of the largest one-to-one matching of sorted ``found`` times to
+    sorted ``truth`` times at most ``window`` apart. Every truth time owns
+    a window of the same width, so taking the pairs in time order is
+    optimal."""
+    i = j = hits = 0
+    while i < len(truth) and j < len(found):
+        if abs(found[j] - truth[i]) <= window:
+            hits, i, j = hits + 1, i + 1, j + 1
+        elif found[j] < truth[i]:
+            j += 1
+        else:
+            i += 1
+    return hits
+
+
+def score_detection(true_pauses, true_nuclei, pauses, nuclei) -> dict:
+    """A recording's detected (start, duration) pauses and nucleus times
+    scored against the ones synth.generate rendered.
+
+    Nuclei: the rendered and detected counts and the matched pairs within
+    NUCLEUS_WINDOW_S (recall is hits / truth, precision hits / found).
+    Pauses: the rendered and detected counts, the rendered pauses that a
+    detected pause overlaps, and the largest start and end errors in
+    seconds between each such pause and the first detected pause that
+    overlaps it."""
+    start_err = end_err = 0.0
+    matched = 0
+    for start, duration in true_pauses:
+        over = [(s, d) for s, d in pauses if s < start + duration and start < s + d]
+        if over:
+            s, d = over[0]
+            matched += 1
+            start_err = max(start_err, abs(s - start))
+            end_err = max(end_err, abs(s + d - start - duration))
+    return {
+        "nuclei": len(true_nuclei), "found": len(nuclei),
+        "hits": matched_times(true_nuclei, nuclei),
+        "pauses": len(true_pauses), "found_pauses": len(pauses), "matched_pauses": matched,
+        "start_err": start_err, "end_err": end_err,
+    }
+
+
 def harmonicity_batch_oracle(frames, intensity_db):
     """dsp._harmonicity_batch as it was before it skipped silent frames and
     split the rest into blocks: every frame in one batch, then the silent

@@ -155,7 +155,7 @@ def test_criterion_4_dsp_oracles():
     # pause boundaries on scheduled-pause recordings, noise floor disabled
     for seed, duration in [(0, 8.0), (3, 10.0), (11, 12.0)]:
         profile = synth.make_profile(SkillClass.M_A, seed=seed, noise_dbfs=-200.0)
-        samples, _, _, sched = synth.generate(profile, duration=duration)
+        samples, _, _, sched, _ = synth.generate(profile, duration=duration)
         track = build_track(samples)
         pauses = extract_pauses(track.is_speech)
         if len(pauses) != len(sched):
@@ -187,7 +187,7 @@ def test_criterion_4_dsp_oracles():
 
     # uniform dB offset leaves both dynamics groups untouched
     profile = synth.make_profile(SkillClass.C_A, seed=2)
-    samples, intervals, _, _ = synth.generate(profile, duration=10.0)
+    samples, intervals, _, _, _ = synth.generate(profile, duration=10.0)
     track = build_track(samples)
     sentences = speech_by_sentence(track, intervals)
     base = (spectral_dynamics(track.centroid_hz, sentences)
@@ -303,7 +303,7 @@ def test_criterion_8_pause_importance_ranks_last(tmp_path):
 
 def test_criterion_9_extraction_speed():
     profile = synth.make_profile(SkillClass.M_A, seed=5)
-    samples, intervals, _, _ = synth.generate(profile, duration=60.0)
+    samples, intervals, _, _, _ = synth.generate(profile, duration=60.0)
     story = synth.default_story()
     cfg = RunConfig().feature
     t0 = time.perf_counter()

@@ -84,7 +84,7 @@ def test_interval_count_mismatch():
 def test_values_wired_to_component_outputs():
     # recompute every block from the returned products and compare positions
     profile = synth.make_profile(synth.SkillClass.M_A, seed=5)
-    samples, ivs, _, _ = synth.generate(profile, duration=8.0)
+    samples, ivs, _, _, _ = synth.generate(profile, duration=8.0)
     story = synth.default_story()
     v, track, pauses, peaks = extract_features(samples, ivs, story)
 
@@ -120,7 +120,7 @@ def test_articulation_rate_tracks_bump_rate():
     # so the measured nuclei-per-speech-second should land nearby
     profile = synth.make_profile(synth.SkillClass.C_A, seed=1,
                                  pause_schedule=())
-    samples, ivs, _, _ = synth.generate(profile, duration=8.0)
+    samples, ivs, _, _, _ = synth.generate(profile, duration=8.0)
     values, _, _, peaks = extract_features(samples, ivs, synth.default_story())
     # every rendered bump is found exactly once
     assert len(peaks) == round(profile.syllable_rate_hz * 8.0)
@@ -132,7 +132,7 @@ def test_articulation_rate_tracks_bump_rate():
 
 def test_extract_deterministic():
     profile = synth.make_profile(synth.SkillClass.I_A, seed=9)
-    samples, ivs, _, _ = synth.generate(profile, duration=8.0)
+    samples, ivs, _, _, _ = synth.generate(profile, duration=8.0)
     story = synth.default_story()
     a, *_ = extract_features(samples, ivs, story)
     b, *_ = extract_features(samples, ivs, story)

@@ -121,7 +121,7 @@ def test_detect_syllables_finds_the_scipy_peak_frames(skill, pause_style):
         schedule = (synth.randomized_pause_schedule(duration, 3, k)
                     if pause_style == "randomized" else None)
         profile = synth.make_profile(skill, seed=100 * int(skill) + k, pause_schedule=schedule)
-        samples, _, _, _ = synth.generate(profile, duration)
+        samples, _, _, _, _ = synth.generate(profile, duration)
         is_speech = build_track(samples).is_speech
         got = pauses.detect_syllables(samples, is_speech)
         expected = detect_syllables_oracle(samples, is_speech)

@@ -37,7 +37,7 @@ def test_generate_deterministic():
 
 def test_generate_intervals_quarter_recording():
     profile = synth.make_profile(SkillClass.C_A, seed=0)
-    _, intervals, _, _ = synth.generate(profile, duration=8.0)
+    _, intervals, _, _, _ = synth.generate(profile, duration=8.0)
     assert len(intervals) == 4
     for k, (start, end) in enumerate(intervals):
         assert start == pytest.approx(2.0 * k)
@@ -95,7 +95,7 @@ def test_allocate_bumps_gives_each_segment_one_and_sums_to_total(lengths, extra)
 
 def test_c_a_bump_count_recovered():
     profile = synth.make_profile(SkillClass.C_A, seed=0)
-    samples, _, _, _ = synth.generate(profile, duration=10.0)
+    samples, _, _, _, _ = synth.generate(profile, duration=10.0)
     track = build_track(samples)
     from readskill.pauses import detect_syllables
     peaks = detect_syllables(samples, track.is_speech)
@@ -104,7 +104,7 @@ def test_c_a_bump_count_recovered():
 
 def test_m_a_pauses_detected_exactly():
     profile = synth.make_profile(SkillClass.M_A, seed=0, noise_dbfs=-200.0)
-    samples, _, _, sched = synth.generate(profile, duration=10.0)
+    samples, _, _, sched, _ = synth.generate(profile, duration=10.0)
     track = build_track(samples)
     pauses = extract_pauses(track.is_speech)
     assert len(pauses) == len(sched) == 3
@@ -118,7 +118,7 @@ def test_i_a_profile_contrasts_with_c_a():
     feats = {}
     for skill in (SkillClass.C_A, SkillClass.I_A):
         profile = synth.make_profile(skill, seed=0)
-        samples, ivs, _, _ = synth.generate(profile, duration=10.0)
+        samples, ivs, _, _, _ = synth.generate(profile, duration=10.0)
         feats[skill] = extract_features(samples, ivs, story)[0]
     c, i = feats[SkillClass.C_A], feats[SkillClass.I_A]
     # flat 4 dB modulation vs deep 15 dB: less loudness movement
@@ -247,7 +247,7 @@ def test_rendered_silences_are_the_returned_pauses(drawn, skill):
     # by the render pad, and nothing else in the recording is silent
     duration, schedule = drawn
     profile = synth.make_profile(skill, seed=5, noise_dbfs=-200.0, pause_schedule=schedule)
-    samples, _, _, pauses = synth.generate(profile, duration)
+    samples, _, _, pauses, _ = synth.generate(profile, duration)
     assert len(pauses) == len(schedule)
     for (start, dur), (want_start, want_dur) in zip(pauses, schedule):
         assert start == pytest.approx(want_start, abs=0.005 + 1e-9)

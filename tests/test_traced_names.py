@@ -147,7 +147,7 @@ def test_peaks_counter_counts_the_dumped_nuclei(tmp_path):
     # pauses.peaks adds len(detect_syllables(...)) per call: one per nucleus,
     # so one per syllable row that --dump-events writes
     profile = synth.make_profile(synth.SkillClass.C_A, seed=2)
-    samples, _, _, _ = synth.generate(profile, duration=5.0)
+    samples, _, _, _, _ = synth.generate(profile, duration=5.0)
     track = dsp.build_track(samples)
     peaks = pauses.detect_syllables(samples, track.is_speech)
     path = tmp_path / "events.csv"
