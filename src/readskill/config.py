@@ -11,7 +11,7 @@ from pathlib import Path
 from .asr_align import DEFAULT_TAU
 from .classify import CV_FOLDS, N_TREES, PLANS
 from .corpus import METADATA_FIELDS, text_lines
-from .dsp import SAMPLE_RATE
+from .dsp import FFT_FREQS, SAMPLE_RATE, band_bins
 from .errors import ConfigError
 from .featurize import FeatureConfig
 from .lexical import KMEANS_RESTARTS
@@ -64,6 +64,12 @@ class RunConfig:
             raise ConfigError(
                 f"syllable band [{syllable.band_low_hz}, {syllable.band_high_hz}] Hz must "
                 f"satisfy 0 < syll_band_low_hz < syll_band_high_hz < {SAMPLE_RATE // 2}")
+        bins = band_bins(syllable.band_low_hz, syllable.band_high_hz)
+        if bins.start >= bins.stop:
+            raise ConfigError(
+                f"syllable band [{syllable.band_low_hz}, {syllable.band_high_hz}] Hz holds no "
+                f"spectrum bin centre (a multiple of {FFT_FREQS[1]:g} Hz); widen "
+                f"syll_band_low_hz..syll_band_high_hz")
         if self.kmeans_restarts < 1:
             raise ConfigError(f"kmeans_restarts must be positive, got {self.kmeans_restarts}")
         if not 2 <= self.cluster_k_min <= self.cluster_k_max:

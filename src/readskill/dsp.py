@@ -27,6 +27,7 @@ LAG_MIN = SAMPLE_RATE // 400   # 40
 LAG_MAX = SAMPLE_RATE // 60    # 266
 
 _HAMMING = np.hamming(FRAME_LEN)
+FFT_FREQS = np.arange(FFT_SIZE // 2 + 1) * (SAMPLE_RATE / FFT_SIZE)  # bin centres, 31.25 Hz apart
 
 
 @dataclass
@@ -84,16 +85,27 @@ def raw_frames(samples: np.ndarray) -> np.ndarray:
     return view[::HOP]
 
 
+def power_spectrum(frames: np.ndarray) -> np.ndarray:
+    """Power of each frame's FFT_SIZE-point spectrum, one row per frame
+    and one column per bin of FFT_FREQS."""
+    return np.abs(np.fft.rfft(frames, n=FFT_SIZE, axis=1)) ** 2
+
+
+def band_bins(low_hz: float, high_hz: float) -> slice:
+    """The columns of power_spectrum whose bin centre lies in [low_hz,
+    high_hz]; empty when the band holds no bin centre."""
+    return slice(int(np.searchsorted(FFT_FREQS, low_hz, side="left")),
+                 int(np.searchsorted(FFT_FREQS, high_hz, side="right")))
+
+
 def _centroid_batch(frames: np.ndarray) -> np.ndarray:
     """Power-weighted mean frequency of each frame's spectrum over
     (0, CENTROID_MAX_HZ], 0 for a silent frame. Both sums reduce each row
     on its own, with numpy's loops rather than BLAS, so a frame's value
     does not depend on the frames computed with it."""
-    spec = np.abs(np.fft.rfft(frames, n=FFT_SIZE, axis=1)) ** 2
-    freqs = np.fft.rfftfreq(FFT_SIZE, d=1.0 / SAMPLE_RATE)
-    keep = slice(1, int(np.searchsorted(freqs, CENTROID_MAX_HZ, side="right")))
-    spec = spec[:, keep]
-    num = np.einsum("ij,j->i", spec, freqs[keep])
+    keep = band_bins(FFT_FREQS[1], CENTROID_MAX_HZ)
+    spec = power_spectrum(frames)[:, keep]
+    num = np.einsum("ij,j->i", spec, FFT_FREQS[keep])
     denom = spec.sum(axis=1)
     out = np.zeros(len(frames))
     nz = denom > 0.0

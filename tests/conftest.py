@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from readskill import synth
-from readskill.dsp import (FRAME_LEN, HOP_S, LAG_MAX, LAG_MIN, SAMPLE_RATE, SILENCE_DBFS,
-                           frame_energy, frame_times, moving_average, raw_frames)
+from readskill.dsp import (FFT_SIZE, FRAME_LEN, HOP, HOP_S, LAG_MAX, LAG_MIN, SAMPLE_RATE,
+                           SILENCE_DBFS, frame_times, moving_average)
 from readskill.pauses import SyllableConfig
 
 
@@ -108,22 +108,23 @@ def harmonicity_batch_oracle(frames, intensity_db):
 
 
 def detect_syllables_oracle(samples, is_speech, cfg=None):
-    """pauses.detect_syllables as it was when scipy.signal did its filtering
-    and peak finding: the nucleus times. The numpy port must find the same
-    peak frames, though the envelope's last bits may differ."""
+    """pauses.detect_syllables written out on its own: each frame's band
+    power from its own np.fft.rfft over the bins whose centre lies in the
+    band, scipy.signal's find_peaks and peak_prominences, and the pairwise
+    min-gap rule. The nucleus times."""
     from scipy import signal
 
     cfg = cfg or SyllableConfig()
     x = np.asarray(samples, dtype=np.float64)
     if x.size < FRAME_LEN:
         return np.empty(0)
-    sos = signal.butter(4, [cfg.band_low_hz, cfg.band_high_hz], btype="bandpass",
-                        fs=SAMPLE_RATE, output="sos")
-    band = signal.sosfiltfilt(sos, x)
-
-    env = frame_energy(raw_frames(band))
-    n = min(len(env), len(is_speech))
-    env = env[:n]
+    n = min((x.size - FRAME_LEN) // HOP + 1, len(is_speech))
+    centres = np.arange(FFT_SIZE // 2 + 1) * (SAMPLE_RATE / FFT_SIZE)
+    in_band = (centres >= cfg.band_low_hz) & (centres <= cfg.band_high_hz)
+    env = np.empty(n)
+    for i in range(n):
+        spectrum = np.fft.rfft(x[i * HOP:i * HOP + FRAME_LEN], n=FFT_SIZE)
+        env[i] = np.sum(np.abs(spectrum[in_band]) ** 2)
     smooth_frames = max(1, int(round(cfg.smooth_s / HOP_S)))
     env = moving_average(env, smooth_frames)
 

@@ -1,12 +1,11 @@
-"""No BLAS product outside the syllable band-pass.
+"""No BLAS product anywhere in the package.
 
 OpenBLAS picks its kernels by CPU and may sum a product's terms in any
-order, so a product's last bits can change with the machine. The
-band-pass in ``pauses.py`` reaches the outputs only through peak
-comparisons; everywhere else under ``src/readskill`` a matrix product
-would put those bits into the outputs. The check reads the syntax tree:
-an ``@`` operator, or a call of ``matmul``, ``dot``, ``inner``,
-``tensordot`` or anything under ``linalg``, counts as a product.
+order, so a product's last bits can change with the machine. Anywhere
+under ``src/readskill`` a matrix product would put those bits into the
+outputs. The check reads the syntax tree: an ``@`` operator, or a call of
+``matmul``, ``dot``, ``inner``, ``tensordot`` or anything under
+``linalg``, counts as a product.
 """
 from __future__ import annotations
 
@@ -35,9 +34,9 @@ def blas_products(source: str) -> list[int]:
     return sorted(lines)
 
 
-def test_no_blas_product_outside_the_band_pass():
+def test_no_blas_product_in_the_package():
     found = {path.name: blas_products(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py")) if path.name != "pauses.py"}
+             for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 

@@ -730,6 +730,27 @@ def test_bad_feature_setting_exits_2(small_corpus, tmp_path, capsys, setting):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("band", [(3010.0, 3020.0), (300.5, 312.0), (7990.0, 7999.0)])
+def test_band_without_a_bin_centre_exits_2(small_corpus, tmp_path, capsys, band):
+    # spectrum bins are 31.25 Hz apart: a band between two bin centres
+    # would give every recording an empty envelope and no nuclei
+    out = tmp_path / "out"
+    rc = run("--set", f"corpus_root={small_corpus}", "--set", f"out_dir={out}",
+             "--set", f"syll_band_low_hz={band[0]}", "--set", f"syll_band_high_hz={band[1]}",
+             "--jobs", "1", "featurize")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "holds no spectrum bin centre" in err
+    assert "syll_band_low_hz" in err and "syll_band_high_hz" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("band", [(3000.0, 3001.0), (2999.0, 3000.0), (3000.0, 3000.5)])
+def test_band_holding_one_bin_centre_is_valid(band):
+    assert run("--set", f"syll_band_low_hz={band[0]}",
+               "--set", f"syll_band_high_hz={band[1]}", "config") == 0
+
+
 @pytest.mark.parametrize("setting", ["vad_median_frames=1", "vad_median_frames=0",
                                      "vad_floor_percentile=0", "vad_floor_percentile=100"])
 def test_edge_feature_settings_are_valid(setting):

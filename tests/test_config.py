@@ -213,8 +213,9 @@ def test_derived_configs_carry_fields():
 def test_every_nested_field_has_a_flat_key(tmp_path, prefix, section):
     fields = dataclasses.fields(section)
     # distinct non-default values, typed like each field; odd ints, since
-    # an even vad_median_frames is a config error
-    values = {f.name: (7 + 2 * k if f.type == "int" else 0.5 + k)
+    # an even vad_median_frames is a config error, and floats 40 apart, so
+    # that the syllable band [0.5, 40.5] Hz holds a spectrum bin centre
+    values = {f.name: (7 + 2 * k if f.type == "int" else 0.5 + 40 * k)
               for k, f in enumerate(fields)}
     path = tmp_path / "run.cfg"
     path.write_text("".join(f"{prefix}{name} = {v}\n" for name, v in values.items()))

@@ -11,12 +11,11 @@ confidence, so that the failure paths (errors.log, exit code 1) are
 pinned with the rest. The temporary directory is masked wherever an
 output names it: in stdout, in errors.log and in ``config --dump``.
 
-Recorded with numpy 2.4.6 and OpenBLAS on x86-64. No feature bit comes
-from a BLAS product: the spectral centroid is a row reduction, and the
-band-pass's block products reach the outputs only through peak
-comparisons. ``np.fft`` decides bits everywhere, so another numpy, BLAS
-or CPU family may still read different digests without any change to the
-code.
+Recorded with numpy 2.4.6 and OpenBLAS on x86-64. No BLAS product is
+left in the package (``tests/test_blas_free.py``): the spectral centroid
+and the syllable band power are row reductions of ``dsp.power_spectrum``.
+``np.fft`` decides bits everywhere, so another numpy or CPU family may
+still read different digests without any change to the code.
 """
 from __future__ import annotations
 
@@ -49,12 +48,12 @@ DIGESTS = {
     "errors.log after featurize": "5e1b72606870263b4062480dbcc6cc9cdd75df91e3b22b303b07c714625346ee",
     "events_c_a_000.csv": "fa0b7dbfe36f8a96d578874af7de5aef95039a7dd9aa358c1408cf314b8b3e94",
     "events_c_a_001.csv": "c60e2175807685593f6a2e84d4b8084592fffe199bd8db33dbb93e9b68af9605",
-    "events_c_a_002.csv": "62eaae1fefe3ac757318cad77d8d63188a5a76c639daf7283dc137b8d7c71287",
+    "events_c_a_002.csv": "8096443ceaab24d5f8087060d2b9ac11c196709e702f7f71b49d18db9fd227f9",
     "events_i_a_000.csv": "079da3aef933cc092ba781a5a787b86eea98cd14e4f1506225e2e5829aaea057",
-    "events_i_a_001.csv": "1ed192e1c3a4d63a07d9142cadf0e0a4511d8b18830e990f7a3ad7eae726eb39",
+    "events_i_a_001.csv": "f09845115e39b00130bdfb0d0ec56d850904c2a638a0613fdc8b5c22369dc97d",
     "events_i_a_002.csv": "1619ef9f0eb1c5290ff64549e0f381c8dc916f001a0c15be2a3972090217d9f1",
-    "events_m_a_000.csv": "f75c1d34f40a974c9179c96381ffd9c3b1b67ef348d5f946bc8cf5924831f4aa",
-    "events_m_a_002.csv": "5a3ec2ebd23f670effc1c2b5b33733d8f0cc10ebd19f66ee663bf5cf102452cc",
+    "events_m_a_000.csv": "728872e6b14399c88ee21d3158e3ee7f2630343e7aeb1cdf3b7608f93a42442f",
+    "events_m_a_002.csv": "cc56b28851e0dc562e0d2d8d33ea913b77f45990fa427942ee6a8e335024af02",
     "features.csv": "0488207d13749e3004ccf55a1d9d263cf84482f767e25723621a9886ee9b2958",
     "frames_c_a_000.csv": "8d934406d3420bf8b5984ad414cfba75aa4edce518e1d6be0f2feeab3473479c",
     "frames_c_a_001.csv": "b94a5eb9f78352747342e792d95b2b845cfe6c369b0dc5ca3909542e287068eb",

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from readskill.dsp import FRAME_LEN, HOP_S, SAMPLE_RATE, build_track
 from readskill.errors import IntervalCountMismatch
 from readskill.pauses import (
-    SyllableConfig,
     detect_syllables,
     dump_events,
     extract_pauses,
@@ -132,65 +131,6 @@ def test_detect_syllables_silence():
     ]:
         peaks = detect_syllables(x, np.zeros(n, dtype=bool))
         assert peaks.dtype == np.float64 and peaks.shape == (0,), name
-
-
-def test_band_pass_is_designed_once_per_band(monkeypatch):
-    from readskill import pauses
-
-    x = am_tone(4.0, 2.0)
-    ones = np.ones(build_track(x).n_frames, dtype=bool)
-    pauses._band_pass.cache_clear()
-    designs = []
-    design = pauses._butter_band_sos
-
-    def counting(*args, **kwargs):
-        designs.append(args)
-        return design(*args, **kwargs)
-
-    monkeypatch.setattr(pauses, "_butter_band_sos", counting)
-    first = detect_syllables(x, ones)
-    assert len(detect_syllables(x * 0.5, ones))
-    assert np.array_equal(detect_syllables(x, ones), first)
-    assert len(designs) == 1
-    detect_syllables(x, ones, SyllableConfig(band_low_hz=200.0))
-    assert len(designs) == 2
-
-
-@pytest.mark.parametrize("band", [(300.0, 2500.0), (200.0, 2500.0), (1.0, 7999.0),
-                                  (0.5, 50.0), (3000.0, 3001.0), (7990.0, 7999.0)])
-def test_band_pass_passes_no_dc(band):
-    # the filter passes start from rest, which holds only while a zero at +1
-    # makes the cascade's gain at DC exactly 0
-    from readskill import pauses
-
-    sos = pauses._butter_band_sos(*band)
-    assert np.prod(sos[:, :3].sum(axis=1)) == 0.0
-
-
-@pytest.mark.parametrize("n", [400, 4_001, 80_000])
-@pytest.mark.parametrize("offset", [0.3, -5.0, 100.0])
-def test_band_output_ignores_an_offset(n, offset):
-    from readskill import pauses
-
-    band_pass = pauses._band_pass(300.0, 2500.0)
-    x = np.random.default_rng(n).standard_normal(n)
-    shifted = pauses._filtfilt(band_pass, x + offset)
-    assert np.max(np.abs(shifted - pauses._filtfilt(band_pass, x))) <= 1e-12 * np.max(np.abs(x))
-
-
-@pytest.mark.parametrize("band,tol", [((300.0, 2500.0), 1e-13), ((0.5, 50.0), 1e-8),
-                                      ((1.0, 7999.0), 1e-8)])
-@pytest.mark.parametrize("n", [1, 63, 64, 1000, 4_001])
-def test_band_pass_blocks_match_the_cascade_run_sample_by_sample(band, tol, n):
-    from readskill import pauses
-
-    sos = pauses._butter_band_sos(*band)
-    u = np.random.default_rng(n).standard_normal(n)
-    state, expected = np.zeros(pauses._STATES), np.empty(n)
-    for i, sample in enumerate(u):
-        state, expected[i] = pauses._df2t_step(sos, state, sample)
-    got = pauses._filter(pauses._band_pass(*band), u)
-    assert np.max(np.abs(got - expected)) <= tol * np.max(np.abs(u))
 
 
 def test_detect_syllables_too_short_input():

@@ -1,6 +1,7 @@
-"""The numpy band-pass and peak finder in ``pauses`` against scipy.signal,
-their oracle. scipy is a test dependency only, so without it this module
-is skipped and the rest of the suite still runs."""
+"""The numpy peak finder in ``pauses`` against scipy.signal, its oracle,
+and detect_syllables against an oracle built on it. scipy is a test
+dependency only, so without it this module is skipped and the rest of the
+suite still runs."""
 from __future__ import annotations
 
 import numpy as np
@@ -10,20 +11,10 @@ from hypothesis import strategies as st
 
 from conftest import detect_syllables_oracle
 from readskill import pauses, synth
-from readskill.dsp import SAMPLE_RATE, build_track
+from readskill.dsp import build_track
 from readskill.lexical import SkillClass
 
 signal = pytest.importorskip("scipy.signal")
-
-DEFAULT_BAND = (pauses.SyllableConfig().band_low_hz, pauses.SyllableConfig().band_high_hz)
-EXTREME_BANDS = [(1.0, 7999.0), (0.5, 50.0), (20.0, 7900.0), (3000.0, 3001.0),
-                 (1.0, 2.0), (7990.0, 7999.0)]
-
-
-def scipy_sos(band):
-    return signal.butter(pauses.BAND_ORDER, list(band), btype="bandpass",
-                         fs=SAMPLE_RATE, output="sos")
-
 
 # Arrays drawn as runs of a few levels, so ties and plateaus are the rule,
 # including plateaus at either end and arrays of one value.
@@ -64,55 +55,6 @@ def test_peak_prominences_match_scipy_on_real_values(values):
                                   signal.peak_prominences(x, peaks)[0])
 
 
-@pytest.mark.parametrize("band", [DEFAULT_BAND, (200.0, 2500.0), *EXTREME_BANDS])
-def test_design_matches_butter(band):
-    sos = pauses._butter_band_sos(*band)
-    np.testing.assert_allclose(sos, scipy_sos(band), rtol=1e-13, atol=0.0)
-
-
-@pytest.mark.parametrize("n", [400, 4_001, 80_000])
-def test_band_output_matches_sosfiltfilt(n):
-    rng = np.random.default_rng(n)
-    x = rng.standard_normal(n) + 0.3
-    got = pauses._filtfilt(pauses._band_pass(*DEFAULT_BAND), x)
-    expected = signal.sosfiltfilt(scipy_sos(DEFAULT_BAND), x)
-    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(x))
-
-
-def _df2t_longdouble(sos, x, zi):
-    """scipy.signal.sosfilt's recursion, one sample at a time in long double."""
-    sos = sos.astype(np.longdouble)
-    z = zi.astype(np.longdouble)
-    y = np.empty(len(x), dtype=np.longdouble)
-    for n, value in enumerate(x):
-        for (b0, b1, b2, _, a1, a2), state in zip(sos, z):
-            out = b0 * value + state[0]
-            state[0] = b1 * value - a1 * out + state[1]
-            state[1] = b2 * value - a2 * out
-            value = out
-        y[n] = value
-    return y
-
-
-def _filtfilt_longdouble(sos, x):
-    pad = pauses._PAD
-    x = x.astype(np.longdouble)
-    ext = np.concatenate((2 * x[0] - x[pad:0:-1], x, 2 * x[-1] - x[-2:-(pad + 2):-1]))
-    zi = signal.sosfilt_zi(sos)
-    y = _df2t_longdouble(sos, ext, zi * ext[0])
-    y = _df2t_longdouble(sos, y[::-1], zi * y[-1])[::-1]
-    return y[pad:-pad]
-
-
-@pytest.mark.parametrize("band", EXTREME_BANDS)
-def test_band_output_at_extreme_bands_is_near_a_long_double_reference(band):
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(700) + 0.5
-    reference = _filtfilt_longdouble(scipy_sos(band), x)
-    got = pauses._filtfilt(pauses._band_pass(*band), x)
-    assert float(np.max(np.abs(got - reference))) <= 1e-6 * np.max(np.abs(x))
-
-
 @pytest.mark.parametrize("pause_style", ["class", "randomized"])
 @pytest.mark.parametrize("skill", list(SkillClass))
 def test_detect_syllables_finds_the_scipy_peak_frames(skill, pause_style):
@@ -128,3 +70,17 @@ def test_detect_syllables_finds_the_scipy_peak_frames(skill, pause_style):
         assert got.tolist() == expected.tolist()
         found += len(got)
     assert found > 0
+
+
+@pytest.mark.parametrize("band", [(312.5, 2500.0), (3000.0, 3001.0), (1.0, 7999.0),
+                                  (2990.0, 3010.0)])
+def test_detect_syllables_at_other_bands_finds_the_oracle_peak_frames(band):
+    # bands whose edges fall on bin centres, between them, and one holding
+    # a single bin
+    cfg = pauses.SyllableConfig(band_low_hz=band[0], band_high_hz=band[1])
+    profile = synth.make_profile(SkillClass.C_A, seed=9)
+    samples = synth.generate(profile, 6.0)[0]
+    is_speech = build_track(samples).is_speech
+    got = pauses.detect_syllables(samples, is_speech, cfg)
+    assert got.tolist() == detect_syllables_oracle(samples, is_speech, cfg).tolist()
+    assert len(got) > 0
